@@ -7,9 +7,9 @@ verifies the combined vector against the closed-form expectation, so a
 mis-combining engine (or a corrupted packet that slipped past the
 reliable transport) fails the run instead of skewing a curve.
 
-Used by the ``collectives`` experiment (via the PR-3 ``run_map``
-executor — the config is picklable) and by the ``collectives`` arm of
-``tools/bench.py``.
+Used by the ``collectives`` experiment (via the ``run_map`` executor —
+the config is picklable) and by the ``allreduce-fattree`` workload of
+the repository benchmark (``bench/workloads.py``).
 """
 
 from __future__ import annotations

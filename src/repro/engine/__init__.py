@@ -11,7 +11,7 @@ Public surface:
 * :class:`Tracer` — optional bounded tracing.
 """
 
-from .event_queue import EmptyQueueError, EventHandle, EventQueue
+from .event_queue import EventHandle, EventQueue
 from .resources import Gate, Mailbox, Resource
 from .simulator import (
     Event,
@@ -28,7 +28,6 @@ from .trace import GLOBAL_TRACER, TraceRecord, Tracer
 __all__ = [
     "Category",
     "Counters",
-    "EmptyQueueError",
     "Event",
     "EventHandle",
     "EventQueue",

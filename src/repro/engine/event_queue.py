@@ -11,31 +11,15 @@ queue and handles, a plain integer sequence counter, and heap entries
 that are built exactly once per event.  The simulator's main loop
 reaches into ``_heap`` directly (same package, documented contract:
 ``_heap`` is never rebound, entries are ``(time, priority, seq,
-handle)``) so the per-event cost is one ``heappop`` instead of the
-``peek_time``/``pop`` pair with its double skim and exception
-machinery.
+handle)``), skims cancelled entries itself, and pays one ``heappop``
+per event.  The queue therefore only schedules: ``push``, ``len`` and
+``bool``.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Callable, List, Optional, Tuple
-
-
-class Cancelled(Exception):
-    """Raised internally when a cancelled entry is popped."""
-
-
-class EmptyQueueError(IndexError):
-    """The pending-event set is empty.
-
-    Raised by :meth:`EventQueue.pop` and :meth:`EventQueue.peek_time`
-    with a message naming the operation that hit the empty queue, so a
-    traceback distinguishes "peeked past the end of the simulation" from
-    "popped a queue a callback just drained".  Subclasses
-    :class:`IndexError`, which is what callers historically caught (the
-    simulator's main loop treats it as end-of-simulation).
-    """
 
 
 class EventHandle:
@@ -84,34 +68,3 @@ class EventQueue:
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, priority, seq, handle))
         return handle
-
-    def peek_time(self) -> float:
-        """Time of the earliest live event.
-
-        Raises :class:`EmptyQueueError` when the queue is empty.
-        Cancelled entries are skimmed off lazily.
-        """
-        self._skim("peek_time")
-        return self._heap[0][0]
-
-    def pop(self) -> Tuple[float, Callable[[], None]]:
-        """Remove and return ``(time, callback)`` of the earliest event.
-
-        Raises :class:`EmptyQueueError` when the queue is empty (which
-        can happen even after a successful :meth:`peek_time` if every
-        remaining entry was cancelled in between).
-        """
-        self._skim("pop")
-        time, _prio, _seq, handle = heapq.heappop(self._heap)
-        callback = handle.callback
-        assert callback is not None
-        handle.callback = None
-        return time, callback
-
-    def _skim(self, operation: str) -> None:
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            raise EmptyQueueError(
-                f"EventQueue.{operation}() on an empty event queue")

@@ -20,6 +20,8 @@ Nested coroutines compose with plain ``yield from``.
 from __future__ import annotations
 
 import heapq
+import sys
+import time
 from typing import Any, Callable, Generator, List, Optional
 
 from .event_queue import EventQueue
@@ -288,21 +290,27 @@ class Simulator:
         ``wall_budget_s`` bounds *host* wall-clock time: the run stops
         (leaving the queue non-empty) once the budget expires — the
         quiescence watchdog's backstop against genuinely livelocked
-        simulations.  The budgeted path is a separate loop so the
-        default hot loop stays branch-free."""
-        if wall_budget_s is not None:
-            return self._run_budgeted(until, max_events, wall_budget_s)
+        simulations.  The clock is read before the first event and then
+        every 1024 events."""
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         # The dispatch loop works on the heap directly (the EventQueue
         # fast-path contract: `_heap` is never rebound, entries are
-        # ``(time, priority, seq, handle)``): one heappop per event, no
-        # peek/pop double skim, hwm/fired accumulated in locals and
-        # written back once.  Its visible behaviour — dispatch order,
-        # events_processed, queue_len_hwm sampling, the `until` clamp
-        # rules — is bit-identical to the historical peek/pop loop; the
-        # engine test-suite pins this against a reference queue.
+        # ``(time, priority, seq, handle)``): one heappop per event,
+        # hwm/fired accumulated in locals and written back once.  One
+        # integer compare per event covers both ``max_events`` and the
+        # wall-clock check: ``limit`` is the next fired count at which
+        # either applies.  The engine test-suite pins dispatch order,
+        # events_processed, queue_len_hwm sampling and the `until` clamp
+        # rules against a reference ordering.
+        stop = sys.maxsize if max_events is None else max_events
+        if wall_budget_s is None:
+            deadline = None
+            limit = stop
+        else:
+            deadline = time.perf_counter() + wall_budget_s
+            limit = 0
         heap = self._queue._heap
         heappop = heapq.heappop
         hwm = self.queue_len_hwm
@@ -315,67 +323,14 @@ class Simulator:
                     if heap:
                         continue
                     break  # drained while skimming: no `until` clamp
-                           # (matches the historical peek-raises path)
                 t = entry[0]
                 if until is not None and t > until:
                     self._now = until
                     break
-                if max_events is not None and fired >= max_events:
-                    break
-                qlen = len(heap)
-                if qlen > hwm:
-                    hwm = qlen
-                heappop(heap)
-                handle = entry[3]
-                callback = handle.callback
-                handle.callback = None
-                assert t >= self._now, "time went backwards"
-                self._now = t
-                callback()
-                fired += 1
-            else:
-                if until is not None:
-                    self._now = max(self._now, until)
-        finally:
-            self._running = False
-            self.events_processed += fired
-            if hwm > self.queue_len_hwm:
-                self.queue_len_hwm = hwm
-        return self._now
-
-    def _run_budgeted(self, until: Optional[float],
-                      max_events: Optional[int],
-                      wall_budget_s: float) -> float:
-        """The wall-clock-bounded dispatch loop (see :meth:`run`).
-
-        Dispatch order and accounting are identical to the default loop;
-        the only addition is a ``perf_counter`` check every 1024 events.
-        """
-        import time as _time
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        deadline = _time.perf_counter() + wall_budget_s
-        heap = self._queue._heap
-        heappop = heapq.heappop
-        hwm = self.queue_len_hwm
-        fired = 0
-        try:
-            while heap:
-                entry = heap[0]
-                if entry[3].cancelled:
-                    heappop(heap)
-                    if heap:
-                        continue
-                    break
-                t = entry[0]
-                if until is not None and t > until:
-                    self._now = until
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                if not (fired & 1023) and _time.perf_counter() > deadline:
-                    break
+                if fired >= limit:
+                    if fired >= stop or time.perf_counter() > deadline:
+                        break
+                    limit = min(fired + 1024, stop)
                 qlen = len(heap)
                 if qlen > hwm:
                     hwm = qlen

@@ -24,9 +24,9 @@ Counters and gauges may be *function-sourced* (``fn=...``): the value is
 pulled from the component's own attribute at read time, so instrumenting
 existing code never duplicates bookkeeping on the hot path.
 
-*Probes* — callbacks run before every snapshot
-(:meth:`MetricsRegistry.add_probe`) — are deprecated: nothing registers
-one any more, and they go in the next minor release.
+A snapshot is a plain read of the registry: no callback runs at
+snapshot time, so a metric whose value lives in component state is
+registered function-sourced.
 
 This module is dependency-free on purpose: ``repro.engine`` and every
 layer above it may import it without cycles.
@@ -35,7 +35,6 @@ layer above it may import it without cycles.
 from __future__ import annotations
 
 import bisect
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Default fixed buckets for latency histograms, in nanoseconds.  The
@@ -210,7 +209,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
-        self._probes: List[Callable[["MetricsRegistry"], None]] = []
 
     # -- registration (get-or-create) ------------------------------------------
     def _get_or_create(self, name: str, factory, kind: str) -> Metric:
@@ -247,32 +245,17 @@ class MetricsRegistry:
         """A view of this registry under ``prefix`` (may be empty)."""
         return MetricsScope(self, prefix)
 
-    def add_probe(self, probe: Callable[["MetricsRegistry"], None]) -> None:
-        """Register a callback run before every :meth:`snapshot`; probes
-        late-register metrics whose names are only known at run time.
-
-        Deprecated since 1.1.0, removed in 1.2: register the metrics
-        directly (a function-sourced counter reads live state)."""
-        warnings.warn(
-            "MetricsRegistry.add_probe is deprecated and will be removed "
-            "in 1.2; register the metrics directly with counter(name, fn=...)",
-            DeprecationWarning, stacklevel=2)
-        self._probes.append(probe)
-
     # -- access -----------------------------------------------------------------
     def get(self, name: str) -> Optional[Metric]:
         """The metric registered under ``name``, or None."""
         return self._metrics.get(name)
 
     def kinds(self) -> Dict[str, str]:
-        """``{dotted name: kind}`` for every registered metric (probes
-        run first, so late-registered metrics are included).  Stored next
+        """``{dotted name: kind}`` for every registered metric.  Stored next
         to a snapshot, this is what lets
         :func:`registry_from_snapshot` rebuild a mergeable registry long
         after the live one is gone — e.g. in the parallel sweep executor,
         where worker processes ship snapshots back to the parent."""
-        for probe in self._probes:
-            probe(self)
         return {name: m.kind for name, m in self._metrics.items()}
 
     def __contains__(self, name: str) -> bool:
@@ -291,14 +274,12 @@ class MetricsRegistry:
 
     # -- export -----------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Flat ``{dotted name: value}`` snapshot (probes run first).
+        """Flat ``{dotted name: value}`` snapshot.
 
         Counter/gauge values are numbers; histogram values are
         ``{"count", "sum", "buckets"}`` dicts.  The result is plain data,
         safe to mutate and to ``json.dumps``.
         """
-        for probe in self._probes:
-            probe(self)
         return {name: self._metrics[name].value
                 for name in sorted(self._metrics)}
 

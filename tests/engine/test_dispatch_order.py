@@ -1,16 +1,16 @@
-"""Regression pins for the optimized dispatch loop.
+"""Regression pins for the dispatch loop.
 
-``Simulator.run`` pops the event heap directly instead of going through
-``EventQueue.peek_time``/``pop``.  These tests pin the visible contract
-of that fast path against a straight-line reference implementation:
-exact pop order under randomized (seeded) schedules, cancellation-heavy
-queues, same-instant priority ties, and the historical ``until``-clamp
-corner cases.
+``Simulator.run`` pops the event heap directly and skims cancelled
+entries itself.  These tests pin the visible contract of that loop
+against a straight-line reference ordering: exact dispatch order under
+randomized (seeded) schedules, cancellation-heavy queues, same-instant
+priority ties, the ``until``-clamp corner cases, ``max_events`` and the
+wall-clock budget.
 """
 
 import random
 
-from repro.engine import EventQueue, Simulator
+from repro.engine import Simulator
 
 
 def reference_order(entries):
@@ -27,59 +27,23 @@ def reference_order(entries):
 def test_randomized_schedule_pops_in_reference_order():
     rng = random.Random(0xC41)
     for trial in range(5):
-        q = EventQueue()
+        sim = Simulator()
+        got = []
         entries = []
         handles = []
         for seq in range(300):
             t = rng.choice([0.0, 1.0, 2.5, 2.5, 7.0, rng.uniform(0, 10)])
             prio = rng.choice([0, 0, 1])
-            h = q.push(t, (lambda s=seq: s), priority=prio)
-            handles.append(h)
+            handles.append(sim._queue.push(
+                t, (lambda s=seq: got.append(s)), priority=prio))
             entries.append([t, prio, seq, False])
         for i in rng.sample(range(300), 120):  # cancellation-heavy
             handles[i].cancel()
             entries[i][3] = True
-        got = []
-        while True:
-            try:
-                _t, cb = q.pop()
-            except IndexError:
-                break
-            got.append(cb())
-        assert got == reference_order(entries), f"trial {trial} diverged"
-
-
-def test_simulator_loop_matches_queue_pop_order():
-    """The inline heap loop in Simulator.run dispatches exactly the
-    sequence EventQueue.pop would have produced."""
-    def build(seed, out):
-        rng = random.Random(seed)
-        sim = Simulator()
-        handles = []
-        for seq in range(200):
-            t = rng.choice([0.0, 3.0, 3.0, rng.uniform(0, 20)])
-            prio = rng.choice([0, 1])
-            handles.append(sim._queue.push(
-                t, (lambda s=seq: out.append(s)), priority=prio))
-        for i in rng.sample(range(200), 80):
-            handles[i].cancel()
-        return sim
-
-    for seed in (1, 2, 3):
-        # Reference: drain the same schedule through the public pop API.
-        reference = []
-        ref = build(seed, reference)
-        while True:
-            try:
-                _t, cb = ref._queue.pop()
-            except IndexError:
-                break
-            cb()
-        fired = []
-        sim = build(seed, fired)
         sim.run()
-        assert fired == reference
-        assert sim.events_processed == len(reference)
+        expected = reference_order(entries)
+        assert got == expected, f"trial {trial} diverged"
+        assert sim.events_processed == len(expected)
 
 
 def test_same_instant_priority_orders_before_sequence():
@@ -163,3 +127,23 @@ def test_hwm_accumulates_across_runs():
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.queue_len_hwm == 8  # smaller second run never lowers it
+
+
+def test_wall_budget_checks_the_clock_before_the_first_event():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    assert sim.run(wall_budget_s=-1.0) == 0.0
+    assert sim.events_processed == 0 and len(sim._queue) == 1
+
+
+def test_wall_budget_keeps_order_and_max_events():
+    """A generous budget changes nothing: same order, and ``max_events``
+    still stops at exactly its count across 1024-event clock checks."""
+    sim = Simulator()
+    fired = []
+    for i in range(3000):
+        sim.schedule(float(i % 7), lambda i=i: fired.append(i))
+    sim.run(max_events=2500, wall_budget_s=60.0)
+    assert len(fired) == 2500 and sim.events_processed == 2500
+    sim.run(wall_budget_s=60.0)
+    assert fired == sorted(range(3000), key=lambda i: (i % 7, i))

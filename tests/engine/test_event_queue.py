@@ -1,89 +1,50 @@
-"""Unit tests for the pending-event set."""
+"""Unit tests for the pending-event set, drained through ``Simulator.run``
+(the only consumer of the queue)."""
 
 import pytest
 
-from repro.engine import EmptyQueueError, EventQueue
+from repro.engine import EventQueue, Simulator
 
 
 def test_orders_by_time():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    q.push(5.0, lambda: fired.append("b"))
-    q.push(1.0, lambda: fired.append("a"))
-    q.push(9.0, lambda: fired.append("c"))
-    while q:
-        _, cb = q.pop()
-        cb()
+    sim._queue.push(5.0, lambda: fired.append("b"))
+    sim._queue.push(1.0, lambda: fired.append("a"))
+    sim._queue.push(9.0, lambda: fired.append("c"))
+    sim.run()
     assert fired == ["a", "b", "c"]
+    assert sim.now == 9.0
 
 
 def test_stable_order_for_simultaneous_events():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
     for i in range(10):
-        q.push(3.0, lambda i=i: fired.append(i))
-    while q:
-        q.pop()[1]()
+        sim._queue.push(3.0, lambda i=i: fired.append(i))
+    sim.run()
     assert fired == list(range(10))
 
 
 def test_priority_breaks_ties_before_sequence():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    q.push(1.0, lambda: fired.append("later"), priority=1)
-    q.push(1.0, lambda: fired.append("first"), priority=0)
-    while q:
-        q.pop()[1]()
+    sim._queue.push(1.0, lambda: fired.append("later"), priority=1)
+    sim._queue.push(1.0, lambda: fired.append("first"), priority=0)
+    sim.run()
     assert fired == ["first", "later"]
 
 
 def test_cancelled_events_do_not_fire():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    h = q.push(1.0, lambda: fired.append("cancelled"))
-    q.push(2.0, lambda: fired.append("kept"))
+    h = sim._queue.push(1.0, lambda: fired.append("cancelled"))
+    sim._queue.push(2.0, lambda: fired.append("kept"))
     h.cancel()
-    while q:
-        q.pop()[1]()
+    sim.run()
+    assert sim.events_processed == 1
     assert fired == ["kept"]
-
-
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    h = q.push(1.0, lambda: None)
-    q.push(4.0, lambda: None)
-    h.cancel()
-    assert q.peek_time() == 4.0
-
-
-def test_empty_queue_raises():
-    q = EventQueue()
-    with pytest.raises(IndexError):
-        q.pop()
-    with pytest.raises(IndexError):
-        q.peek_time()
-
-
-def test_empty_queue_error_names_the_operation():
-    q = EventQueue()
-    with pytest.raises(EmptyQueueError, match=r"EventQueue\.pop\(\)"):
-        q.pop()
-    with pytest.raises(EmptyQueueError, match=r"EventQueue\.peek_time\(\)"):
-        q.peek_time()
-
-
-def test_empty_queue_error_is_an_index_error():
-    # The simulator's drain loop catches IndexError as end-of-simulation;
-    # the richer error must stay compatible with it.
-    assert issubclass(EmptyQueueError, IndexError)
-
-
-def test_all_cancelled_queue_raises_like_empty():
-    q = EventQueue()
-    q.push(1.0, lambda: None).cancel()
-    q.push(2.0, lambda: None).cancel()
-    with pytest.raises(EmptyQueueError, match="empty event queue"):
-        q.pop()
+    assert not sim._queue
 
 
 def test_nan_time_rejected():
@@ -94,9 +55,11 @@ def test_nan_time_rejected():
 
 def test_len_and_bool():
     q = EventQueue()
-    assert not q
+    assert not q and len(q) == 0
     q.push(1.0, lambda: None)
-    assert q and len(q) == 1
+    q.push(2.0, lambda: None).cancel()
+    # Cancelled entries stay queued until the dispatch loop skims them.
+    assert q and len(q) == 2
 
 
 def test_cancel_idempotent():
@@ -105,3 +68,4 @@ def test_cancel_idempotent():
     h.cancel()
     h.cancel()
     assert h.cancelled
+    assert h.callback is None

@@ -189,6 +189,20 @@ def test_stuck_report_names_blocked_waits_without_deadlines():
     assert any("read" in w for w in exc.value.report.waits)
 
 
+def test_wall_budget_stops_a_livelocked_run():
+    # The queue never drains: only the host wall-clock budget ends it.
+    cluster = make_cluster()
+
+    def kernel(ctx):
+        while True:
+            yield 1.0
+
+    with pytest.raises(StuckError, match="application deadlock"):
+        cluster.run(kernel, wall_budget_s=0.05)
+    assert cluster.sim._queue
+    assert cluster.sim.events_processed > 0
+
+
 # ---------------------------------------------------------- slow nodes --
 def test_node_slow_inflates_transfer_time():
     def elapsed(plan):

@@ -157,17 +157,6 @@ def test_as_tree_nests_by_segment():
     assert tree["engine"]["qlen"] == 2
 
 
-def test_probe_runs_before_snapshot_and_is_idempotent():
-    r = MetricsRegistry()
-    bag = {"late_metric": 4}
-    with pytest.warns(DeprecationWarning, match="add_probe"):
-        r.add_probe(lambda reg: [
-            reg.counter(k, fn=lambda k=k: bag[k]) for k in bag])
-    assert r.snapshot()["late_metric"] == 4
-    bag["late_metric"] = 9
-    assert r.snapshot()["late_metric"] == 9   # second snapshot: no conflict
-
-
 # -- scopes --------------------------------------------------------------------
 
 def test_scope_prefixes_and_nests():

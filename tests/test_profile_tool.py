@@ -1,0 +1,18 @@
+"""tools/profile.py profiles the benchmark's own workloads and must keep
+running.  It rewrites ``sys.path`` on import (its name shadows the
+stdlib ``profile``), so it runs in a child interpreter."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+PROFILE = Path(__file__).parent.parent / "tools" / "profile.py"
+
+
+def test_profile_smoke_run_exits_clean():
+    proc = subprocess.run(
+        [sys.executable, str(PROFILE), "--workload", "transpose-torus",
+         "--smoke", "--limit", "5"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "[profile] transpose-torus (smoke)" in proc.stdout

@@ -1,24 +1,22 @@
 #!/usr/bin/env python
-"""Profile one simulation run under cProfile and print the hot path.
+"""Profile one benchmark workload under cProfile and print the hot path.
 
-The perf work in this repo is profile-guided: every optimisation PR
-starts by running this tool on a pinned :class:`~repro.harness.RunSpec`
-and attacking the top of the list, and ends by re-running it to show the
-cost moved (tools/bench.py then demonstrates the win end to end).
+The perf work in this repo is profile-guided: every optimisation starts
+by running this tool on a pinned workload and attacking the top of the
+list, and ends by re-running it to show the cost moved (``bench/run.py``
+then measures the change end to end).
 
-Builds the same workload shapes the bench harness pins, so profile
-output and bench numbers describe the same code path::
+Runs the repository benchmark's own workloads (``bench/workloads.py``),
+so profile output and benchmark numbers describe the same code path::
 
-    python tools/profile.py                       # default: bench's jacobi arm
-    python tools/profile.py --app water --n 48    # water, 48 molecules
-    python tools/profile.py --app cholesky
+    python tools/profile.py                            # default: jacobi-dsm
+    python tools/profile.py --workload cholesky-lossy
+    python tools/profile.py --workload transpose-torus --smoke
     python tools/profile.py --sort tottime --limit 40
-    python tools/profile.py --callers repro       # who calls into repro.*
-    python tools/profile.py --dump /tmp/run.prof  # for snakeviz/pstats
+    python tools/profile.py --callers repro            # who calls into repro.*
+    python tools/profile.py --dump /tmp/run.prof       # for snakeviz/pstats
 
-Profiles through :func:`repro.harness.execute_run`, i.e. exactly the
-pool-worker body the parallel executor runs, so what this measures is
-what ``--jobs N`` sweeps pay per point.
+Per-layer shares of host time come from ``bench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -34,53 +32,21 @@ from typing import List, Optional
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:] = [p for p in sys.path
                if os.path.abspath(p or os.getcwd()) != _HERE]
-sys.path.insert(0, os.path.join(_HERE, "..", "src"))
+sys.path.insert(0, os.path.join(_HERE, "..", "bench"))
 
 import cProfile  # noqa: E402
 import pstats  # noqa: E402
 
-
-def build_spec(app: str, n: Optional[int], iters: Optional[int],
-               procs: int, interface: str):
-    """A RunSpec mirroring tools/bench.py's pinned workloads."""
-    from repro.harness import RunSpec
-    from repro.params import SimParams
-
-    params = SimParams().replace(num_processors=procs)
-    if app == "jacobi":
-        from repro.apps import JacobiConfig
-
-        cfg = JacobiConfig(n=n or 96, iterations=iters or 5)
-    elif app == "water":
-        from repro.apps import WaterConfig
-
-        cfg = WaterConfig(n_molecules=n or 48, steps=iters or 2)
-    elif app == "cholesky":
-        from repro.apps import CholeskyConfig, bcsstk14_like
-
-        cfg = CholeskyConfig(matrix=bcsstk14_like(scale=0.06), supernode=4)
-    elif app == "collbench":
-        from repro.collectives import CollBenchConfig
-
-        cfg = CollBenchConfig(op="barrier", rounds=iters or 16)
-    else:
-        raise SystemExit(f"unknown app {app!r}")
-    return RunSpec(app, params, interface, cfg)
+import workloads  # noqa: E402  (puts src/ on the path)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--app", default="jacobi",
-                    choices=("jacobi", "water", "cholesky", "collbench"))
-    ap.add_argument("--n", type=int, default=None,
-                    help="problem size (grid n / molecules); app default "
-                         "mirrors tools/bench.py")
-    ap.add_argument("--iters", type=int, default=None,
-                    help="iterations / steps / rounds")
-    ap.add_argument("--procs", type=int, default=4,
-                    help="simulated processor count (default 4)")
-    ap.add_argument("--interface", default="cni",
-                    choices=("cni", "standard"))
+    ap.add_argument("--workload", default="jacobi-dsm",
+                    choices=sorted(workloads.WORKLOADS),
+                    help="benchmark workload to profile (default jacobi-dsm)")
+    ap.add_argument("--smoke", action="store_true",
+                    help="the workload's tiny smoke-test size")
     ap.add_argument("--sort", default="cumulative",
                     help="pstats sort key (default cumulative; try tottime)")
     ap.add_argument("--limit", type=int, default=30,
@@ -91,18 +57,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="write raw cProfile stats to FILE")
     args = ap.parse_args(argv)
 
-    from repro.harness import execute_run
-
-    spec = build_spec(args.app, args.n, args.iters, args.procs,
-                      args.interface)
-    execute_run(spec)  # warm-up: imports, numpy, allocator
+    w = workloads.WORKLOADS[args.workload]
+    inputs = workloads.build(w, workloads.DEFAULT_SEED, args.smoke)
+    inputs.run()  # warm-up: imports, numpy, allocator
     prof = cProfile.Profile()
     prof.enable()
-    stats = execute_run(spec)
+    stats, _result = inputs.run()
     prof.disable()
 
-    events = float(stats.metrics.get("engine.events_processed", 0.0))
-    print(f"[profile] {spec.describe()}: {events:,.0f} events, "
+    print(f"[profile] {w.name} ({'smoke' if args.smoke else w.spec}): "
+          f"{stats.metrics.get('engine.events_processed', 0):,.0f} events, "
           f"digest {stats.digest()[:12]}")
     ps = pstats.Stats(prof, stream=sys.stdout)
     ps.strip_dirs().sort_stats(args.sort).print_stats(args.limit)

@@ -46,6 +46,31 @@ def test_randomized_schedule_pops_in_reference_order():
         assert sim.events_processed == len(expected)
 
 
+def test_simulator_loop_matches_queue_pop_order():
+    """The inline heap loop in Simulator.run dispatches exactly the
+    (time, priority, sequence) order of the queue contract, skipping
+    cancelled entries."""
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        sim = Simulator()
+        fired = []
+        entries = []
+        handles = []
+        for seq in range(200):
+            t = rng.choice([0.0, 3.0, 3.0, rng.uniform(0, 20)])
+            prio = rng.choice([0, 1])
+            handles.append(sim._queue.push(
+                t, (lambda s=seq: fired.append(s)), priority=prio))
+            entries.append([t, prio, seq, False])
+        for i in rng.sample(range(200), 80):
+            handles[i].cancel()
+            entries[i][3] = True
+        sim.run()
+        reference = reference_order(entries)
+        assert fired == reference
+        assert sim.events_processed == len(reference)
+
+
 def test_same_instant_priority_orders_before_sequence():
     sim = Simulator()
     order = []

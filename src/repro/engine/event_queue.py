@@ -8,12 +8,16 @@ simulation runs reproducible (a property the test-suite relies on).
 This sits at the bottom of every simulated nanosecond, so the
 implementation is tuned for the dispatch loop: ``__slots__`` on the
 queue and handles, a plain integer sequence counter, and heap entries
-that are built exactly once per event.  The simulator's main loop
-reaches into ``_heap`` directly (same package, documented contract:
+that are built exactly once per event.  The rest of ``repro.engine``
+reaches into ``_heap`` and ``_seq`` directly under one contract:
 ``_heap`` is never rebound, entries are ``(time, priority, seq,
-handle)``), skims cancelled entries itself, and pays one ``heappop``
-per event.  The queue therefore only schedules: ``push``, ``len`` and
-``bool``.
+handle)``, and every push takes the next ``_seq``.  Two places rely on
+it.  The simulator's main loop skims cancelled entries itself and pays
+one ``heappop`` per event.  ``Process._step`` pushes a timed wait
+straight onto the heap, with a handle the process reuses for all its
+timed waits (its callback is rebound at each push and cleared by the
+loop at each pop).  The queue itself therefore only schedules:
+``push``, ``len`` and ``bool``.
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ from typing import Callable, List, Optional, Tuple
 class EventHandle:
     """Handle returned by :meth:`EventQueue.push`; supports cancellation."""
 
-    __slots__ = ("time", "cancelled", "callback")
+    __slots__ = ("cancelled", "callback")
 
-    def __init__(self, time: float, callback: Callable[[], None]):
-        self.time = time
-        self.callback: Optional[Callable[[], None]] = callback
+    def __init__(self, callback: Optional[Callable[[], None]]):
+        self.callback = callback
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -63,7 +66,7 @@ class EventQueue:
         among simultaneous events.  Returns a cancellable handle."""
         if time != time:  # NaN guard
             raise ValueError("event time is NaN")
-        handle = EventHandle(time, callback)
+        handle = EventHandle(callback)
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, priority, seq, handle))

@@ -22,9 +22,11 @@ from __future__ import annotations
 import heapq
 import sys
 import time
+from functools import partial
+from heapq import heappush
 from typing import Any, Callable, Generator, List, Optional
 
-from .event_queue import EventQueue
+from .event_queue import EventHandle, EventQueue
 
 
 class SimulationError(RuntimeError):
@@ -94,7 +96,7 @@ class Event:
     def wait(self, callback: Callable[[Any], None]) -> None:
         """Register ``callback(value)``; fires immediately if triggered."""
         if self.triggered:
-            self.sim.call_soon(lambda: callback(self.value))
+            self.sim.call_soon(partial(callback, self.value))
         else:
             self._waiters.append(callback)
 
@@ -113,14 +115,14 @@ class Event:
         self.value = value
         waiters, self._waiters = self._waiters, []
         for cb in waiters:
-            self.sim.call_soon(lambda cb=cb: cb(value))
+            self.sim.call_soon(partial(cb, value))
 
 
 class Process:
     """A simulated activity: a generator driven by the kernel."""
 
     __slots__ = ("sim", "name", "_gen", "finished", "killed", "result",
-                 "_done_event", "_waiting_handle")
+                 "_done_event", "_wake")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "proc"):
         if not hasattr(gen, "send"):
@@ -132,7 +134,11 @@ class Process:
         self.killed = False
         self.result: Any = None
         self._done_event = Event(sim)
-        self._waiting_handle = None
+        # The handle of this process's timed waits, reused from one wait
+        # to the next: it sits in the heap only while the process sleeps.
+        # interrupt() and kill() cancel it, and interrupt() replaces it,
+        # so a stale heap entry is skimmed like any cancelled handle.
+        self._wake = EventHandle(None)
 
     # -- introspection -----------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -149,31 +155,42 @@ class Process:
         """Advance the generator one hop and dispatch on what it yields."""
         if self.finished:
             return  # a stale wakeup racing a kill(); the process is gone
-        self._waiting_handle = None
         try:
-            if exc is not None:
-                yielded = self._gen.throw(exc)
-            else:
+            if exc is None:
                 yielded = self._gen.send(value)
+            else:
+                yielded = self._gen.throw(exc)
         except StopIteration as stop:
             self.finished = True
             self.result = stop.value
             self._done_event.trigger(stop.value)
             return
-        self._dispatch(yielded)
+        if type(yielded) is float and yielded >= 0.0:
+            # Timed wait, the common case: push the wake handle straight
+            # onto the heap as ``Simulator.schedule`` would (priority 0,
+            # next sequence number).  NaN fails the compare and takes
+            # _dispatch, whose push raises on it.
+            sim = self.sim
+            queue = sim._queue
+            wake = self._wake
+            wake.callback = self._step
+            seq = queue._seq
+            queue._seq = seq + 1
+            heappush(queue._heap, (sim._now + yielded, 0, seq, wake))
+        else:
+            self._dispatch(yielded)
 
     def _dispatch(self, yielded: Any) -> None:
-        if isinstance(yielded, (int, float)):
+        if isinstance(yielded, Event):
+            yielded.wait(self._step)
+        elif isinstance(yielded, Process):
+            yielded.done_event.wait(self._step)
+        elif isinstance(yielded, (int, float)):
             if yielded < 0:
                 self._step(exc=SimulationError(
                     f"process {self.name} yielded negative delay {yielded}"))
                 return
-            self._waiting_handle = self.sim.schedule(
-                float(yielded), lambda: self._step(None))
-        elif isinstance(yielded, Event):
-            yielded.wait(lambda v: self._step(v))
-        elif isinstance(yielded, Process):
-            yielded.done_event.wait(lambda v: self._step(v))
+            self._wake = self.sim.schedule(float(yielded), self._step)
         else:
             self._step(exc=SimulationError(
                 f"process {self.name} yielded unsupported {yielded!r}"))
@@ -186,9 +203,8 @@ class Process:
         """
         if self.finished:
             return
-        if self._waiting_handle is not None:
-            self._waiting_handle.cancel()
-            self._waiting_handle = None
+        self._wake.cancel()
+        self._wake = EventHandle(None)
         self.sim.call_soon(lambda: self._step(exc=Interrupt(cause)))
 
     def kill(self) -> None:
@@ -203,9 +219,7 @@ class Process:
             return
         self.finished = True
         self.killed = True
-        if self._waiting_handle is not None:
-            self._waiting_handle.cancel()
-            self._waiting_handle = None
+        self._wake.cancel()
         self._gen.close()
         self._done_event.trigger(None)
 
@@ -213,14 +227,13 @@ class Process:
 class Simulator:
     """Owns the clock and the pending-event set."""
 
-    __slots__ = ("_queue", "_now", "_running", "processes",
+    __slots__ = ("_queue", "_now", "_running",
                  "events_processed", "queue_len_hwm", "waiter_probes")
 
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
-        self.processes: List[Process] = []
         #: Events dispatched over the simulator's lifetime (all runs).
         self.events_processed = 0
         #: High-water mark of the pending-event set, sampled at dispatch.
@@ -260,8 +273,7 @@ class Simulator:
     def spawn(self, gen: Generator, name: str = "proc") -> Process:
         """Start a new process at the current instant."""
         proc = Process(self, gen, name=name)
-        self.processes.append(proc)
-        self.call_soon(lambda: proc._step(None))
+        self.call_soon(proc._step)
         return proc
 
     # -- stuck diagnosis ------------------------------------------------------
@@ -297,13 +309,15 @@ class Simulator:
         self._running = True
         # The dispatch loop works on the heap directly (the EventQueue
         # fast-path contract: `_heap` is never rebound, entries are
-        # ``(time, priority, seq, handle)``): one heappop per event,
-        # hwm/fired accumulated in locals and written back once.  One
-        # integer compare per event covers both ``max_events`` and the
-        # wall-clock check: ``limit`` is the next fired count at which
-        # either applies.  The engine test-suite pins dispatch order,
-        # events_processed, queue_len_hwm sampling and the `until` clamp
-        # rules against a reference ordering.
+        # ``(time, priority, seq, handle)``; the handle may be a
+        # process's reused wake handle, so clearing its callback at pop
+        # also drops the bound ``Process._step`` it holds): one heappop
+        # per event, hwm/fired accumulated in locals and written back
+        # once.  One integer compare per event covers both
+        # ``max_events`` and the wall-clock check: ``limit`` is the next
+        # fired count at which either applies.  The engine test-suite
+        # pins dispatch order, events_processed, queue_len_hwm sampling
+        # and the `until` clamp rules against a reference ordering.
         stop = sys.maxsize if max_events is None else max_events
         if wall_budget_s is None:
             deadline = None

@@ -1,5 +1,9 @@
 """Unit tests for the coroutine kernel."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.engine import Event, Interrupt, Process, SimulationError, Simulator
@@ -173,6 +177,97 @@ def test_interrupt_wakes_sleeping_process():
     sim.spawn(poker(target), "poker")
     sim.run()
     assert target.result == ("interrupted", 10.0, "wake up")
+
+
+def test_interrupted_sleeper_resumes_from_its_new_wait():
+    """The cancelled wait's heap entry is skimmed: the process wakes at
+    the end of the wait it started after the interrupt, and the stale
+    entry is never dispatched or counted."""
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield 1000.0
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        yield 5000.0
+        log.append(("resumed", sim.now))
+
+    def poker(target):
+        yield 10.0
+        target.interrupt()
+
+    target = sim.spawn(sleeper(), "sleeper")
+    sim.spawn(poker(target), "poker")
+    assert sim.run() == 5010.0
+    assert log == [("interrupted", 10.0), ("resumed", 5010.0)]
+    # two spawns, the poker's wait, the interrupt, the 5000 ns wait
+    assert sim.events_processed == 5
+
+
+def test_kill_during_timed_wait_leaves_no_counted_event():
+    sim = Simulator()
+
+    def sleeper():
+        yield 1000.0
+
+    def killer(target):
+        yield 10.0
+        target.kill()
+
+    target = sim.spawn(sleeper(), "sleeper")
+    sim.spawn(killer(target), "killer")
+    assert sim.run() == 10.0
+    assert target.killed and target.finished
+    assert sim.events_processed == 3  # two spawns and the killer's wait
+    assert not sim._queue
+
+
+def test_int_and_numpy_delays_keep_a_float_clock():
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        yield 3
+        seen.append((sim.now, type(sim.now)))
+        yield np.float64(2.5)
+        seen.append((sim.now, type(sim.now)))
+
+    sim.run_process(proc())
+    assert seen == [(3.0, float), (5.5, float)]
+
+
+def test_nan_delay_raises_out_of_run():
+    sim = Simulator()
+
+    def proc():
+        yield float("nan")
+
+    sim.spawn(proc(), "nan")
+    with pytest.raises(ValueError, match="NaN"):
+        sim.run()
+
+
+def test_finished_process_is_released_without_the_cycle_collector():
+    """The simulator keeps no reference to a process once it has
+    finished, so its generator is freed by reference counting alone."""
+    sim = Simulator()
+
+    def body():
+        yield 1.0
+        yield sim.timeout(1.0)
+
+    gen = body()
+    ref = weakref.ref(gen)
+    sim.spawn(gen, "short-lived")
+    del gen
+    gc.disable()
+    try:
+        sim.run()
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_interrupt_finished_process_is_noop():

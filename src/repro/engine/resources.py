@@ -55,6 +55,22 @@ class Resource:
         self._acquired_at = self.sim.now
         return None
 
+    def try_acquire(self) -> bool:
+        """Non-blocking acquire: ``True`` and the resource is held, as
+        after a completed :meth:`acquire`; ``False`` when it is busy, and
+        nothing changes.
+
+        The counterpart of :meth:`Mailbox.try_get`: a process that finds
+        the resource free takes it without building an ``acquire()``
+        generator, and falls back to ``yield from acquire()`` to queue.
+        """
+        if self._busy:
+            return False
+        self._busy = True
+        self.acquisitions += 1
+        self._acquired_at = self.sim.now
+        return True
+
     def release(self) -> None:
         """Release the resource, waking the next waiter FIFO."""
         if not self._busy:

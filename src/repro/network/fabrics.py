@@ -39,6 +39,16 @@ the model cannot deadlock.  Per-link rates default to
 ``SimParams.link_rate_bps``; pass ``rate_overrides`` (link name → bps)
 to model heterogeneous fabrics.
 
+One timed walk, :meth:`Topology.transit`, serves both multi-hop
+fabrics.  It walks ``(crosses, input port, link)`` hops: a fabric's
+:meth:`~Topology._hops` route is turned into such a path once per
+(src, dst) pair and cached, so a train re-derives neither link names
+nor ports.  The adaptive torus cannot cache: its path yields each hop
+when the walk reaches the router, after the previous hop's release.
+Free ports and links are taken with ``Resource.try_acquire``; only a
+busy one is waited for.  The banyan fabric keeps its own single-switch
+path.
+
 The host injection/ejection wires stay where they always were — charged
 by ``Network`` around :meth:`Topology.transit`.  Fabric counters live on
 the topology object and surface as the ``net.*`` metric scope
@@ -47,7 +57,7 @@ the topology object and surface as the ``net.*`` metric scope
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 from ..engine import Resource, Simulator
 from ..params import SimParams
@@ -65,9 +75,15 @@ __all__ = [
 
 
 class Link:
-    """One directed fabric link: a FIFO resource plus its line rate."""
+    """One directed fabric link: a FIFO resource plus its line rate.
 
-    __slots__ = ("name", "res", "rate_bps", "latency_ns", "_params")
+    ``scale`` is the link's serialization time relative to the base rate
+    (``SimParams.link_rate_bps / rate_bps``): a train's time on the link
+    is ``params.train_wire_time_ns(wire_bytes) * scale``.
+    """
+
+    __slots__ = ("name", "res", "rate_bps", "latency_ns", "scale",
+                 "_params")
 
     def __init__(self, sim: Simulator, name: str, params: SimParams,
                  rate_bps: Optional[float] = None,
@@ -78,21 +94,28 @@ class Link:
         if self.rate_bps <= 0:
             raise TopologyError(f"link {name}: rate must be positive")
         self.latency_ns = latency_ns
+        self.scale = params.link_rate_bps / self.rate_bps
         self._params = params
 
     def serialize_ns(self, wire_bytes: int) -> float:
         """Line-rate serialization time of one packet's cells here."""
-        base = self._params.train_wire_time_ns(wire_bytes)
-        return base * (self._params.link_rate_bps / self.rate_bps)
+        return self._params.train_wire_time_ns(wire_bytes) * self.scale
+
+
+#: One hop of a timed walk: whether it crosses a switch, the input port
+#: it contends for there (None on host injection), and the output link.
+Hop = Tuple[bool, Optional[Resource], Link]
 
 
 class Topology:
     """A cluster fabric: timed delivery of cell trains between nodes.
 
-    Subclasses supply :meth:`route` (the pure path, for analysis and
-    tests) and :meth:`transit` (the timed traversal).  The base class
-    owns the shared counters (``net.*`` catalog, docs/network.md), the
-    link/input-port tables, and the per-hop timed walk.
+    Multi-hop subclasses supply :meth:`_hops` (the pure path as
+    ``(switch, link name)`` pairs), from which :meth:`route` and the
+    cached per-pair walk paths derive.  The base class owns the shared
+    counters (``net.*`` catalog, docs/network.md), the link/input-port
+    tables, and :meth:`transit`, the one timed walk.  The banyan fabric
+    overrides :meth:`route` and :meth:`transit` with its single switch.
     """
 
     kind = "abstract"
@@ -106,6 +129,7 @@ class Topology:
         self._rate_overrides = dict(rate_overrides or {})
         self.links: Dict[str, Link] = {}
         self._in_ports: Dict[Tuple[str, str], Resource] = {}
+        self._paths: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
         # -- net.* counters (registered by Network.register_metrics) ----
         self.crossings = 0        # switch/router traversals
         self.link_hops = 0        # links traversed
@@ -121,19 +145,43 @@ class Topology:
         self.links[name] = link
         return link
 
-    def _in_port(self, switch: str, arrived_on: Optional[Link]
-                 ) -> Optional[Resource]:
-        """The input-port resource for trains entering ``switch`` on
-        ``arrived_on`` (None for host injection — the source NIC already
-        serializes its own sends)."""
+    def _hop(self, switch: Optional[str], arrived_on: Optional[Link],
+             link: Link) -> Hop:
+        """The walk's hop onto ``link`` through ``switch`` (None: no
+        switch is crossed).  A crossing contends for the input port of
+        the link the train arrived on; there is none on host injection,
+        where the source NIC already serializes its own sends."""
+        if switch is None:
+            return False, None, link
         if arrived_on is None:
-            return None
+            return True, None, link
         key = (switch, arrived_on.name)
         port = self._in_ports.get(key)
         if port is None:
             port = Resource(self.sim, f"in:{switch}<{arrived_on.name}")
             self._in_ports[key] = port
-        return port
+        return True, port, link
+
+    # -- paths ---------------------------------------------------------------
+    def _hops(self, src: int, dst: int
+              ) -> List[Tuple[Optional[str], str]]:
+        """The zero-load path as ``(switch crossed or None, link name)``
+        hops, in order."""
+        raise NotImplementedError
+
+    def _path(self, src: int, dst: int) -> Iterable[Hop]:
+        """The hops :meth:`transit` walks from ``src`` to ``dst``: built
+        from :meth:`_hops` once per pair, then served from a cache."""
+        path = self._paths.get((src, dst))
+        if path is None:
+            hops = []
+            arrived: Optional[Link] = None
+            for switch, name in self._hops(src, dst):
+                link = self.links[name]
+                hops.append(self._hop(switch, arrived, link))
+                arrived = link
+            path = self._paths[(src, dst)] = tuple(hops)
+        return path
 
     # -- interface -----------------------------------------------------------
     @property
@@ -154,13 +202,43 @@ class Topology:
 
     def route(self, src: int, dst: int) -> List[str]:
         """The (zero-load) path as an ordered list of link names."""
-        raise NotImplementedError
+        return [name for _switch, name in self._hops(src, dst)]
 
     def transit(self, src: int, dst: int, n_cells: int,
                 wire_bytes: int) -> Generator:
         """Coroutine: move one train through the fabric.  Returns when
-        the train's last cell has left its final link."""
-        raise NotImplementedError
+        the train's last cell has left its final link.
+
+        Each hop crosses its switch (cut-through latency), contends for
+        the input port it arrived on (head-of-line blocking), takes its
+        output link (FIFO output queueing), frees the input port, and
+        holds the link for propagation + serialization.  A free port or
+        link is taken with ``try_acquire``; only a busy one is waited
+        for through ``acquire()``.
+        """
+        switch_ns = self.params.switch_latency_ns
+        base_ns = self.params.train_wire_time_ns(wire_bytes)
+        for crosses, in_port, link in self._path(src, dst):
+            if crosses:
+                yield switch_ns
+                self.crossings += 1
+            if in_port is not None and not in_port.try_acquire():
+                self.hol_blocks += 1
+                yield from in_port.acquire()
+            res = link.res
+            if not res.try_acquire():
+                self.link_waits += 1
+                yield from res.acquire()
+            if in_port is not None:
+                in_port.release()
+            try:
+                if link.latency_ns:
+                    yield link.latency_ns
+                yield base_ns * link.scale
+            finally:
+                res.release()
+            self.link_hops += 1
+        return None
 
     def min_transit_ns(self, wire_bytes: int) -> float:
         """Best-case (uncontended, nearest-pair) fabric latency,
@@ -183,38 +261,6 @@ class Topology:
         scope.counter("hol_blocks", fn=lambda: self.hol_blocks)
         scope.counter("adaptive_detours", fn=lambda: self.adaptive_detours)
         scope.gauge("max_link_queue", fn=self.max_link_queue)
-
-    # -- the shared timed walk -----------------------------------------------
-    def _traverse_hop(self, switch: Optional[str], arrived_on: Optional[Link],
-                      link: Link, wire_bytes: int) -> Generator:
-        """One hop: cross ``switch`` (if any), then stream onto ``link``.
-
-        Crossing charges the cut-through latency and contends for the
-        input port (head-of-line blocking); the link itself is held for
-        propagation + serialization, queueing concurrent trains FIFO.
-        """
-        in_port = None
-        if switch is not None:
-            yield self.params.switch_latency_ns
-            self.crossings += 1
-            in_port = self._in_port(switch, arrived_on)
-        if in_port is not None:
-            if in_port.busy:
-                self.hol_blocks += 1
-            yield from in_port.acquire()
-        if link.res.busy:
-            self.link_waits += 1
-        yield from link.res.acquire()
-        if in_port is not None:
-            in_port.release()
-        try:
-            if link.latency_ns:
-                yield link.latency_ns
-            yield link.serialize_ns(wire_bytes)
-        finally:
-            link.res.release()
-        self.link_hops += 1
-        return None
 
 
 class BanyanTopology(Topology):
@@ -324,18 +370,6 @@ class FatTreeTopology(Topology):
         hops.append((f"edge{dp}.{de}", f"host{dst}.down"))
         return hops
 
-    def route(self, src: int, dst: int) -> List[str]:
-        return [name for _sw, name in self._hops(src, dst)]
-
-    def transit(self, src: int, dst: int, n_cells: int,
-                wire_bytes: int) -> Generator:
-        arrived: Optional[Link] = None
-        for switch, name in self._hops(src, dst):
-            link = self.links[name]
-            yield from self._traverse_hop(switch, arrived, link, wire_bytes)
-            arrived = link
-        return None
-
     def min_transit_ns(self, wire_bytes: int) -> float:
         # Nearest pair: two hosts under one edge switch (2 host links,
         # one crossing, no inter-switch propagation).
@@ -414,16 +448,18 @@ class TorusTopology(Topology):
                 moves.append((dim, -1, size - fwd))
         return moves
 
-    def route(self, src: int, dst: int) -> List[str]:
-        """The dimension-order path (adaptive's zero-load/escape path)."""
+    def _hops(self, src: int, dst: int
+              ) -> List[Tuple[Optional[str], str]]:
+        """The dimension-order path as (router, link-name) hops: the
+        ``dor`` route, and ``adaptive``'s zero-load/escape path."""
         self._coords(dst)
-        names = []
+        hops: List[Tuple[Optional[str], str]] = []
         here = src
         for dim, sign, steps in self._deltas(src, dst):
             for _ in range(steps):
-                names.append(self._link_name(here, dim, sign))
+                hops.append((f"rt{here}", self._link_name(here, dim, sign)))
                 here = self._neighbor(here, dim, sign)
-        return names
+        return hops
 
     def _pick_move(self, here: int, moves: List[Tuple[int, int, int]]
                    ) -> Tuple[int, Tuple[int, int, int]]:
@@ -438,29 +474,32 @@ class TorusTopology(Topology):
                 best_i, best_load = i, load
         return best_i, moves[best_i]
 
-    def transit(self, src: int, dst: int, n_cells: int,
-                wire_bytes: int) -> Generator:
+    def _path(self, src: int, dst: int) -> Iterable[Hop]:
+        if self.routing == "adaptive":
+            return self._adaptive_path(src, dst)
+        return super()._path(src, dst)
+
+    def _adaptive_path(self, src: int, dst: int) -> Iterator[Hop]:
+        """Adaptive hops, each picked only when the walk asks for it:
+        right after the previous hop released its link, so the choice
+        sees the queues as they are when the train reaches the router."""
         moves = [list(m) for m in self._deltas(src, dst)]
         here = src
         arrived: Optional[Link] = None
         while moves:
-            if self.routing == "adaptive" and len(moves) > 1:
-                i, _ = self._pick_move(
-                    here, [tuple(m) for m in moves])
+            i = 0
+            if len(moves) > 1:
+                i, _ = self._pick_move(here, [tuple(m) for m in moves])
                 if i != 0:
                     self.adaptive_detours += 1
-            else:
-                i = 0
             dim, sign, _ = moves[i]
             link = self.links[self._link_name(here, dim, sign)]
-            yield from self._traverse_hop(f"rt{here}", arrived, link,
-                                          wire_bytes)
+            yield self._hop(f"rt{here}", arrived, link)
             arrived = link
             here = self._neighbor(here, dim, sign)
             moves[i][2] -= 1
             if moves[i][2] == 0:
                 del moves[i]
-        return None
 
     def min_transit_ns(self, wire_bytes: int) -> float:
         # Nearest pair: adjacent routers, one crossing + one link.

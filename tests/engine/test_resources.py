@@ -46,6 +46,47 @@ def test_resource_held_convenience():
     assert not r.busy
 
 
+def test_resource_try_acquire_takes_only_a_free_resource():
+    sim = Simulator()
+    r = Resource(sim, "r")
+    log = []
+
+    def holder():
+        yield 5.0
+        assert r.try_acquire()
+        assert r.busy and r.acquisitions == 1
+        log.append(("acq", "holder", sim.now))
+        yield 10.0
+        r.release()
+        # handed over to the first waiter: still busy, no barging
+        assert not r.try_acquire()
+
+    def waiter(tag, at):
+        yield at
+        before = (r.busy, r.acquisitions, r.queue_length, r.total_hold_ns)
+        assert not r.try_acquire()
+        # a refused try_acquire changes nothing
+        assert (r.busy, r.acquisitions, r.queue_length,
+                r.total_hold_ns) == before
+        yield from r.acquire()
+        log.append(("acq", tag, sim.now))
+        yield 1.0
+        r.release()
+
+    sim.spawn(holder(), "holder")
+    sim.spawn(waiter("a", 6.0), "a")
+    sim.spawn(waiter("b", 7.0), "b")
+    sim.run()
+    assert log == [
+        ("acq", "holder", 5.0),
+        ("acq", "a", 15.0),
+        ("acq", "b", 16.0),
+    ]
+    assert r.acquisitions == 3
+    assert r.total_hold_ns == 12.0
+    assert not r.busy
+
+
 def test_release_of_free_resource_raises():
     sim = Simulator()
     r = Resource(sim, "r")

@@ -10,6 +10,7 @@ from repro.network import (
     Packet,
     PacketKind,
     TopologyError,
+    build_topology,
     parse_topology,
 )
 from repro.params import SimParams
@@ -140,6 +141,45 @@ def test_output_queue_congestion_serializes():
     gap = abs(times["a"] - times["b"])
     assert gap == pytest.approx(
         shared.latency_ns + shared.serialize_ns(wire_bytes))
+
+
+def test_head_of_line_blocking_at_an_input_port():
+    """C (5->6) takes the edge->agg link p1.e0.up.a0.  A (4->6) then
+    waits for it while holding edge1.0's input port from host4.up, so B
+    (4->5) queues behind A although its own output, host5.down, is
+    free."""
+    sim, params, topo, net = make_topo(k=4)
+    arrived = {}
+
+    def proc(tag, src, dst):
+        yield from net.transfer_and_wait(train(params, src, dst))
+        arrived[tag] = sim.now
+
+    for tag, src, dst in (("C", 5, 6), ("A", 4, 6), ("B", 4, 5)):
+        sim.spawn(proc(tag, src, dst), tag)
+    sim.run()
+    assert topo.hol_blocks == 1
+    # B behind A on host4.up, A behind C on p1.e0.up.a0
+    assert topo.link_waits == 2
+    ser = topo.links["host4.up"].serialize_ns(
+        train(params, 4, 5).packet.wire_bytes)
+    # B leaves the input port when C's hold on p1.e0.up.a0 ends:
+    # wire + crossing + propagation + two serializations; then its own
+    # serialization on host5.down and the ejection wire
+    assert arrived["B"] == 950.0 + 3 * ser
+
+
+def test_rate_override_slows_only_its_link():
+    sim = Simulator()
+    params = SimParams().replace(num_processors=16, topology="fattree:k=4")
+    topo = build_topology(sim, params, rate_overrides={
+        "host0.up": params.link_rate_bps / 2})
+    base = params.train_wire_time_ns(448)
+    assert topo.links["host0.up"].serialize_ns(448) == 2 * base
+    assert topo.links["host1.down"].serialize_ns(448) == base
+    sim.run_process(topo.transit(0, 1, params.cells_for_packet(448), 448))
+    # half-rate injection link, one edge crossing, full-rate ejection
+    assert sim.now == 500.0 + 3 * base
 
 
 def test_capacity_enforced():

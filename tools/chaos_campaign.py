@@ -2,8 +2,10 @@
 """Chaos campaign: every registered workload under seeded fault plans.
 
 Sweeps crash / link-down / cell-loss plans across the full workload
-registry (:data:`repro.apps.WORKLOADS`) and asserts the crash-stop
-fault-tolerance contract end to end (see docs/reliability.md):
+registry (:data:`repro.apps.WORKLOADS`), on the paper's banyan switch
+and on one fabric of each multi-hop family (:data:`FABRICS`), and
+asserts the crash-stop fault-tolerance contract end to end (see
+docs/reliability.md):
 
 * every run **terminates** — either successfully or with one of the
   *typed* errors (``RuntimeTimeout``, ``PeerDead``, ``CollectiveError``,
@@ -16,9 +18,9 @@ fault-tolerance contract end to end (see docs/reliability.md):
   ``--jobs N``.
 
 Usage:
-    tools/chaos_campaign.py            # full campaign (~7 workloads x 6 plans)
-    tools/chaos_campaign.py --smoke    # CI subset (3 workloads x 3 plans)
-    tools/chaos_campaign.py --jobs 4   # parallel worker count (default 2)
+    tools/chaos_campaign.py           # 3 fabrics x 7 workloads x 6 plans
+    tools/chaos_campaign.py --smoke   # banyan, 3 workloads x 3 plans
+    tools/chaos_campaign.py --jobs 4  # parallel worker count (default 2)
 
 Exit status 0 when every run passed the contract, 1 otherwise.
 """
@@ -45,6 +47,11 @@ TYPED_OK = frozenset({
 #: Base seed every plan derives from, mixed with the plan's position so
 #: reruns of the campaign are reproducible end to end.
 CAMPAIGN_SEED = 20260808
+
+#: Fabrics the full campaign runs its grid on: the default banyan switch,
+#: then a fat-tree and an adaptive torus, so every fault plan also runs
+#: through the multi-hop fabric walk.  ``--smoke`` keeps the first only.
+FABRICS = ("banyan:32", "fattree:k=4", "torus:2x2:adaptive")
 
 
 def _workload_configs(smoke: bool) -> List[Tuple[str, Any, int]]:
@@ -106,7 +113,8 @@ def _fault_plans(smoke: bool, nprocs: int) -> List[Tuple[str, Any]]:
 
 
 def build_specs(smoke: bool) -> List[Tuple[str, Any]]:
-    """The full campaign grid as ``(label, RunSpec)`` pairs."""
+    """The campaign grid, fabric x workload x plan, as ``(label,
+    RunSpec)`` pairs."""
     from repro.harness import RunSpec
     from repro.params import SimParams
 
@@ -119,14 +127,17 @@ def build_specs(smoke: bool) -> List[Tuple[str, Any]]:
         heartbeat_miss_budget=4,
         runtime_send_retries=1,
     )
+    workloads = _workload_configs(smoke)
     grid: List[Tuple[str, Any]] = []
-    for app, cfg, nprocs in _workload_configs(smoke):
-        params = base.replace(num_processors=nprocs)
-        for plan_name, plan in _fault_plans(smoke, nprocs):
-            grid.append((
-                f"{app}/{plan_name}",
-                RunSpec(app, params.replace(fault_plan=plan), "cni", cfg),
-            ))
+    for fabric in FABRICS[:1] if smoke else FABRICS:
+        for app, cfg, nprocs in workloads:
+            params = base.replace(num_processors=nprocs, topology=fabric)
+            for plan_name, plan in _fault_plans(smoke, nprocs):
+                grid.append((
+                    f"{fabric} {app}/{plan_name}",
+                    RunSpec(app, params.replace(fault_plan=plan), "cni",
+                            cfg),
+                ))
     return grid
 
 
@@ -166,7 +177,7 @@ def run_campaign(jobs: int, smoke: bool) -> int:
             outcome = "ok"
         outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
         status = "FAIL " + "; ".join(problems) if problems else outcome
-        print(f"[chaos]   {label:<24} {status}")
+        print(f"[chaos]   {label:<42} {status}")
         failures += bool(problems)
 
     summary = ", ".join(f"{k}={v}" for k, v in sorted(outcome_counts.items()))
@@ -185,7 +196,7 @@ def run_campaign(jobs: int, smoke: bool) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="CI subset: 3 workloads x 3 plans")
+                    help="subset: banyan only, 3 workloads x 3 plans")
     ap.add_argument("--jobs", type=int, default=2,
                     help="parallel worker count to compare against "
                          "jobs 1 (default 2)")

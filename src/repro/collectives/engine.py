@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
+from ..core.adc import TransmitDescriptor
 from ..engine import Category, SimulationError
 from ..network import Packet, PacketKind
 from ..params import SimParams
@@ -364,8 +365,6 @@ class CollectiveEngine:
     def _app_send(self, dst: int, msg_type: CollMsgType, body) -> Generator:
         """Send from the application thread (ADC store on the CNI, kernel
         trap on the standard interface) — mirrors DsmEngine._app_send."""
-        from ..core.adc import TransmitDescriptor
-
         desc = TransmitDescriptor(
             dst_node=dst,
             vaddr=None,

@@ -83,10 +83,11 @@ class CNIInterface(NetworkInterface):
             ch.protection_faults for ch in chans.values()))
         adc.counter("ring_polls", fn=lambda: sum(
             ch.poll_receives for ch in chans.values()))
-        if params.snoop_enabled:
-            bus.add_snooper(self._snoop)
-        else:
-            bus.add_snooper(self._snoop_disabled)
+        #: Where snooped write frames go: absorbed into cached buffers,
+        #: or (ablation) invalidating them.
+        self._snoop_sink = (self.message_cache.snoop if params.snoop_enabled
+                            else self.message_cache.snoop_disabled_writeback)
+        bus.add_snooper(self._snoop)
 
     # -- setup -------------------------------------------------------------------
     def open_channel(self, owner_app: int,
@@ -335,32 +336,23 @@ class CNIInterface(NetworkInterface):
         lines' pages through the host MMU mirror (RTLB) inside the
         Message Cache.  ``vlines`` arrive as virtual line numbers from
         the cache model, so we first recover the physical frames the bus
-        would have shown.
+        would have shown, one per distinct page.  With snooping disabled
+        (ablation) the same frames invalidate the board's stale copies.
         """
         lines_per_page = self.params.page_size_bytes // self.params.cache_line_bytes
-        vpages = np.unique(vlines // lines_per_page)
+        lo = int(vlines.min()) // lines_per_page
+        if lo == int(vlines.max()) // lines_per_page:
+            vpages = (lo,)  # one page: every release flush
+        else:
+            vpages = np.unique(vlines // lines_per_page).tolist()
         frames = []
         for vp in vpages:
             try:
-                frames.append(self.tlb.host.translate_v2p(int(vp)))
+                frames.append(self.tlb.host.translate_v2p(vp))
             except KeyError:
                 continue
         if frames:
-            self.message_cache.snoop(np.asarray(frames, dtype=np.int64))
-
-    def _snoop_disabled(self, node_id: int, vlines: np.ndarray) -> None:
-        """Ablation: un-snooped CPU writes leave board copies stale."""
-        lines_per_page = self.params.page_size_bytes // self.params.cache_line_bytes
-        vpages = np.unique(vlines // lines_per_page)
-        frames = []
-        for vp in vpages:
-            try:
-                frames.append(self.tlb.host.translate_v2p(int(vp)))
-            except KeyError:
-                continue
-        if frames:
-            self.message_cache.snoop_disabled_writeback(
-                np.asarray(frames, dtype=np.int64))
+            self._snoop_sink(np.asarray(frames, dtype=np.int64))
 
     # -- receive wake economics ----------------------------------------------------------
     def rx_wake_overhead_ns(self) -> float:

@@ -180,7 +180,7 @@ class MessageCache:
         instead — see :meth:`snoop_disabled_writeback`.
         """
         absorbed = 0
-        for frame in np.unique(frames):
+        for frame in frames if frames.size == 1 else np.unique(frames):
             vpage = self.tlb.rtlb_p2v(int(frame))
             if vpage is None:
                 self.snoop_aborts += 1
@@ -198,7 +198,7 @@ class MessageCache:
         cached copy of the written pages is now stale and must be
         invalidated.  Returns the number of invalidations."""
         dropped = 0
-        for frame in np.unique(frames):
+        for frame in frames if frames.size == 1 else np.unique(frames):
             vpage = self.tlb.rtlb_p2v(int(frame))
             if vpage is not None and self.invalidate(vpage):
                 dropped += 1

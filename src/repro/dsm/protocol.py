@@ -36,6 +36,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.adc import TransmitDescriptor
 from ..engine import Category, SimulationError
 from ..network import Packet, PacketKind
 from ..params import SimParams
@@ -165,8 +166,6 @@ class DsmEngine:
         """Send a protocol request from the application thread (this is
         the path whose host cost differs: user-level ADC stores on the
         CNI, a kernel trap on the standard interface)."""
-        from ..core.adc import TransmitDescriptor
-
         desc = TransmitDescriptor(
             dst_node=dst,
             vaddr=None,

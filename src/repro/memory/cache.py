@@ -48,15 +48,15 @@ def _classify_burst(
     by-set permutation, ``sl``/``ss`` the permuted lines/sets, ``first``
     marks each set-group's first access, and ``hit`` is per permuted
     access.  Exactness argument: a direct-mapped set's behaviour depends
-    only on the in-order sequence of lines mapped to it; the stable
-    lexsort preserves that per-set order, so comparing each access with
-    its predecessor in the group (or the entry tag for the first access)
+    only on the in-order sequence of lines mapped to it; the stable sort
+    preserves that per-set order, so comparing each access with its
+    predecessor in the group (or the entry tag for the first access)
     reproduces the scalar machine.
     """
     n = lines.size
     nsets = entry_tags.size
     sets = lines % nsets
-    order = np.lexsort((np.arange(n), sets))
+    order = sets.argsort(kind="stable")
     sl = lines[order]
     ss = sets[order]
     first = np.empty(n, dtype=bool)
@@ -69,6 +69,22 @@ def _classify_burst(
     prev_line[first] = -2  # sentinel never equal to a real line
     hit = np.where(first, entry_tags[ss] == sl, prev_line == sl)
     return hit, order, sl, ss, first
+
+
+def _commit_burst(tags: np.ndarray, sl: np.ndarray,
+                  ss: np.ndarray) -> np.ndarray:
+    """Install a classified burst's final occupants into ``tags``.
+
+    ``sl``/``ss`` are :func:`_classify_burst`'s permuted lines and sets:
+    the last access in each set-group wins.  Returns the touched sets,
+    one per group, in group order.
+    """
+    last = np.empty(ss.size, dtype=bool)
+    last[-1] = True
+    last[:-1] = ss[1:] != ss[:-1]
+    final_sets = ss[last]
+    tags[final_sets] = sl[last]
+    return final_sets
 
 
 class CacheLevel:
@@ -136,12 +152,7 @@ class CacheLevel:
             # evictions beyond the entry occupant carry no write-back.)
 
         # Commit final state: the last access in each set-group wins.
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        if n > 1:
-            last[:-1] = ss[1:] != ss[:-1]
-        final_sets = ss[last]
-        final_lines = sl[last]
+        final_sets = _commit_burst(self.tags, sl, ss)
         if self.track_dirty:
             if is_write:
                 self.dirty[final_sets] = True
@@ -150,7 +161,6 @@ class CacheLevel:
                 # everything loaded during the burst is clean.  Groups
                 # with no miss leave the entry dirtiness untouched.
                 self.dirty[final_sets[has_miss]] = False
-        self.tags[final_sets] = final_lines
 
         if evicted and sum(e.size for e in evicted):
             ev = np.concatenate(evicted)
@@ -260,10 +270,12 @@ class CacheHierarchy:
         if lines.size == 0:
             return cost
 
-        # Classify against the entry state so the exact in-order L1 miss
-        # stream can be reconstructed for the L2.
-        hit, order, _sl, _ss, _first = _classify_burst(self.l1.tags, lines)
-        self.l1.burst(lines, is_write)
+        # Classify against the entry state once: the same classification
+        # gives the L1 hit count, the exact in-order L1 miss stream for
+        # the L2, and the L1's new occupants (the L1 tracks no dirtiness,
+        # so its tags are all a burst changes there).
+        hit, order, sl, ss, _first = _classify_burst(self.l1.tags, lines)
+        _commit_burst(self.l1.tags, sl, ss)
         cost.l1_hits = int(hit.sum())
 
         miss_positions = np.sort(order[~hit])

@@ -13,6 +13,7 @@ from typing import Generator, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.adc import TransmitDescriptor
 from ..engine import Category
 from ..memory import lines_in_range
 from .node import Node
@@ -65,26 +66,27 @@ class Context:
         stream, records written ranges for the write collector, and
         charges the memory time as computation.
         """
-        if not runs:
-            return None
         line_size = self.params.cache_line_bytes
         page_size = self.params.page_size_bytes
-        line_arrays = [
+        # Run (vaddr, nbytes) covers pages vaddr // page_size through
+        # (vaddr + nbytes - 1) // page_size.
+        spans = {(vaddr // page_size, (vaddr + nbytes - 1) // page_size)
+                 for vaddr, nbytes in runs if nbytes > 0}
+        if not spans:
+            return None
+        lines = np.concatenate([
             lines_in_range(vaddr, nbytes, line_size) for vaddr, nbytes in runs
             if nbytes > 0
-        ]
-        if not line_arrays:
-            return None
-        lines = np.concatenate(line_arrays)
+        ])
 
-        # Page-presence check and faults.
-        lines_per_page = page_size // line_size
-        dsm_base_page = self.engine.segment.asp.dsm_base // page_size
-        pages = np.unique(lines // lines_per_page) - dsm_base_page
-        for page in pages:
-            page = int(page)
-            if not 0 <= page < self.engine.segment.npages:
-                raise ValueError(f"shared access outside the DSM segment")
+        # Page-presence check and faults, in ascending page order.
+        segment = self.engine.segment
+        dsm_base_page = segment.asp.dsm_base // page_size
+        vpages = sorted({p for lo, hi in spans for p in range(lo, hi + 1)})
+        for vpage in vpages:
+            page = vpage - dsm_base_page
+            if not 0 <= page < segment.npages:
+                raise ValueError("shared access outside the DSM segment")
             if not self.engine.page_accessible(page, is_write):
                 yield from self.engine.fault(page, is_write)
 
@@ -185,8 +187,6 @@ class Context:
         application sends leave both at their defaults and travel as
         DATA.
         """
-        from ..core.adc import TransmitDescriptor
-
         if vaddr is not None:
             yield from self.node.flush_buffer(vaddr, nbytes)
         t0 = self.sim.now

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
+from ..core import PIO_THRESHOLD_BYTES, ReceiveDescriptor
 from ..engine import Category, SimulationError
 from ..network import Packet, PacketKind
 from ..params import SimParams
@@ -295,8 +296,6 @@ class MessagingEngine:
         if st is None:
             raise SimulationError(
                 f"node {self.me}: rendezvous data for unknown stream {key}")
-        from ..core.cni_nic import PIO_THRESHOLD_BYTES
-
         if packet.payload_bytes > PIO_THRESHOLD_BYTES:
             yield from self.node.bus.dma(packet.payload_bytes)
         self._mc_receive_insert(st.base_vaddr + msg.offset,
@@ -313,8 +312,6 @@ class MessagingEngine:
         if st.received < st.nbytes:
             return None
         del self._rdv_in[key]
-        from ..core import ReceiveDescriptor
-
         self.node.deliver_to_app(
             ReceiveDescriptor(src_node=st.src, vaddr=st.base_vaddr,
                               length=st.nbytes, handler_key=0,
@@ -347,8 +344,6 @@ class MessagingEngine:
         yield  # pragma: no cover - keeps this a generator
 
     def _on_read_reply(self, packet: Packet) -> Generator:
-        from ..core.cni_nic import PIO_THRESHOLD_BYTES
-
         if packet.payload_bytes > PIO_THRESHOLD_BYTES:
             yield from self.node.bus.dma(packet.payload_bytes)
         self._complete("read", packet.payload.op_id, packet.payload_bytes)
@@ -357,8 +352,6 @@ class MessagingEngine:
     def _on_write(self, packet: Packet) -> Generator:
         req: WriteReq = packet.payload
         self._check_window(req.raddr, req.nbytes, "remote_write", req.src)
-        from ..core.cni_nic import PIO_THRESHOLD_BYTES
-
         if packet.payload_bytes > PIO_THRESHOLD_BYTES:
             yield from self.node.bus.dma(packet.payload_bytes)
         self._mc_receive_insert(req.raddr, req.nbytes)

@@ -114,6 +114,9 @@ def test_hierarchy_matches_scalar_reference(script):
             assert cost.l1_hits == ref.l1_hits - h1_before
             assert cost.l2_hits == ref.l2_hits - h2_before
             assert cost.memory_accesses == ref.memory - mem_before
+            l1_misses = len(lines) - (ref.l1_hits - h1_before)
+            assert cost.cpu_cycles == (len(lines) + 10 * l1_misses
+                                       + 20 * (ref.memory - mem_before))
             assert sorted(cost.writeback_lines.tolist()) == sorted(
                 ref.writebacks[wb_before:])
         else:
@@ -121,7 +124,9 @@ def test_hierarchy_matches_scalar_reference(script):
             want = ref.flush(lines[0])
             assert sorted(got.tolist()) == sorted(want)
 
-    # final L2 state agrees
+    # final L1 and L2 state agrees
+    for s in range(l1_sets):
+        assert vec.l1.tags[s] == ref.l1.get(s, -1)
     for s in range(l2_sets):
         want = ref.l2.get(s, -1)
         assert vec.l2.tags[s] == want

@@ -119,3 +119,23 @@ def test_read_faults_count_once_per_page():
     cluster.run(kernel)
     assert counts["faults"] == 2  # pages 0 and 2 fetched from node 0
     assert counts["faults2"] == counts["faults"]
+
+
+def test_overlapping_out_of_order_runs_fault_once_per_page():
+    cluster, arr = cluster_and_array(nprocs=2)
+    b = arr.base_vaddr
+    # pages 2, 0-1 and 0, out of order; page 0 is covered twice
+    runs = [(b + 2 * 4096 + 100, 50), (b + 4096 - 8, 16), (b + 10, 20)]
+    counts = {}
+
+    def kernel(ctx):
+        if ctx.rank == 1:
+            yield from ctx.read_runs(runs)
+            counts["faults"] = ctx.node.counters["dsm_faults"]
+            yield from ctx.read_runs(runs)
+            counts["faults2"] = ctx.node.counters["dsm_faults"]
+        yield from ctx.barrier()
+
+    cluster.run(kernel)
+    assert counts["faults"] == 2  # pages 0 and 2; node 1 homes page 1
+    assert counts["faults2"] == counts["faults"]

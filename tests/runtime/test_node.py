@@ -80,6 +80,58 @@ def test_flush_page_writes_back_and_snoops():
     assert sum(seen) >= 128  # all 128 lines of the page reached the bus
 
 
+def three_page_snoop_node(snoop_enabled=True):
+    """One CNI node with DSM pages A, B and C mapped on the board; A and
+    B are in the Message Cache, C is not.  Returns the node, its
+    Message Cache, and each page's line numbers."""
+    params = SimParams().replace(num_processors=1, dsm_address_space_pages=16,
+                                 snoop_enabled=snoop_enabled)
+    cluster = Cluster(params, interface="cni")
+    cluster.alloc_shared((3 * 512,))
+    cluster.finalize_memory()
+    node = cluster.nodes[0]
+    mc = node.nic.message_cache
+    page = params.page_size_bytes
+    per_page = page // params.cache_line_bytes
+    pages = [cluster.segment.page_vaddr(p) // page for p in range(3)]
+    mc.insert(pages[0])
+    mc.insert(pages[1])
+    lines = [np.arange(v * per_page, (v + 1) * per_page, dtype=np.int64)
+             for v in pages]
+    return node, mc, pages, lines
+
+
+def three_page_traffic(lines):
+    """Unsorted lines of A, B and C with repeats; the first and last
+    entries are both B's, so only a full scan sees three pages."""
+    a, b, c = lines
+    return np.array([b[3], c[5], a[0], b[127], a[0], c[5], b[3]],
+                    dtype=np.int64)
+
+
+def test_snoop_counts_once_per_distinct_page():
+    node, mc, pages, lines = three_page_snoop_node()
+    updates, aborts = mc.snoop_updates, mc.snoop_aborts
+    node.bus.cpu_write_traffic(three_page_traffic(lines))
+    assert mc.snoop_updates - updates == 2  # A and B absorbed
+    assert mc.snoop_aborts - aborts == 1  # C has no cached buffer
+    assert mc.contains(pages[0]) and mc.contains(pages[1])
+
+    node.bus.cpu_write_traffic(lines[0][::-1])  # one page, 128 lines
+    assert mc.snoop_updates - updates == 3
+    assert mc.snoop_aborts - aborts == 1
+
+
+def test_unsnooped_multi_page_write_invalidates_each_page():
+    node, mc, pages, lines = three_page_snoop_node(snoop_enabled=False)
+    invalidations = mc.invalidations
+    node.bus.cpu_write_traffic(three_page_traffic(lines))
+    assert mc.invalidations - invalidations == 2
+    assert not mc.contains(pages[0])
+    assert not mc.contains(pages[1])
+    assert mc.snoop_updates == 0
+
+
 def test_private_buffer_allocation_registers_mappings():
     cluster = one_node_cluster()
     node = cluster.nodes[0]

@@ -46,6 +46,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..core.adc import TransmitDescriptor
 from ..engine import Category, SimulationError
+from ..engine.waits import TIMEOUT, Waits
 from ..network import Packet, PacketKind
 from ..params import SimParams
 from .errors import CollectiveError
@@ -63,18 +64,6 @@ __all__ = [
 
 #: Operations every engine implements (and the per-op latency metrics).
 OPS = ("barrier", "allreduce", "reduce", "broadcast", "multicast")
-
-#: Sentinel a deadline expiry delivers to a waiter (never a real value).
-_TIMEOUT = object()
-
-
-@dataclass
-class _Waiter:
-    """A blocked application thread's rendezvous."""
-
-    event: Any
-    outstanding: int = 1
-
 
 @dataclass
 class _Episode:
@@ -116,14 +105,9 @@ class CollectiveEngine:
         self._next_seq: Dict[int, int] = {}
         #: Root-side gathers in flight, keyed (coll_id, seq).
         self._episodes: Dict[Tuple[int, int], _Episode] = {}
-        #: Blocked application threads, keyed (coll_id, seq).
-        self._waiters: Dict[Tuple[int, int], _Waiter] = {}
-        #: Releases that arrived before their receiver blocked
-        #: (broadcast/multicast races), keyed (coll_id, seq).
-        self._pending: Dict[Tuple[int, int], Any] = {}
-        #: Episodes this node abandoned on a deadline expiry: a late
-        #: wake/release for one of these keys is dropped, not an error.
-        self._abandoned: Set[Tuple[int, int]] = set()
+        #: Blocked application threads, keyed (coll_id, seq); releases
+        #: that beat their broadcast/multicast receiver park here.
+        self.waits = Waits(node, "collective")
 
         scope = node.metrics.scope("coll")
         self._m_ops = scope.counter("ops_completed")
@@ -189,7 +173,8 @@ class CollectiveEngine:
                     node, CollMsgType.COLL_RELEASE, msg)
             result = value
         else:
-            result = yield from self._await_release(key, "broadcast")
+            result = yield from self._wait(key, self.waits.register(key),
+                                           "broadcast")
         self._finish_op("broadcast", t0)
         return result
 
@@ -217,7 +202,8 @@ class CollectiveEngine:
             self._finish_op("multicast", t0)
             return value
         if self.me in targets:
-            result = yield from self._await_release(key, "multicast")
+            result = yield from self._wait(key, self.waits.register(key),
+                                           "multicast")
             self._finish_op("multicast", t0)
             return result
         return None
@@ -231,7 +217,7 @@ class CollectiveEngine:
         seq = self._bump_seq(coll_id)
         key = (coll_id, seq)
         waiting = deliver_all or self.me == root
-        w = self._register_wait(key) if waiting else None
+        event = self.waits.register(key) if waiting else None
         msg = CollArrive(coll_id, op, seq, self.me, reducer, value,
                          payload_bytes)
         if self.me == root:
@@ -244,8 +230,8 @@ class CollectiveEngine:
         else:
             yield from self._app_send(root, CollMsgType.COLL_ARRIVE, msg)
         result = None
-        if w is not None:
-            result = yield from self._wait(w, key, op)
+        if event is not None:
+            result = yield from self._wait(key, event, op)
         self._finish_op(op, t0)
         return result
 
@@ -291,7 +277,7 @@ class CollectiveEngine:
                 payload, pb = att.coll_make_release(coll_id, node)
                 if node == self.me:
                     att.coll_on_release(coll_id, payload)
-                    self._wake(key, None)
+                    self.waits.wake(key, None)
                 else:
                     self._send_release(
                         node, CollRelease(coll_id, ep.op, seq, payload, pb))
@@ -300,12 +286,12 @@ class CollectiveEngine:
         if ep.op in ("allreduce", "reduce"):
             result = reduce_values(ep.reducer, ep.values)
         if ep.op == "reduce":
-            self._wake(key, result)  # root waits; non-roots never block
+            self.waits.wake(key, result)  # root waits; non-roots never block
             return
         pb = value_wire_bytes(result)
         for node in range(self.nprocs):
             if node == self.me:
-                self._wake(key, result)
+                self.waits.wake(key, result)
             else:
                 self._send_release(
                     node, CollRelease(coll_id, ep.op, seq, result, pb))
@@ -313,20 +299,17 @@ class CollectiveEngine:
     def _release_logic(self, msg: CollRelease) -> None:
         """Participant-side release step."""
         key = (msg.coll_id, msg.seq)
-        if key in self._abandoned:
-            # This node already gave up on the episode (deadline abort);
-            # the straggling release must not park forever in _pending.
-            self._abandoned.discard(key)
+        if self.waits.late(key):
+            # This node already gave up on the episode (deadline abort):
+            # the straggling release must neither park forever nor reach
+            # the consistency attachment.
             return
         value = msg.value
         if (msg.op == "barrier" and self.consistency is not None
                 and value is not None):
             self.consistency.coll_on_release(msg.coll_id, value)
             value = None
-        if key in self._waiters:
-            self._wake(key, value)
-        else:
-            self._pending[key] = value
+        self.waits.deliver(key, value)
 
     # ------------------------------------------------------ packet handler --
     def handle_packet(self, packet: Packet, on_board: bool) -> Generator:
@@ -397,69 +380,23 @@ class CollectiveEngine:
         )
 
     # ------------------------------------------------------ wait machinery --
-    def _register_wait(self, key, outstanding: int = 1) -> _Waiter:
-        if key in self._waiters:
-            raise SimulationError(
-                f"node {self.me}: duplicate collective wait on {key}")
-        w = _Waiter(event=self.sim.event(), outstanding=outstanding)
-        self._waiters[key] = w
-        return w
+    def _wait(self, key, event, op: str) -> Generator:
+        """Block the app thread on episode ``key`` (see :class:`Waits`).
 
-    def _wake(self, key, value=None) -> None:
-        w = self._waiters.get(key)
-        if w is None:
-            if key in self._abandoned:
-                self._abandoned.discard(key)
-                return
-            raise SimulationError(
-                f"node {self.me}: spurious collective wake of {key}")
-        w.outstanding -= 1
-        if w.outstanding <= 0:
-            del self._waiters[key]
-            w.event.trigger(value)
-
-    def _wait(self, w: _Waiter, key=None, op: Optional[str] = None) -> Generator:
-        """Block the app thread on ``w``; charge delay + wake overhead.
-
-        Bounded by ``SimParams.op_deadline_ns`` when it is set and the
-        episode ``key`` is known: expiry abandons the episode and raises
-        :class:`CollectiveError` naming the missing participants (where
-        this node is the root and knows them) and any detector-suspected
-        peers — the engine never waits forever on a dead node."""
+        Bounded by ``SimParams.op_deadline_ns`` when it is set: expiry
+        abandons the episode and raises :class:`CollectiveError` naming
+        the missing participants (where this node is the root and knows
+        them) and any detector-suspected peers — the engine never waits
+        forever on a dead node."""
         deadline = self.params.op_deadline_ns
-        timer = None
-        if deadline > 0 and key is not None:
-            timer = self.sim.schedule(deadline, lambda: self._expire(key))
-        t0 = self.sim.now
-        self.node.app_blocked = True
-        try:
-            value = yield w.event
-        finally:
-            self.node.app_blocked = False
-        if timer is not None and value is not _TIMEOUT:
-            timer.cancel()
-        self.node.account_delay(self.sim.now - t0)
-        if value is _TIMEOUT:
+        value = yield from self.waits.wait(key, event, deadline)
+        if value is TIMEOUT:
             self._m_timeouts.inc()
             raise CollectiveError(self._timeout_message(key, op, deadline))
-        wake_ns = self.node.nic.rx_wake_overhead_ns()
-        yield wake_ns
-        self.node.account_overhead(wake_ns)
         return value
 
-    def _expire(self, key) -> None:
-        """Deadline fired for ``key``: abandon the episode and wake the
-        blocked thread with the timeout sentinel."""
-        w = self._waiters.pop(key, None)
-        if w is None:
-            return
-        self._abandoned.add(key)
-        w.event.trigger(_TIMEOUT)
-
-    def _timeout_message(self, key, op: Optional[str],
-                         deadline: float) -> str:
+    def _timeout_message(self, key, op: str, deadline: float) -> str:
         ep = self._episodes.get(key)
-        opname = op or (ep.op if ep is not None else "collective")
         detail = ""
         if ep is not None:
             absent = sorted(set(range(self.nprocs)) - ep.arrived)
@@ -467,24 +404,14 @@ class CollectiveEngine:
         suspects = self.node.nic.detector.suspected_peers()
         if suspects:
             detail += f"; suspected dead: {suspects}"
-        return (f"node {self.me}: {opname} episode {key} timed out "
+        return (f"node {self.me}: {op} episode {key} timed out "
                 f"after {deadline:.0f} ns{detail}")
-
-    def _await_release(self, key, op: Optional[str] = None) -> Generator:
-        """Wait for a release that may already have been delivered
-        (broadcast/multicast destinations can block after the packet
-        lands; the handler parks the value in ``_pending``)."""
-        if key in self._pending:
-            return self._pending.pop(key)
-        w = self._register_wait(key)
-        value = yield from self._wait(w, key, op)
-        return value
 
     def outstanding_waits(self) -> List[str]:
         """Stuck-report probe: this engine's blocked threads and the
         root-side episodes still gathering (see docs/reliability.md)."""
         out = []
-        for coll_id, seq in sorted(self._waiters):
+        for coll_id, seq in sorted(self.waits.keys()):
             out.append(f"node{self.me}: collective wait "
                        f"(coll {coll_id}, seq {seq})")
         for (coll_id, seq), ep in sorted(self._episodes.items()):

@@ -112,16 +112,23 @@ class CNIInterface(NetworkInterface):
         )
         return ch
 
-    def install_protocol_handler(self, key: int, fn, code_size: int) -> float:
+    def install_protocol_handler(
+        self, key: int, fn, code_size: int,
+        kinds: Tuple[PacketKind, ...] = (PacketKind.DSM_PROTOCOL,
+                                         PacketKind.DSM_PAGE),
+    ) -> float:
         """Swap AIH object code in and program its activation patterns.
 
-        Both protocol-control and page-carrying packets with this handler
-        key activate the handler (Section 2.3: the PATHFINDER 'programs
-        ... to activate the object code on a match of a specified
-        pattern').  Returns the swap-in time (connection-setup cost).
+        A packet of any of ``kinds`` with this handler key activates the
+        handler (Section 2.3: the PATHFINDER 'programs ... to activate
+        the object code on a match of a specified pattern').  The DSM
+        protocol's control and page-carrying packets share a handler;
+        collective and messaging-runtime traffic each travel under one
+        kind of their own.  Returns the swap-in time (connection-setup
+        cost).
         """
         swap_ns = self.handlers.install(key, fn, code_size)
-        for kind in (PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE):
+        for kind in kinds:
             self.pathfinder.install(
                 Pattern(
                     elements=(
@@ -134,49 +141,6 @@ class CNIInterface(NetworkInterface):
                     target=(AIH_TARGET, key),
                 )
             )
-        return swap_ns
-
-    def install_collective_handler(self, key: int, fn, code_size: int) -> float:
-        """Swap in a collective AIH and program its activation pattern.
-
-        Same scheme as :meth:`install_protocol_handler`, but collective
-        traffic travels under a single packet kind
-        (:data:`~repro.network.PacketKind.COLLECTIVE`), so one pattern
-        per handler key suffices.  Returns the swap-in time.
-        """
-        swap_ns = self.handlers.install(key, fn, code_size)
-        self.pathfinder.install(
-            Pattern(
-                elements=(
-                    PatternElement(offset=0, length=1, mask=0xFF,
-                                   value=int(PacketKind.COLLECTIVE)),
-                    # header bytes 8-9: handler key
-                    PatternElement(offset=8, length=2, mask=0xFFFF,
-                                   value=key),
-                ),
-                target=(AIH_TARGET, key),
-            )
-        )
-        return swap_ns
-
-    def install_runtime_handler(self, key: int, fn, code_size: int) -> float:
-        """Swap in a messaging-runtime AIH and program its activation
-        pattern (docs/runtime.md).  Same single-kind scheme as
-        :meth:`install_collective_handler`, under
-        :data:`~repro.network.PacketKind.RUNTIME`."""
-        swap_ns = self.handlers.install(key, fn, code_size)
-        self.pathfinder.install(
-            Pattern(
-                elements=(
-                    PatternElement(offset=0, length=1, mask=0xFF,
-                                   value=int(PacketKind.RUNTIME)),
-                    # header bytes 8-9: handler key
-                    PatternElement(offset=8, length=2, mask=0xFFFF,
-                                   value=key),
-                ),
-                target=(AIH_TARGET, key),
-            )
-        )
         return swap_ns
 
     # -- host send path ------------------------------------------------------------

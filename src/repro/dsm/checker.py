@@ -7,8 +7,10 @@ of violations — empty means healthy.
 
 Invariants checked:
 
-* **Quiescence** (optional): no leaked waiters, no unpublished writes,
-  no locks still held, no partially reassembled packets.
+* **Quiescence** (optional): no leaked waiters in any engine's wait
+  table (DSM, collective and messaging) and no parked release left
+  unclaimed, no unpublished writes, no locks still held, no partially
+  reassembled packets.
 * **Vector-clock sanity**: a node's own component equals its interval
   count; nobody knows a *future* interval of another node (vc[p] on any
   node never exceeds p's own component).
@@ -112,9 +114,12 @@ def check_cluster(cluster, quiescent: bool = True) -> List[Violation]:
     if quiescent:
         for node in cluster.nodes:
             eng = node.engine
-            if eng._waiters:
-                out.append(Violation(
-                    eng.me, "leaked-waiter", f"{sorted(map(str, eng._waiters))}"))
+            for table in (eng.waits, node.coll.waits, node.rt.waits):
+                leaked = table.keys() + table.parked_keys()
+                if leaked:
+                    out.append(Violation(
+                        eng.me, "leaked-waiter",
+                        f"{table.label} {sorted(map(str, leaked))}"))
             if eng.collector:
                 out.append(Violation(
                     eng.me, "unpublished-writes",

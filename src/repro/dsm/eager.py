@@ -64,13 +64,14 @@ class EagerDsmEngine(DsmEngine):
         peers = [p for p in range(self.nprocs) if p != self.me]
         if not peers:
             return None
-        w = self._register_wait(("inv", seq), outstanding=len(peers))
+        key = ("inv", seq)
+        event = self.waits.register(key, replies=len(peers))
         msg = Invalidate(releaser=self.me, seq=seq, intervals=[interval])
         self.node.counters.inc("dsm_eager_invalidations", len(peers))
         for p in peers:
             yield from self._app_send(p, MsgType.INVALIDATE, msg,
                                       msg.wire_bytes)
-        yield from self._wait(w, ("inv", seq), "dsm invalidate round")
+        yield from self._wait(key, event, "dsm invalidate round")
         return None
 
     # -- piggybacking disabled: everyone is already current ---------------
@@ -104,7 +105,7 @@ class EagerDsmEngine(DsmEngine):
         if mt == MsgType.INV_ACK:
             yield self._charge_ns(on_board, factor=0.25)
             body = packet.payload
-            self._wake(("inv", body.seq))
+            self.waits.wake(("inv", body.seq))
             return None
         yield from super().handle_packet(packet, on_board)
         return None

@@ -31,13 +31,13 @@ machines) is documented in :mod:`.page` and DESIGN.md section 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.adc import TransmitDescriptor
 from ..engine import Category, SimulationError
+from ..engine.waits import TIMEOUT, Waits
 from ..network import Packet, PacketKind
 from ..params import SimParams
 from .barrier import BarrierManager
@@ -60,19 +60,6 @@ from .vector_clock import VectorClock
 
 #: Forwarding-chase sanity bound (a correct run never gets close).
 MAX_PAGE_REQ_HOPS_FACTOR = 4
-
-
-@dataclass
-class _Waiter:
-    """A blocked application thread's rendezvous."""
-
-    event: Any
-    outstanding: int = 1
-
-
-#: Sentinel a deadline timer delivers to an abandoned DSM wait (see
-#: :meth:`DsmEngine._expire`); never a legitimate protocol value.
-_TIMEOUT = object()
 
 
 class DsmEngine:
@@ -107,11 +94,8 @@ class DsmEngine:
         #: Arrivers' vector clocks for in-flight barriers, kept by the
         #: manager between gather and release (collective attachment).
         self._barrier_vcs: Dict[Tuple[int, int], List[int]] = {}
-        self._waiters: Dict[Any, _Waiter] = {}
-        #: Waits abandoned by deadline expiry -> replies still expected;
-        #: late protocol wakes for these drain silently instead of
-        #: tripping the spurious-wake check.
-        self._abandoned: Dict[Any, int] = {}
+        #: The app thread's page, lock and invalidation-round waits.
+        self.waits = Waits(node, "DSM")
         #: Served diff sizes: (page, seq) -> bytes, kept after release so
         #: concurrent writers' diff requests can be answered and priced.
         self.diff_store: Dict[Tuple[int, int], int] = {}
@@ -179,34 +163,11 @@ class DsmEngine:
         self.node.account_overhead(self.sim.now - t0)
         return None
 
-    def _register_wait(self, key, outstanding: int = 1):
-        if key in self._waiters:
-            raise SimulationError(f"node {self.me}: duplicate wait on {key}")
-        w = _Waiter(event=self.sim.event(), outstanding=outstanding)
-        self._waiters[key] = w
-        return w
-
-    def _wake(self, key, value=None) -> None:
-        w = self._waiters.get(key)
-        if w is None:
-            left = self._abandoned.get(key)
-            if left is not None:
-                if left <= 1:
-                    del self._abandoned[key]
-                else:
-                    self._abandoned[key] = left - 1
-                return
-            raise SimulationError(f"node {self.me}: spurious wake of {key}")
-        w.outstanding -= 1
-        if w.outstanding <= 0:
-            del self._waiters[key]
-            w.event.trigger(value)
-
     def outstanding_waits(self) -> List[str]:
         """Stuck-report probe: DSM operations this node is blocked on
         (page fetches, lock grants — see docs/reliability.md)."""
         out = []
-        for key in sorted(self._waiters, key=repr):
+        for key in sorted(self.waits.keys(), key=repr):
             kind = key[0] if isinstance(key, tuple) and key else key
             if kind == "page":
                 out.append(f"node{self.me}: DSM page wait (page {key[1]})")
@@ -216,54 +177,26 @@ class DsmEngine:
                 out.append(f"node{self.me}: DSM wait {key!r}")
         return out
 
-    def _wait(self, w: _Waiter, key=None,
-              op: Optional[str] = None) -> Generator:
-        """Block the app thread on ``w``; charge delay + wake overhead.
+    def _wait(self, key, event, op: str) -> Generator:
+        """Block the app thread on ``key`` (see :class:`Waits`).
 
-        Bounded by ``SimParams.op_deadline_ns`` when it is set and the
-        wait ``key`` is known: expiry abandons the wait and raises
-        :class:`~repro.runtime.PeerDead` (detector already suspects a
-        peer) or :class:`~repro.runtime.RuntimeTimeout` — a page fetch
-        or lock acquire never hangs on a crashed node (see
+        Bounded by ``SimParams.op_deadline_ns`` when it is set: expiry
+        abandons the wait and raises :class:`~repro.runtime.PeerDead`
+        (detector already suspects a peer) or
+        :class:`~repro.runtime.RuntimeTimeout` — a page fetch or lock
+        acquire never hangs on a crashed node (see
         docs/reliability.md)."""
         deadline = self.params.op_deadline_ns
-        timer = None
-        if deadline > 0 and key is not None:
-            timer = self.sim.schedule(deadline, lambda: self._expire(key))
-        t0 = self.sim.now
-        self.node.app_blocked = True
-        try:
-            value = yield w.event
-        finally:
-            self.node.app_blocked = False
-        if timer is not None and value is not _TIMEOUT:
-            timer.cancel()
-        self.node.account_delay(self.sim.now - t0)
-        if value is _TIMEOUT:
+        value = yield from self.waits.wait(key, event, deadline)
+        if value is TIMEOUT:
             self.node.counters.inc("dsm_timeouts")
             from ..runtime.errors import PeerDead, RuntimeTimeout
 
-            opname = op or (f"dsm {key[0]}" if isinstance(key, tuple)
-                            else "dsm wait")
             suspects = self.node.nic.detector.suspected_peers()
             if suspects:
-                raise PeerDead(opname, suspects[0], deadline)
-            raise RuntimeTimeout(opname, None, deadline)
-        wake_ns = self.node.nic.rx_wake_overhead_ns()
-        yield wake_ns
-        self.node.account_overhead(wake_ns)
+                raise PeerDead(op, suspects[0], deadline)
+            raise RuntimeTimeout(op, None, deadline)
         return value
-
-    def _expire(self, key) -> None:
-        """Deadline fired for ``key``: abandon the wait and hand the
-        blocked thread the timeout sentinel; replies still in flight
-        drain through the ``_abandoned`` ledger."""
-        w = self._waiters.pop(key, None)
-        if w is None:
-            return
-        if w.outstanding > 0:
-            self._abandoned[key] = w.outstanding
-        w.event.trigger(_TIMEOUT)
 
     # ------------------------------------------------------- interval machinery --
     def _apply_intervals(self, intervals: List[Interval]) -> None:
@@ -377,11 +310,12 @@ class DsmEngine:
             raise SimulationError(
                 f"node {self.me}: invalid page {page} sourced from itself"
             )
-        w = self._register_wait(("page", page))
+        key = ("page", page)
+        event = self.waits.register(key)
         msg = PageReq(page=page, requester=self.me)
         self.node.counters.inc("dsm_page_fetches")
         yield from self._app_send(target, MsgType.PAGE_REQ, msg, msg.wire_bytes)
-        yield from self._wait(w, ("page", page), "dsm page fetch")
+        yield from self._wait(key, event, "dsm page fetch")
         return None
 
     def _fetch_diffs(self, page: int) -> Generator:
@@ -389,12 +323,13 @@ class DsmEngine:
         by_writer: Dict[int, List[Tuple[int, int]]] = {}
         for (proc, seq) in sorted(m.pending_diffs):
             by_writer.setdefault(proc, []).append((proc, seq))
-        w = self._register_wait(("page", page), outstanding=len(by_writer))
+        key = ("page", page)
+        event = self.waits.register(key, replies=len(by_writer))
         self.node.counters.inc("dsm_diff_fetches", len(by_writer))
         for writer, ivs in by_writer.items():
             msg = DiffReq(page=page, requester=self.me, intervals=ivs)
             yield from self._app_send(writer, MsgType.DIFF_REQ, msg, msg.wire_bytes)
-        yield from self._wait(w, ("page", page), "dsm diff fetch")
+        yield from self._wait(key, event, "dsm diff fetch")
         return None
 
     # ------------------------------------------------------------ app-side: locks --
@@ -415,7 +350,8 @@ class DsmEngine:
             self.node.counters.inc("dsm_acquires_local")
             return None
         home = self.homes.lock_home(lock_id)
-        w = self._register_wait(("lock", lock_id))
+        key = ("lock", lock_id)
+        event = self.waits.register(key)
         if home == self.me:
             # Local manager: no request packet; handle inline on the host
             # (the app thread itself does the work, so charge it directly).
@@ -439,7 +375,7 @@ class DsmEngine:
             msg = LockReq(lock_id=lock_id, requester=self.me,
                           vc=self.vc.as_list())
             yield from self._app_send(home, MsgType.LOCK_REQ, msg, msg.wire_bytes)
-        yield from self._wait(w, ("lock", lock_id), "dsm lock acquire")
+        yield from self._wait(key, event, "dsm lock acquire")
         return None
 
     def release(self, lock_id: int) -> Generator:
@@ -475,7 +411,7 @@ class DsmEngine:
         st.held = True
         st.released = False
         st.cached_ownership = True
-        self._wake(("lock", lock_id))
+        self.waits.wake(("lock", lock_id))
 
     # ------------------------------------------------------------ app-side: barrier --
     def barrier(self, barrier_id: int = 0) -> Generator:
@@ -638,7 +574,7 @@ class DsmEngine:
         m = self.pages[page]
         m.source = msg.holder
         self.node.counters.inc("dsm_pages_installed")
-        self._wake(("page", page))
+        self.waits.wake(("page", page))
         return None
 
     # diff handlers ----------------------------------------------------------
@@ -682,6 +618,6 @@ class DsmEngine:
         self.node.drop_page_from_cpu_cache(msg.page)
         self.pages.apply_diffs(msg.page, [tuple(k) for k in msg.intervals])
         self.node.counters.inc("dsm_diffs_installed")
-        self._wake(("page", msg.page))
+        self.waits.wake(("page", msg.page))
         return None
 

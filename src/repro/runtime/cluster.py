@@ -28,7 +28,7 @@ from ..engine import (
     Tracer,
 )
 from ..memory import AddressSpace
-from ..network import Network
+from ..network import Network, PacketKind
 from ..obs import MetricsRegistry, SpanTracer
 from ..params import SimParams, cni_params, standard_interface_params
 from .context import Context
@@ -165,16 +165,18 @@ class Cluster:
                 # is a bounce-to-host trampoline (the engine prices it).
                 per_coll = COLL_HANDLER_CODE_BYTES // len(CollMsgType)
                 for cmt in CollMsgType:
-                    node.nic.install_collective_handler(
-                        int(cmt), node.coll.handle_packet, per_coll
+                    node.nic.install_protocol_handler(
+                        int(cmt), node.coll.handle_packet, per_coll,
+                        kinds=(PacketKind.COLLECTIVE,)
                     )
                 # Messaging-runtime AIHs: the rendezvous responder and
                 # RDMA window logic run on the NI processor (with AIH
                 # ablated away the same patterns bounce to the host).
                 per_rt = RT_HANDLER_CODE_BYTES // len(RtMsgType)
                 for rmt in RtMsgType:
-                    node.nic.install_runtime_handler(
-                        int(rmt), node.rt.handle_packet, per_rt
+                    node.nic.install_protocol_handler(
+                        int(rmt), node.rt.handle_packet, per_rt,
+                        kinds=(PacketKind.RUNTIME,)
                     )
             else:
                 node.dsm_channel_id = 1

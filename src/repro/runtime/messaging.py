@@ -136,14 +136,14 @@ class MessagingService:
         op_id = rt.new_op_id()
         src = yield from self._ensure_rdv_src(nbytes)
         t0 = self.ctx.sim.now
-        w = rt.register_wait("cts", op_id)
+        key = ("cts", op_id)
+        event = rt.waits.register(key)
         rt._m_rts.inc()
         yield from self.ctx.send(
             dst, None, MSG_BASE_BYTES,
             payload=RtsMsg(op_id, self.ctx.rank, nbytes),
             kind=PacketKind.RUNTIME, handler_key=int(RtMsgType.RTS))
-        yield from rt.wait("cts", op_id, w, deadline_ns=deadline_ns,
-                           peer=dst)
+        yield from rt.wait(key, event, deadline_ns=deadline_ns, peer=dst)
         page = self.ctx.params.page_size_bytes
         off = 0
         while True:
@@ -203,13 +203,14 @@ class MessagingService:
         rt = self.rt
         op_id = rt.new_op_id()
         t0 = self.ctx.sim.now
-        w = rt.register_wait("read", op_id)
+        key = ("read", op_id)
+        event = rt.waits.register(key)
         yield from self.ctx.send(
             dst, None, MSG_BASE_BYTES,
             payload=ReadReq(op_id, self.ctx.rank, raddr, nbytes),
             kind=PacketKind.RUNTIME,
             handler_key=int(RtMsgType.RDMA_READ_REQ))
-        got = yield from rt.wait("read", op_id, w, deadline_ns=deadline_ns,
+        got = yield from rt.wait(key, event, deadline_ns=deadline_ns,
                                  peer=dst)
         rt._m_reads.inc()
         rt._m_rdma_bytes.inc(nbytes)
@@ -231,14 +232,14 @@ class MessagingService:
         rt = self.rt
         op_id = rt.new_op_id()
         t0 = self.ctx.sim.now
-        w = rt.register_wait("wack", op_id)
+        key = ("wack", op_id)
+        event = rt.waits.register(key)
         yield from self.ctx.send(
             dst, self.send_buffer, nbytes, cacheable=True,
             payload=WriteReq(op_id, self.ctx.rank, raddr, nbytes),
             kind=PacketKind.RUNTIME,
             handler_key=int(RtMsgType.RDMA_WRITE))
-        yield from rt.wait("wack", op_id, w, deadline_ns=deadline_ns,
-                           peer=dst)
+        yield from rt.wait(key, event, deadline_ns=deadline_ns, peer=dst)
         rt._m_writes.inc()
         rt._m_rdma_bytes.inc(nbytes)
         rt._m_write_ns.observe(self.ctx.sim.now - t0)

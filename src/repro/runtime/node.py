@@ -162,19 +162,7 @@ class Node:
         is shown to the bus snoopers, which is how the Message Cache's
         copy stays consistent (Section 2.2).
         """
-        flushed = self.cache.flush_lines(self.page_lines(page))
-        if flushed.size:
-            words = flushed.size * (
-                self.params.cache_line_bytes // self.params.bus_word_bytes
-            )
-            cost = self.params.bus_cycles_ns(
-                self.params.bus_acquisition_cycles
-                + self.params.bus_cycles_per_word * words
-            )
-            self.memory.record_writebacks(int(flushed.size))
-            self.bus.cpu_write_traffic(flushed)
-        else:
-            cost = 0.0
+        cost = self._write_back(self.page_lines(page))
         yield cost
         self.account_overhead(cost)
         return None
@@ -182,23 +170,29 @@ class Node:
     def flush_buffer(self, vaddr: int, nbytes: int) -> Generator:
         """Flush an arbitrary registered buffer before transmitting it
         (the message-passing send path's consistency obligation)."""
-        lines = lines_in_range(vaddr, nbytes, self.params.cache_line_bytes)
-        flushed = self.cache.flush_lines(lines)
-        if flushed.size:
-            words = flushed.size * (
-                self.params.cache_line_bytes // self.params.bus_word_bytes
-            )
-            cost = self.params.bus_cycles_ns(
-                self.params.bus_acquisition_cycles
-                + self.params.bus_cycles_per_word * words
-            )
-            self.memory.record_writebacks(int(flushed.size))
-            self.bus.cpu_write_traffic(flushed)
-        else:
-            cost = 0.0
+        cost = self._write_back(
+            lines_in_range(vaddr, nbytes, self.params.cache_line_bytes))
         yield cost
         self.account_overhead(cost)
         return None
+
+    def _write_back(self, lines: np.ndarray) -> float:
+        """Flush ``lines``' dirty copies to memory, record the
+        write-backs and show them to the bus snoopers; returns the bus
+        time.  Not a generator, so each flush stays one frame."""
+        flushed = self.cache.flush_lines(lines)
+        if not flushed.size:
+            return 0.0
+        words = flushed.size * (
+            self.params.cache_line_bytes // self.params.bus_word_bytes
+        )
+        cost = self.params.bus_cycles_ns(
+            self.params.bus_acquisition_cycles
+            + self.params.bus_cycles_per_word * words
+        )
+        self.memory.record_writebacks(int(flushed.size))
+        self.bus.cpu_write_traffic(flushed)
+        return cost
 
     def drop_page_from_cpu_cache(self, page: int) -> None:
         """Invalidate a page's lines in the CPU caches (fresh remote data

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..core import PIO_THRESHOLD_BYTES, ReceiveDescriptor
 from ..engine import Category, SimulationError
+from ..engine.waits import TIMEOUT, Waits
 from ..network import Packet, PacketKind
 from ..params import SimParams
 from ..dsm.messages import MSG_BASE_BYTES
@@ -63,10 +64,6 @@ __all__ = [
 #: (rendezvous responder + RDMA window logic), resident alongside the
 #: DSM protocol's 48 KB and the collectives' 16 KB.
 RT_HANDLER_CODE_BYTES = 28 * 1024
-
-#: Wake value of a deadline expiry; a protocol completion can never
-#: carry it, so the woken waiter knows its timer — not a reply — fired.
-_TIMEOUT = object()
 
 
 class RtMsgType(IntEnum):
@@ -162,15 +159,6 @@ class WriteAck:
 
 
 @dataclass
-class _Waiter:
-    """A blocked application thread's rendezvous (same shape as the
-    collective engine's)."""
-
-    event: Any
-    outstanding: int = 1
-
-
-@dataclass
 class _RdvIn:
     """Receiver-side state of one in-flight rendezvous message."""
 
@@ -190,10 +178,6 @@ class MessagingEngine:
         self.params: SimParams = node.params
         self.me: int = node.node_id
         self.nprocs = nprocs
-        #: Handlers execute on the NI processor when the platform has
-        #: AIH support; otherwise on the host CPU (standard interface,
-        #: or a CNI with AIH ablated away).
-        self.resident = node.interface == "cni" and node.params.use_aih
 
         #: Registered one-sided windows, (vaddr, nbytes).
         self.windows: List[Tuple[int, int]] = []
@@ -201,12 +185,7 @@ class MessagingEngine:
         #: reply routes back to the node that minted the id).
         self._next_op = 0
         #: Blocked application threads, keyed ("cts"|"read"|"wack", op_id).
-        self._waiters: Dict[Tuple[str, int], _Waiter] = {}
-        #: Early completions (a reply that lands before the app blocks).
-        self._pending: Dict[Tuple[str, int], Any] = {}
-        #: Waits that expired; their late replies must be dropped, not
-        #: parked in _pending for a future op to collide with.
-        self._abandoned: Set[Tuple[str, int]] = set()
+        self.waits = Waits(node, "runtime")
         #: Inbound rendezvous streams, keyed (src_node, op_id).
         self._rdv_in: Dict[Tuple[int, int], _RdvIn] = {}
         #: Eager-retry rounds already granted, keyed by packet_id.
@@ -257,7 +236,7 @@ class MessagingEngine:
         if mt is RtMsgType.RTS:
             yield from self._on_rts(packet)
         elif mt is RtMsgType.CTS:
-            self._complete("cts", packet.payload.op_id, None)
+            self.waits.wake(("cts", packet.payload.op_id))
         elif mt is RtMsgType.RDV_DATA:
             yield from self._on_rdv_data(packet, on_board)
         elif mt is RtMsgType.RDMA_READ_REQ:
@@ -267,7 +246,7 @@ class MessagingEngine:
         elif mt is RtMsgType.RDMA_WRITE:
             yield from self._on_write(packet)
         elif mt is RtMsgType.RDMA_WRITE_ACK:
-            self._complete("wack", packet.payload.op_id, None)
+            self.waits.wake(("wack", packet.payload.op_id))
         else:  # pragma: no cover - RtMsgType() above already raises
             raise SimulationError(f"unhandled runtime message {mt!r}")
         return None
@@ -346,7 +325,7 @@ class MessagingEngine:
     def _on_read_reply(self, packet: Packet) -> Generator:
         if packet.payload_bytes > PIO_THRESHOLD_BYTES:
             yield from self.node.bus.dma(packet.payload_bytes)
-        self._complete("read", packet.payload.op_id, packet.payload_bytes)
+        self.waits.wake(("read", packet.payload.op_id), packet.payload_bytes)
         return None
 
     def _on_write(self, packet: Packet) -> Generator:
@@ -398,94 +377,49 @@ class MessagingEngine:
         self._m_bytes.inc(wire_bytes)
 
     def _charge_rx(self, on_board: bool) -> float:
-        """Cost of one inbound protocol step on this node's platform."""
+        """Cost of one inbound protocol step on this node's platform:
+        an AIH on the NI processor (``on_board``), or a host step — on
+        the standard interface, or on a CNI with AIH ablated away, whose
+        board has already charged the host its bounce."""
         p = self.params
-        if on_board and self.resident:
+        if on_board:
             self._m_nic_steps.inc()
             return p.ni_cycles_ns(p.ni_aih_protocol_cycles)
         self._m_host_steps.inc()
         ns = p.cpu_cycles_ns(p.host_protocol_cycles)
-        if on_board:
-            # CNI without AIH support: the board handler is a trampoline
-            # that bounces the packet to the host.
-            ns += p.interrupt_latency_ns + p.cpu_cycles_ns(
-                p.kernel_trap_cycles)
         self.node.steal_host_time(ns, Category.SYNCH_OVERHEAD)
         return ns
 
     # ------------------------------------------------------ wait machinery --
-    def register_wait(self, kind: str, op_id: int) -> _Waiter:
-        key = (kind, op_id)
-        if key in self._waiters:
-            raise SimulationError(
-                f"node {self.me}: duplicate runtime wait on {key}")
-        w = _Waiter(event=self.sim.event())
-        self._waiters[key] = w
-        return w
-
-    def wait(self, kind: str, op_id: int, w: _Waiter,
+    def wait(self, key: Tuple[str, int], event,
              deadline_ns: Optional[float] = None,
              peer: Optional[int] = None) -> Generator:
-        """Block the app thread until the matching reply; charge delay +
-        wake overhead.  Handles the reply-before-block race.
+        """Block the app thread until the reply for ``key`` (registered
+        on :attr:`waits` before the request left); charge delay + wake
+        overhead.
 
         ``deadline_ns`` bounds the block (None takes
         ``SimParams.op_deadline_ns``; 0 waits forever — the seed
-        behaviour).  On expiry the wait raises a typed
+        behaviour).  On expiry the thread still pays the wake overhead,
+        then the wait raises a typed
         :class:`~repro.runtime.RuntimeTimeout`, sharpened to
         :class:`~repro.runtime.PeerDead` when the failure detector
         already suspects ``peer``; the late reply, if it ever arrives,
         is dropped."""
-        key = (kind, op_id)
-        if key in self._pending:
-            del self._waiters[key]
-            return self._pending.pop(key)
         deadline = (self.params.op_deadline_ns if deadline_ns is None
                     else deadline_ns)
-        timer = None
-        if deadline > 0:
-            timer = self.sim.schedule(deadline, lambda: self._expire(key))
-        t0 = self.sim.now
-        self.node.app_blocked = True
-        try:
-            value = yield w.event
-        finally:
-            self.node.app_blocked = False
-        if timer is not None and value is not _TIMEOUT:
-            timer.cancel()
-        self.node.account_delay(self.sim.now - t0)
-        wake_ns = self.node.nic.rx_wake_overhead_ns()
-        yield wake_ns
-        self.node.account_overhead(wake_ns)
-        if value is _TIMEOUT:
+        value = yield from self.waits.wait(key, event, deadline)
+        if value is TIMEOUT:
+            wake_ns = self.node.nic.rx_wake_overhead_ns()
+            yield wake_ns
+            self.node.account_overhead(wake_ns)
             self._m_op_timeouts.inc()
+            kind = key[0]
             if peer is not None and self.node.nic.detector.is_suspected(peer):
                 self._m_peer_dead.inc()
                 raise PeerDead(kind, peer, deadline)
             raise RuntimeTimeout(kind, peer, deadline)
         return value
-
-    def _expire(self, key: Tuple[str, int]) -> None:
-        """Deadline timer: abandon the wait and wake the blocked thread
-        with the timeout sentinel (no-op if the reply won the race)."""
-        w = self._waiters.pop(key, None)
-        if w is None:
-            return
-        self._abandoned.add(key)
-        w.event.trigger(_TIMEOUT)
-
-    def _complete(self, kind: str, op_id: int, value) -> None:
-        key = (kind, op_id)
-        if key in self._abandoned:
-            # The waiter gave up at its deadline; drop the late reply.
-            self._abandoned.discard(key)
-            return
-        w = self._waiters.get(key)
-        if w is None:
-            self._pending[key] = value
-            return
-        del self._waiters[key]
-        w.event.trigger(value)
 
     # ------------------------------------------------- failure integration --
     def on_delivery_failed(self, packet: Packet, attempts: int) -> bool:
@@ -515,7 +449,7 @@ class MessagingEngine:
         """Stuck-report probe: every wait this engine still holds open."""
         waits = [
             f"node{self.me}: runtime {kind} wait (op {op_id})"
-            for kind, op_id in sorted(self._waiters)
+            for kind, op_id in sorted(self.waits.keys())
         ]
         waits.extend(
             f"node{self.me}: inbound rendezvous from node{src} "

@@ -141,7 +141,7 @@ def test_registry_metrics_track_swap_ins_and_occupancy():
 
 # -- collective handler installation (PATHFINDER mapping) ---------------------
 
-def test_install_collective_handler_classifies_collective_packets():
+def test_install_protocol_handler_classifies_collective_packets():
     from repro.collectives import COLL_HANDLER_CODE_BYTES, CollMsgType
     from repro.core.cni_nic import AIH_TARGET
     from repro.network import PacketKind

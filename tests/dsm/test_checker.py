@@ -39,11 +39,25 @@ def test_healthy_after_clean_run(iface):
 def test_detects_leaked_waiter():
     cluster = run_small()
     eng = cluster.nodes[1].engine
-    eng._register_wait(("page", 99))
+    eng.waits.register(("page", 99))
     violations = check_cluster(cluster)
     assert any(v.kind == "leaked-waiter" for v in violations)
     with pytest.raises(AssertionError, match="leaked-waiter"):
         assert_healthy(cluster)
+
+
+def test_detects_leaked_collective_wait_and_parked_release():
+    cluster = run_small()
+    coll = cluster.nodes[2].coll
+    coll.waits.register((0, 99))
+    leaked = [v for v in check_cluster(cluster) if v.kind == "leaked-waiter"]
+    assert [(v.node, v.detail) for v in leaked] == [
+        (2, "collective ['(0, 99)']")]
+    coll.waits.wake((0, 99))
+    coll.waits.deliver((0, 100), 1.0)
+    leaked = [v for v in check_cluster(cluster) if v.kind == "leaked-waiter"]
+    assert [(v.node, v.detail) for v in leaked] == [
+        (2, "collective ['(0, 100)']")]
 
 
 def test_detects_held_lock():

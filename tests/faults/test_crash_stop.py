@@ -169,6 +169,50 @@ def test_dsm_page_fetch_times_out_on_crashed_home():
         cluster.run(kernel)
 
 
+def _read_window(ctx, arr):
+    svc = MessagingService(ctx)
+    win = svc.expose(4096)
+    if ctx.rank == 0:
+        yield from svc.remote_read(1, win, 1024)
+
+
+def _fetch_page(ctx, arr):
+    if ctx.rank == 0:
+        yield from ctx.read_runs([(arr.base_vaddr + 4096, 64)])  # rank 1's
+
+
+@pytest.mark.parametrize("kernel,op,wakes", [
+    (_read_window, "read", 1),
+    (_fetch_page, "dsm page fetch", 0),
+], ids=["remote_read", "dsm_page_fetch"])
+def test_deadline_expiry_accounting(kernel, op, wakes):
+    # Every engine charges the blocked stretch as synch delay equal to
+    # the deadline; only the messaging runtime then pays the wake
+    # overhead before it raises.
+    deadline = 5_000_000.0
+    cluster = make_cluster(
+        op_deadline_ns=deadline,
+        fault_plan=FaultPlan(seed=0, schedules=(
+            LinkDown(src=1, dst=0, from_ns=0.0, to_ns=float("inf")),)))
+    arr = cluster.alloc_shared((2, 512))
+    node = cluster.nodes[0]
+    charges = []
+    delay, overhead = node.account_delay, node.account_overhead
+    node.account_delay = lambda ns: (charges.append(("delay", ns)),
+                                     delay(ns))
+    node.account_overhead = lambda ns: (charges.append(("overhead", ns)),
+                                        overhead(ns))
+
+    with pytest.raises(RuntimeTimeout) as exc:
+        cluster.run(lambda ctx: kernel(ctx, arr))
+    assert exc.value.op == op
+    last = max(i for i, (what, _ns) in enumerate(charges) if what == "delay")
+    assert charges[last][1] == pytest.approx(deadline)
+    wake_ns = node.nic.rx_wake_overhead_ns()
+    assert wake_ns > 0
+    assert charges[last + 1:] == [("overhead", wake_ns)] * wakes
+
+
 # --------------------------------------------------------- the watchdog --
 def test_stuck_report_names_blocked_waits_without_deadlines():
     # No deadlines, no detector: the crash leaves rank 0 blocked and

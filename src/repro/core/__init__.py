@@ -23,9 +23,9 @@ from .adc import (
 )
 from .aih import HandlerError, HandlerRegistry
 from .detector import FailureDetector
-from .cni_nic import AIH_TARGET, CHANNEL_TARGET, CNIInterface, PIO_THRESHOLD_BYTES
+from .cni_nic import AIH_TARGET, CHANNEL_TARGET, CNIInterface
 from .message_cache import MessageCache
-from .nic_base import HostHooks, NetworkInterface
+from .nic_base import PIO_THRESHOLD_BYTES, HostHooks, NetworkInterface
 from .pathfinder import Pathfinder, Pattern, PatternElement
 from .reliability import DeliveryFailed, ReliableTransport
 from .standard_nic import StandardInterface

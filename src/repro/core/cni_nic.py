@@ -28,16 +28,12 @@ from ..params import SimParams
 from .adc import ChannelManager, DeviceChannel, TransmitDescriptor
 from .aih import HandlerRegistry
 from .message_cache import MessageCache
-from .nic_base import HostHooks, NetworkInterface
+from .nic_base import PIO_THRESHOLD_BYTES, HostHooks, NetworkInterface
 from .pathfinder import Pathfinder, Pattern, PatternElement
 
 #: Classification targets produced by the patterns we program.
 AIH_TARGET = "aih"
 CHANNEL_TARGET = "chan"
-
-#: Payloads at or below this many bytes travel inside the descriptor /
-#: protocol message itself (programmed I/O), with no DMA staging.
-PIO_THRESHOLD_BYTES = 64
 
 
 class CNIInterface(NetworkInterface):

@@ -48,6 +48,12 @@ class HostHooks(Protocol):
 #: the protocol action (charging time via its platform adapter).
 ProtocolSink = Callable[[Packet], Generator]
 
+#: Payloads at or below this many bytes travel inside the descriptor /
+#: protocol message itself (programmed I/O, or a kernel copy on the
+#: standard interface), with no DMA staging.  Both boards share it, for
+#: comparability.
+PIO_THRESHOLD_BYTES = 64
+
 
 class NetworkInterface:
     """Base class: transmit/receive processors and SAR."""

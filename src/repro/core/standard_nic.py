@@ -35,11 +35,7 @@ from ..memory import MemoryBus
 from ..obs import MetricsScope
 from ..params import SimParams
 from .adc import TransmitDescriptor
-from .nic_base import HostHooks, NetworkInterface
-
-#: Payloads at or below this threshold are copied by the kernel rather
-#: than DMAed (same staging threshold as the CNI, for comparability).
-PIO_THRESHOLD_BYTES = 64
+from .nic_base import PIO_THRESHOLD_BYTES, HostHooks, NetworkInterface
 
 
 class StandardInterface(NetworkInterface):

@@ -566,7 +566,8 @@ class DsmEngine:
         # Receive caching (Section 2.2): bind the arrived page into the
         # Message Cache so a later migration is served without a DMA.
         if packet.cacheable:
-            self.node.mc_receive_insert(page)
+            self.node.mc_receive_insert(self.segment.page_vaddr(page),
+                                        self.params.page_size_bytes)
         # The data must reach host memory regardless of interface.
         yield from self.node.bus.dma(self.params.page_size_bytes)
         self.node.drop_page_from_cpu_cache(page)

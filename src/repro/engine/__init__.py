@@ -15,7 +15,6 @@ from .event_queue import EventHandle, EventQueue
 from .resources import Gate, Mailbox, Resource
 from .simulator import (
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -33,7 +32,6 @@ __all__ = [
     "EventQueue",
     "Gate",
     "GLOBAL_TRACER",
-    "Interrupt",
     "Mailbox",
     "Process",
     "Resource",

@@ -69,14 +69,6 @@ class StuckError(SimulationError):
         self.report = report
 
 
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted while waiting."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence processes can wait on.
 
@@ -136,8 +128,8 @@ class Process:
         self._done_event = Event(sim)
         # The handle of this process's timed waits, reused from one wait
         # to the next: it sits in the heap only while the process sleeps.
-        # interrupt() and kill() cancel it, and interrupt() replaces it,
-        # so a stale heap entry is skimmed like any cancelled handle.
+        # kill() cancels it, so a stale heap entry is skimmed like any
+        # cancelled handle.
         self._wake = EventHandle(None)
 
     # -- introspection -----------------------------------------------------
@@ -194,18 +186,6 @@ class Process:
         else:
             self._step(exc=SimulationError(
                 f"process {self.name} yielded unsupported {yielded!r}"))
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Only meaningful while the process is alive; interrupting a finished
-        process is a silent no-op (the interrupt lost the race).
-        """
-        if self.finished:
-            return
-        self._wake.cancel()
-        self._wake = EventHandle(None)
-        self.sim.call_soon(lambda: self._step(exc=Interrupt(cause)))
 
     def kill(self) -> None:
         """Terminate the process immediately (crash-stop semantics).

@@ -30,7 +30,7 @@ from .fabrics import (
 )
 from .fragmentation import Reassembler, ReassemblyStats, Segmenter
 from .spec import TopologyError, TopologySpec, parse_topology
-from .switch import BanyanFabric, SingleSwitch
+from .switch import BanyanFabric
 from .topology import Network
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "Reassembler",
     "ReassemblyStats",
     "Segmenter",
-    "SingleSwitch",
     "Topology",
     "TopologyError",
     "TopologySpec",

@@ -21,7 +21,7 @@ register here:
   productive link, falling back to dimension order on ties (the escape
   path that keeps routing deterministic and progress guaranteed).
 
-Shared timing model (multi-hop fabrics)::
+Shared timing model (every fabric)::
 
     per switch crossed   cut-through latency   (SimParams.switch_latency_ns)
     per inter-switch link  propagation          (SimParams.wire_latency_ns)
@@ -39,15 +39,15 @@ the model cannot deadlock.  Per-link rates default to
 ``SimParams.link_rate_bps``; pass ``rate_overrides`` (link name → bps)
 to model heterogeneous fabrics.
 
-One timed walk, :meth:`Topology.transit`, serves both multi-hop
-fabrics.  It walks ``(crosses, input port, link)`` hops: a fabric's
+One timed walk, :meth:`Topology.transit`, serves all three fabrics.
+It walks ``(crosses, input port, link)`` hops: a fabric's
 :meth:`~Topology._hops` route is turned into such a path once per
 (src, dst) pair and cached, so a train re-derives neither link names
-nor ports.  The adaptive torus cannot cache: its path yields each hop
-when the walk reaches the router, after the previous hop's release.
+nor ports.  The banyan's path is one crossing onto the destination's
+output-port link.  The adaptive torus cannot cache: its path yields each
+hop when the walk reaches the router, after the previous hop's release.
 Free ports and links are taken with ``Resource.try_acquire``; only a
-busy one is waited for.  The banyan fabric keeps its own single-switch
-path.
+busy one is waited for.
 
 The host injection/ejection wires stay where they always were — charged
 by ``Network`` around :meth:`Topology.transit`.  Fabric counters live on
@@ -62,7 +62,7 @@ from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 from ..engine import Resource, Simulator
 from ..params import SimParams
 from .spec import TopologyError, TopologySpec, parse_topology
-from .switch import SingleSwitch
+from .switch import BanyanFabric
 
 __all__ = [
     "BanyanTopology",
@@ -110,12 +110,11 @@ Hop = Tuple[bool, Optional[Resource], Link]
 class Topology:
     """A cluster fabric: timed delivery of cell trains between nodes.
 
-    Multi-hop subclasses supply :meth:`_hops` (the pure path as
-    ``(switch, link name)`` pairs), from which :meth:`route` and the
-    cached per-pair walk paths derive.  The base class owns the shared
-    counters (``net.*`` catalog, docs/network.md), the link/input-port
-    tables, and :meth:`transit`, the one timed walk.  The banyan fabric
-    overrides :meth:`route` and :meth:`transit` with its single switch.
+    Subclasses supply :meth:`_hops` (the pure path as ``(switch, link
+    name)`` pairs), from which :meth:`route`, :meth:`min_transit_ns` and
+    the cached per-pair walk paths derive.  The base class owns the
+    shared counters (``net.*`` catalog, docs/network.md), the
+    link/input-port tables, and :meth:`transit`, the one timed walk.
     """
 
     kind = "abstract"
@@ -241,9 +240,17 @@ class Topology:
         return None
 
     def min_transit_ns(self, wire_bytes: int) -> float:
-        """Best-case (uncontended, nearest-pair) fabric latency,
-        excluding the two host wires ``Network`` charges around it."""
-        raise NotImplementedError
+        """Best-case (uncontended) fabric latency of nodes 0 and 1, the
+        nearest pair on every fabric, excluding the two host wires
+        ``Network`` charges around it: the zero-load walk of
+        :meth:`transit`."""
+        total = 0.0
+        for switch, name in self._hops(0, 1):
+            link = self.links[name]
+            if switch is not None:
+                total += self.params.switch_latency_ns
+            total += link.latency_ns + link.serialize_ns(wire_bytes)
+        return total
 
     def max_link_queue(self) -> int:
         """Deepest output queue across all links (diagnostics gauge)."""
@@ -264,9 +271,15 @@ class Topology:
 
 
 class BanyanTopology(Topology):
-    """The paper's single banyan switch behind the topology interface.
+    """The paper's single banyan switch: one crossing per train.
 
-    Timing delegates to :class:`~repro.network.switch.SingleSwitch`.
+    Each output port is a zero-latency link at the base rate
+    (``sw.out0`` ... ``sw.out{P-1}``).  A train comes straight from the
+    host, with no input-port hop (the source NIC already serializes its
+    own sends), cuts through the switch and holds the destination's
+    output port for its serialization time; concurrent trains to one
+    port queue FIFO.  Internal-link contention is second-order once
+    output queueing is modelled; :attr:`fabric` exposes it for analysis.
     """
 
     kind = "banyan"
@@ -275,27 +288,17 @@ class BanyanTopology(Topology):
                  spec: TopologySpec,
                  rate_overrides: Optional[Dict[str, float]] = None):
         super().__init__(sim, params, spec, rate_overrides)
-        self.switch = SingleSwitch(sim, params, ports=spec.ports)
+        #: Routing arithmetic; checks that both ends are ports.
+        self.fabric = BanyanFabric(spec.ports)
+        for port in range(spec.ports):
+            self._add_link(f"sw.out{port}")
 
-    def route(self, src: int, dst: int) -> List[str]:
-        self.switch.fabric._check_port(src)
-        self.switch.fabric._check_port(dst)
-        return [f"sw.out{dst}"]
-
-    def transit(self, src: int, dst: int, n_cells: int,
-                wire_bytes: int) -> Generator:
-        yield from self.switch.transit(src, dst, n_cells, wire_bytes)
-        self.crossings += 1
-        self.link_hops += 1
-        return None
-
-    def min_transit_ns(self, wire_bytes: int) -> float:
-        return (self.params.switch_latency_ns
-                + self.params.train_wire_time_ns(wire_bytes))
-
-    def max_link_queue(self) -> int:
-        return max(self.switch.output_queue_length(p)
-                   for p in range(self.switch.fabric.ports))
+    def _hops(self, src: int, dst: int
+              ) -> List[Tuple[Optional[str], str]]:
+        """One crossing onto the destination's output port."""
+        self.fabric._check_port(src)
+        self.fabric._check_port(dst)
+        return [("sw", f"sw.out{dst}")]
 
 
 class FatTreeTopology(Topology):
@@ -369,12 +372,6 @@ class FatTreeTopology(Topology):
         hops.append((f"agg{dp}.{a}", f"p{dp}.a{a}.down.e{de}"))
         hops.append((f"edge{dp}.{de}", f"host{dst}.down"))
         return hops
-
-    def min_transit_ns(self, wire_bytes: int) -> float:
-        # Nearest pair: two hosts under one edge switch (2 host links,
-        # one crossing, no inter-switch propagation).
-        serialize = self.params.train_wire_time_ns(wire_bytes)
-        return self.params.switch_latency_ns + 2 * serialize
 
 
 class TorusTopology(Topology):
@@ -500,11 +497,6 @@ class TorusTopology(Topology):
             moves[i][2] -= 1
             if moves[i][2] == 0:
                 del moves[i]
-
-    def min_transit_ns(self, wire_bytes: int) -> float:
-        # Nearest pair: adjacent routers, one crossing + one link.
-        return (self.params.switch_latency_ns + self.params.wire_latency_ns
-                + self.params.train_wire_time_ns(wire_bytes))
 
 
 def build_topology(sim: Simulator, params: SimParams,

@@ -7,19 +7,17 @@ exactly one path between any input and output — which is why banyans are
 *internally blocking*: two flows can collide on an internal link even
 when their output ports differ.
 
-The model routes with real banyan arithmetic (destination-tag routing),
-exposes the internal path for blocking analysis, and serializes
-contending traffic on output ports and internal links via simulated
-resources; cut-through adds the Table 1 switch latency of 500 ns.
+:class:`BanyanFabric` is the routing arithmetic (destination-tag
+routing) and exposes the internal path for blocking analysis.  It does
+no timing: :class:`repro.network.BanyanTopology` times the switch on the
+shared fabric walk as one cut-through crossing (the Table 1 switch
+latency of 500 ns) onto the destination's output-port link, where
+contending trains queue FIFO.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Sequence, Tuple
-
-from ..engine import Resource, Simulator
-from ..params import SimParams
-from .spec import DEFAULT_BANYAN_PORTS
+from typing import Dict, List, Sequence, Tuple
 
 
 def _is_pow2(n: int) -> bool:
@@ -77,54 +75,3 @@ class BanyanFabric:
     def _check_port(self, p: int) -> None:
         if not 0 <= p < self.ports:
             raise ValueError(f"port {p} out of range 0..{self.ports - 1}")
-
-
-class SingleSwitch:
-    """Timed switch: banyan routing + cut-through latency + contention.
-
-    Timing model: a cell train cuts through with the fixed 500 ns switch
-    latency; its cells then stream out of the output port at line rate,
-    so the output port is held for the train's serialization time and
-    concurrent trains to one port queue FIFO.  (Internal-link contention
-    is second-order once output queueing is modelled and is exposed via
-    :class:`BanyanFabric` for analysis.)
-
-    This is the timing core of the banyan fabric; build it through
-    :class:`repro.network.BanyanTopology` (or a ``Network``).
-    """
-
-    def __init__(self, sim: Simulator, params: SimParams,
-                 ports: int = DEFAULT_BANYAN_PORTS):
-        self.sim = sim
-        self.params = params
-        self.fabric = BanyanFabric(ports)
-        self._out_ports = [
-            Resource(sim, f"swport{i}") for i in range(self.fabric.ports)
-        ]
-        self.trains_switched = 0
-        self.cells_switched = 0
-
-    def transit(self, inport: int, outport: int, n_cells: int,
-                wire_bytes: int) -> Generator:
-        """Coroutine: move a train of ``n_cells`` / ``wire_bytes`` through.
-
-        Returns when the train's last cell has left the output port.
-        """
-        self.fabric._check_port(inport)
-        self.fabric._check_port(outport)
-        if n_cells < 1:
-            raise ValueError("train must carry at least one cell")
-        # Cut-through latency through the stages.
-        yield self.params.switch_latency_ns
-        # Serialize on the output port at line rate; concurrent trains to
-        # the same port queue FIFO here.
-        serialize = self.params.train_wire_time_ns(wire_bytes)
-        yield from self._out_ports[outport].held(serialize)
-        self.trains_switched += 1
-        self.cells_switched += n_cells
-        return None
-
-    def output_queue_length(self, port: int) -> int:
-        """Trains currently waiting on ``port`` (diagnostics)."""
-        return self._out_ports[port].queue_length
-

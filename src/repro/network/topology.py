@@ -13,9 +13,12 @@ queues):
                    ->  output-port serialization (n x 681.7 ns, FIFO)
                    ->  wire (150 ns)  ->  destination NIC rx queue
 
-Multi-hop fabrics replace the middle leg with the per-hop walk documented
-in :mod:`repro.network.fabrics` (per-link rates, FIFO output queueing,
-input-port head-of-line blocking); the two host wires stay here.
+The middle leg is :meth:`Topology.transit`, the one timed walk every
+fabric shares (:mod:`repro.network.fabrics`): the banyan's path is one
+crossing onto the destination's output port, and multi-hop fabrics walk
+several hops (per-link rates, FIFO output queueing, input-port
+head-of-line blocking).  The two host wires stay here, in the one
+transfer body that both the train path and per-cell transport run.
 
 The sending NIC's transmit processor is itself a serial simulated
 process, which provides source-side serialization of back-to-back sends
@@ -25,7 +28,7 @@ from one node (DESIGN.md documents this approximation).
 from __future__ import annotations
 
 import dataclasses
-from typing import Generator, List, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from ..engine import Mailbox, Simulator
 from ..params import SimParams
@@ -84,7 +87,26 @@ class Network:
         """Launch a train asynchronously (fire-and-forget from the NIC)."""
         self.sim.spawn(self._transfer(train), f"xfer-{train.packet.packet_id}")
 
-    def _transfer(self, train: CellTrain) -> Generator:
+    def send_cells(self, cells: Sequence[AtmCell], packet: Packet) -> None:
+        """Per-cell transport: launch a packet's cells individually.
+
+        Fabric timing matches the train path (the cells pipeline through
+        together); delivery hands each cell to the destination NIC as its
+        own event, which is what lets the receiving PATHFINDER route
+        fragments through its fragment table.
+        """
+        cells = list(cells)
+        self.sim.spawn(
+            self._transfer(CellTrain(packet, len(cells)), cells),
+            f"xfer-cells-{packet.packet_id}",
+        )
+
+    def _transfer(self, train: CellTrain,
+                  cells: Optional[List[AtmCell]] = None) -> Generator:
+        """The one transfer body: host wire, fabric walk, host wire and
+        the arrival-side fault delays.  Delivery puts the train, damaged
+        or not; with ``cells``, it puts each surviving cell as its own
+        ``(cell, packet)`` item instead."""
         p = train.packet
         if p.dst_node == p.src_node:
             raise ValueError("loopback traffic never enters the fabric")
@@ -96,49 +118,26 @@ class Network:
         faults = self.active_faults
         if faults is not None:
             yield from self._fault_delays(faults, p)
-            lost, corrupted = faults.train_faults(train, self.sim.now)
-            if lost or corrupted:
-                train = CellTrain(train.packet, train.n_cells,
-                                  lost_cells=min(lost, train.n_cells),
-                                  corrupted_cells=corrupted)
-        self.trains_delivered += 1
-        self.rx_queues[p.dst_node].put(train)
-        return None
-
-    def send_cells(self, cells: Sequence[AtmCell], packet: Packet) -> None:
-        """Per-cell transport: launch a packet's cells individually.
-
-        Fabric timing matches the train path (the cells pipeline through
-        together); delivery hands each cell to the destination NIC as its
-        own event, which is what lets the receiving PATHFINDER route
-        fragments through its fragment table.
-        """
-        self.sim.spawn(
-            self._transfer_cells(list(cells), packet),
-            f"xfer-cells-{packet.packet_id}",
-        )
-
-    def _transfer_cells(self, cells: List[AtmCell], packet: Packet) -> Generator:
-        if packet.dst_node == packet.src_node:
-            raise ValueError("loopback traffic never enters the fabric")
-        yield self.params.wire_latency_ns
-        yield from self.topology.transit(
-            packet.src_node, packet.dst_node, len(cells), packet.wire_bytes
-        )
-        yield self.params.wire_latency_ns
-        faults = self.active_faults
-        if faults is not None:
-            yield from self._fault_delays(faults, packet)
-        rx = self.rx_queues[packet.dst_node]
+        rx = self.rx_queues[p.dst_node]
+        if cells is None:
+            if faults is not None:
+                lost, corrupted = faults.train_faults(train, self.sim.now)
+                if lost or corrupted:
+                    train = CellTrain(p, train.n_cells,
+                                      lost_cells=min(lost, train.n_cells),
+                                      corrupted_cells=corrupted)
+            self.trains_delivered += 1
+            rx.put(train)
+            return None
         for cell in cells:
             if faults is not None:
-                fate = faults.cell_fate(cell, packet, self.sim.now)
+                fate = faults.cell_fate(cell, p, self.sim.now)
                 if fate == "drop":
                     continue
                 if fate == "corrupt":
                     cell = dataclasses.replace(cell, corrupt=True)
             self.cells_delivered += 1
-            rx.put((cell, packet))
+            rx.put((cell, p))
         return None
 
     def transfer_and_wait(self, train: CellTrain) -> Generator:

@@ -199,28 +199,18 @@ class Node:
         just landed in memory underneath them)."""
         self.cache.invalidate_lines(self.page_lines(page))
 
-    def mc_invalidate(self, page: int) -> None:
-        """Drop a DSM page's buffer from the board's Message Cache (its
-        contents just went stale cluster-wide)."""
-        mc = getattr(self.nic, "message_cache", None)
-        if mc is not None:
-            vpage = self.page_vaddr(page) // self.params.page_size_bytes
-            mc.invalidate(vpage)
-
-    def drop_page_from_caches(self, page: int) -> None:
-        """DSM invalidation: CPU caches and the board's Message Cache."""
-        self.drop_page_from_cpu_cache(page)
-        self.mc_invalidate(page)
-
-    def mc_receive_insert(self, page: int) -> None:
-        """Receive caching (Section 2.2): bind an arriving page into the
-        Message Cache.  No-op on the standard interface or when receive
-        caching is ablated away."""
+    def mc_receive_insert(self, vaddr: int, nbytes: int) -> None:
+        """Receive caching (Section 2.2): bind the pages of data that
+        just landed at ``vaddr`` (a DSM page or a runtime landing
+        buffer) into the Message Cache.  No-op on the standard interface
+        or when receive caching is ablated away."""
         if not (self.params.use_message_cache and self.params.receive_caching):
             return
         mc = getattr(self.nic, "message_cache", None)
-        if mc is not None:
-            vpage = self.page_vaddr(page) // self.params.page_size_bytes
+        if mc is None or nbytes <= 0:
+            return
+        page = self.params.page_size_bytes
+        for vpage in range(vaddr // page, (vaddr + nbytes - 1) // page + 1):
             mc.insert(vpage)
 
     def map_dsm_pages(self, npages: int) -> None:

@@ -277,8 +277,8 @@ class MessagingEngine:
                 f"node {self.me}: rendezvous data for unknown stream {key}")
         if packet.payload_bytes > PIO_THRESHOLD_BYTES:
             yield from self.node.bus.dma(packet.payload_bytes)
-        self._mc_receive_insert(st.base_vaddr + msg.offset,
-                                packet.payload_bytes)
+        self.node.mc_receive_insert(st.base_vaddr + msg.offset,
+                                    packet.payload_bytes)
         st.received += packet.payload_bytes
         if msg.last:
             st.app_payload = msg.app_payload
@@ -333,7 +333,7 @@ class MessagingEngine:
         self._check_window(req.raddr, req.nbytes, "remote_write", req.src)
         if packet.payload_bytes > PIO_THRESHOLD_BYTES:
             yield from self.node.bus.dma(packet.payload_bytes)
-        self._mc_receive_insert(req.raddr, req.nbytes)
+        self.node.mc_receive_insert(req.raddr, req.nbytes)
         self._board_send(req.src, RtMsgType.RDMA_WRITE_ACK,
                          WriteAck(req.op_id), MSG_BASE_BYTES)
         return None
@@ -348,18 +348,6 @@ class MessagingEngine:
             f"node {self.me}: {op} from node {requester} outside any "
             f"registered window ({raddr:#x}+{nbytes}; "
             f"{len(self.windows)} windows exposed)")
-
-    def _mc_receive_insert(self, vaddr: int, nbytes: int) -> None:
-        """Receive caching for runtime data landing in private buffers
-        (mirrors Node.mc_receive_insert, which is DSM-page-addressed)."""
-        if not (self.params.use_message_cache and self.params.receive_caching):
-            return
-        mc = getattr(self.node.nic, "message_cache", None)
-        if mc is None or nbytes <= 0:
-            return
-        page = self.params.page_size_bytes
-        for vpage in range(vaddr // page, (vaddr + nbytes - 1) // page + 1):
-            mc.insert(vpage)
 
     def _board_send(self, dst: int, mt: RtMsgType, msg,
                     wire_bytes: int) -> None:

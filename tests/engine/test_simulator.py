@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.engine import Event, Interrupt, Process, SimulationError, Simulator
+from repro.engine import Event, Process, SimulationError, Simulator
 
 
 def test_delay_advances_time():
@@ -159,53 +159,6 @@ def test_yield_garbage_raises():
         sim.run_process(proc())
 
 
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield 1000.0
-        except Interrupt as i:
-            return ("interrupted", sim.now, i.cause)
-        return "slept"
-
-    def poker(target):
-        yield 10.0
-        target.interrupt("wake up")
-
-    target = sim.spawn(sleeper(), "sleeper")
-    sim.spawn(poker(target), "poker")
-    sim.run()
-    assert target.result == ("interrupted", 10.0, "wake up")
-
-
-def test_interrupted_sleeper_resumes_from_its_new_wait():
-    """The cancelled wait's heap entry is skimmed: the process wakes at
-    the end of the wait it started after the interrupt, and the stale
-    entry is never dispatched or counted."""
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield 1000.0
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-        yield 5000.0
-        log.append(("resumed", sim.now))
-
-    def poker(target):
-        yield 10.0
-        target.interrupt()
-
-    target = sim.spawn(sleeper(), "sleeper")
-    sim.spawn(poker(target), "poker")
-    assert sim.run() == 5010.0
-    assert log == [("interrupted", 10.0), ("resumed", 5010.0)]
-    # two spawns, the poker's wait, the interrupt, the 5000 ns wait
-    assert sim.events_processed == 5
-
-
 def test_kill_during_timed_wait_leaves_no_counted_event():
     sim = Simulator()
 
@@ -268,20 +221,6 @@ def test_finished_process_is_released_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield 1.0
-        return "ok"
-
-    p = sim.spawn(quick(), "quick")
-    sim.run()
-    p.interrupt()  # should not raise
-    sim.run()
-    assert p.result == "ok"
 
 
 def test_simultaneous_events_run_in_spawn_order():

@@ -80,20 +80,6 @@ def test_every_pair_delivers():
     assert ok and t.n_cells >= 1
 
 
-def test_same_edge_latency_is_min_transit():
-    sim, params, _topo, net = make_topo(k=4)
-    done = []
-
-    def proc():
-        yield from net.transfer_and_wait(train(params, 0, 1))
-        done.append(sim.now)
-
-    sim.spawn(proc(), "p")
-    sim.run()
-    assert done[0] == pytest.approx(net.min_transit_ns(
-        train(params, 0, 1).packet.wire_bytes))
-
-
 def test_inter_pod_costs_more_than_same_edge():
     _sim, params, topo, _net = make_topo(k=4)
     wire_bytes = 448

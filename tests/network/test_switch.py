@@ -1,11 +1,12 @@
-"""Unit + property tests for the banyan switch."""
+"""Unit + property tests for the banyan switch: its routing
+arithmetic and its timing on the shared fabric walk."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Simulator
-from repro.network import BanyanFabric, SingleSwitch
+from repro.network import BanyanFabric, build_topology
 from repro.params import SimParams
 
 
@@ -83,73 +84,77 @@ def test_path_wires_in_range_property(inp, outp):
         assert 0 <= wire < 32
 
 
-def test_transit_uncontended_latency():
+def banyan(params=None):
+    """The default fabric, ``banyan:32``, with its simulator."""
     sim = Simulator()
-    params = SimParams()
-    sw = SingleSwitch(sim, params)
+    return sim, build_topology(sim, params or SimParams())
+
+
+def test_transit_uncontended_latency():
+    sim, topo = banyan()
 
     def proc():
-        yield from sw.transit(0, 1, 10, 480)
+        yield from topo.transit(0, 1, 10, 480)
         return sim.now
 
     t = sim.run_process(proc())
-    assert t == pytest.approx(500.0 + params.train_wire_time_ns(480))
-    assert sw.trains_switched == 1
-    assert sw.cells_switched == 10
+    assert t == pytest.approx(500.0 + topo.params.train_wire_time_ns(480))
+    assert topo.crossings == 1
+    assert topo.link_hops == 1
+    assert topo.link_waits == 0
 
 
 def test_transit_output_port_contention():
-    sim = Simulator()
-    params = SimParams()
-    sw = SingleSwitch(sim, params)
+    sim, topo = banyan()
     done = []
 
     def proc(tag, inport):
-        yield from sw.transit(inport, 5, 10, 480)
+        yield from topo.transit(inport, 5, 10, 480)
         done.append((tag, sim.now))
 
     sim.spawn(proc("a", 0), "a")
     sim.spawn(proc("b", 1), "b")
     sim.run()
-    serialize = params.train_wire_time_ns(480)
+    serialize = topo.params.train_wire_time_ns(480)
     assert done[0] == ("a", pytest.approx(500.0 + serialize))
     assert done[1] == ("b", pytest.approx(500.0 + 2 * serialize))
+    # The second train queued on the output port, and that is counted.
+    assert topo.link_waits == 1
 
 
 def test_transit_different_ports_parallel():
-    sim = Simulator()
-    params = SimParams()
-    sw = SingleSwitch(sim, params)
+    sim, topo = banyan()
     done = []
 
     def proc(tag, outport):
-        yield from sw.transit(0, outport, 10, 480)
+        yield from topo.transit(0, outport, 10, 480)
         done.append((tag, sim.now))
 
     sim.spawn(proc("a", 5), "a")
     sim.spawn(proc("b", 6), "b")
     sim.run()
     assert done[0][1] == pytest.approx(done[1][1])
+    assert topo.link_waits == 0
 
 
-def test_transit_validates_train():
-    sim = Simulator()
-    sw = SingleSwitch(sim, SimParams())
+def test_transit_rejects_port_off_switch():
+    sim, topo = banyan()
+    with pytest.raises(ValueError):
+        topo.route(0, 32)
 
     def proc():
-        yield from sw.transit(0, 1, 0, 0)
+        yield from topo.transit(32, 0, 1, 48)
 
     with pytest.raises(ValueError):
         sim.run_process(proc())
 
 
 def test_unrestricted_serialization_by_bytes():
-    sim = Simulator()
-    params = SimParams().replace(unrestricted_cell_size=True)
-    sw = SingleSwitch(sim, params)
+    sim, topo = banyan(SimParams().replace(unrestricted_cell_size=True))
+    params = topo.params
 
     def proc():
-        yield from sw.transit(0, 1, 1, 4096)
+        yield from topo.transit(0, 1, 1, 4096)
         return sim.now
 
     t = sim.run_process(proc())

@@ -92,8 +92,9 @@ def test_delivery_and_hop_timing():
     sim.spawn(proc(), "p")
     sim.run()
     # single hop: 2 host wires + router crossing + link wire + serialize
-    assert done[0] == pytest.approx(net.min_transit_ns(
-        train(params, 0, 1).packet.wire_bytes))
+    assert done[0] == pytest.approx(
+        3 * params.wire_latency_ns + params.switch_latency_ns
+        + params.train_wire_time_ns(train(params, 0, 1).packet.wire_bytes))
     assert topo.crossings == 1
     assert topo.link_hops == 1
 

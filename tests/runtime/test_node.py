@@ -144,21 +144,6 @@ def test_private_buffer_allocation_registers_mappings():
     assert other != vaddr
 
 
-def test_drop_page_from_caches_clears_mc():
-    cluster = one_node_cluster("cni")
-    node = cluster.nodes[0]
-    cluster.alloc_shared((512,))
-    cluster.finalize_memory()
-    mc = node.nic.message_cache
-    vpage = node.params.page_size_bytes and (
-        cluster.segment.page_vaddr(0) // node.params.page_size_bytes
-    )
-    mc.insert(vpage)
-    assert mc.contains(vpage)
-    node.drop_page_from_caches(0)
-    assert not mc.contains(vpage)
-
-
 def test_mc_receive_insert_respects_ablation():
     params = SimParams().replace(
         num_processors=1, dsm_address_space_pages=16, receive_caching=False
@@ -166,12 +151,27 @@ def test_mc_receive_insert_respects_ablation():
     cluster = Cluster(params, interface="cni")
     node = cluster.nodes[0]
     cluster.alloc_shared((512,))
-    node.mc_receive_insert(0)
+    node.mc_receive_insert(node.page_vaddr(0), params.page_size_bytes)
     assert node.nic.message_cache.occupancy == 0
+
+
+def test_mc_receive_insert_binds_every_landed_page():
+    """Data landing across a page boundary binds both pages; an empty
+    landing binds none."""
+    cluster = one_node_cluster("cni")
+    node = cluster.nodes[0]
+    mc = node.nic.message_cache
+    page = node.params.page_size_bytes
+    vaddr = node.alloc_private_buffer(2 * page)
+    node.mc_receive_insert(vaddr + page - 8, 16)
+    assert mc.contains(vaddr // page) and mc.contains(vaddr // page + 1)
+    assert mc.occupancy == 2
+    node.mc_receive_insert(vaddr + 2 * page, 0)
+    assert mc.occupancy == 2
 
 
 def test_standard_node_has_no_message_cache():
     cluster = one_node_cluster("standard")
     node = cluster.nodes[0]
     assert not hasattr(node.nic, "message_cache")
-    node.mc_invalidate(0)  # harmless no-op
+    node.mc_receive_insert(0, node.params.page_size_bytes)  # harmless no-op

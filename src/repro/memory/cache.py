@@ -11,6 +11,24 @@ vectorized — but the semantics are exact: hits, misses, replacements and
 write-backs match feeding the lines one at a time through a scalar
 direct-mapped simulator (property-tested against :class:`ReferenceCache`).
 
+Two burst shapes have a closed form and skip the by-set grouping of
+:func:`_classify_burst`; both give exactly the grouping path's hits,
+misses, write-backs and final state.  *Rule 1, one access per set*
+(:meth:`CacheLevel.burst`): a strictly ascending burst that spans fewer
+lines than the level has sets touches each set at most once, so an
+access hits exactly when the entry tag is its line, and a miss evicts
+the entry occupant and nothing else.  *Rule 2, contiguous bursts* (the
+L1 step of :meth:`CacheHierarchy.access`): in ``lo, lo+1, ..., lo+n-1``
+only the first ``min(n, nsets)`` lines can meet an entry occupant, every
+later line follows a different line in its set and misses, and the last
+``min(n, nsets)`` lines become the occupants.  The L1 miss stream of
+either rule is strictly ascending and spans fewer than ``n`` lines, so
+the L2 takes rule 1 for bursts of up to its set count.  Repeated lines,
+unordered lines and ascending lines with gaps that wrap a level keep the
+grouping path.  Rule 1 reports write-backs in line order, the grouping
+path in set order; the two differ only when a burst's sets wrap, and
+callers count the lines (or reduce them to pages), never read the order.
+
 Hierarchy simplification (documented in DESIGN.md): the L1 classifies
 latency only; dirtiness is tracked at the L2, which is the write-back /
 snoop point on the memory bus.  With both levels direct-mapped, the same
@@ -51,11 +69,11 @@ def _classify_burst(
     only on the in-order sequence of lines mapped to it; the stable sort
     preserves that per-set order, so comparing each access with its
     predecessor in the group (or the entry tag for the first access)
-    reproduces the scalar machine.
+    reproduces the scalar machine.  The set count is a power of two, so
+    a mask takes the set.
     """
     n = lines.size
-    nsets = entry_tags.size
-    sets = lines % nsets
+    sets = lines & (entry_tags.size - 1)
     order = sets.argsort(kind="stable")
     sl = lines[order]
     ss = sets[order]
@@ -87,6 +105,11 @@ def _commit_burst(tags: np.ndarray, sl: np.ndarray,
     return final_sets
 
 
+def _ascending(lines: np.ndarray) -> bool:
+    """Whether ``lines`` is strictly ascending (so no line repeats)."""
+    return bool((lines[1:] > lines[:-1]).all())
+
+
 class CacheLevel:
     """One direct-mapped cache level."""
 
@@ -107,11 +130,15 @@ class CacheLevel:
         """Feed a program-ordered homogeneous burst through this level.
 
         Updates tags/dirty state and reports hits, misses and the lines
-        evicted dirty (write-back traffic).
+        evicted dirty (write-back traffic).  A strictly ascending burst
+        that touches each set once takes rule 1 (module docstring); any
+        other is grouped by set.
         """
         n = lines.size
         if n == 0:
             return BurstResult(0, 0, np.empty(0, dtype=np.int64))
+        if lines[-1] - lines[0] < self.nsets and _ascending(lines):
+            return self._burst_one_per_set(lines, is_write)
 
         hit, order, sl, ss, first = _classify_burst(self.tags, lines)
         miss = ~hit
@@ -168,13 +195,29 @@ class CacheLevel:
             ev = np.empty(0, dtype=np.int64)
         return BurstResult(int(hit.sum()), int(miss.sum()), ev)
 
+    def _burst_one_per_set(self, lines: np.ndarray,
+                           is_write: bool) -> BurstResult:
+        """Rule 1 (module docstring): each line has a set to itself, so
+        each access meets only the entry occupant."""
+        sets = lines & (self.nsets - 1)
+        entry = self.tags[sets]
+        hit = entry == lines
+        hits = int(np.count_nonzero(hit))
+        if self.track_dirty:
+            miss = ~hit
+            evicted = entry[miss & (entry >= 0) & self.dirty[sets]]
+            if is_write:
+                self.dirty[sets] = True
+            else:
+                self.dirty[sets[miss]] = False
+        else:
+            evicted = np.empty(0, dtype=np.int64)
+        self.tags[sets] = lines
+        return BurstResult(hits, lines.size - hits, evicted)
+
     def resident(self, line: int) -> bool:
         """Whether ``line`` currently occupies its set."""
         return bool(self.tags[line % self.nsets] == line)
-
-    def resident_mask(self, lines: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`resident`."""
-        return self.tags[lines % self.nsets] == lines
 
     def drop(self, lines: np.ndarray) -> np.ndarray:
         """Invalidate ``lines`` where resident; returns the dirty ones.
@@ -205,15 +248,6 @@ class CacheLevel:
         target = (self.tags[sets] == lines) & self.dirty[sets]
         self.dirty[sets[target]] = False
         return lines[target]
-
-    def dirty_subset(self, lines: np.ndarray) -> np.ndarray:
-        """The subset of ``lines`` currently resident and dirty."""
-        if not self.track_dirty:
-            return np.empty(0, dtype=np.int64)
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        sets = lines % self.nsets
-        mask = (self.tags[sets] == lines) & self.dirty[sets]
-        return lines[mask]
 
 
 @dataclass
@@ -266,20 +300,39 @@ class CacheHierarchy:
         shows ``writeback_lines`` to the bus snoopers.
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
-        cost = AccessCost(accesses=int(lines.size))
-        if lines.size == 0:
+        n = lines.size
+        cost = AccessCost(accesses=n)
+        if n == 0:
             return cost
 
-        # Classify against the entry state once: the same classification
-        # gives the L1 hit count, the exact in-order L1 miss stream for
-        # the L2, and the L1's new occupants (the L1 tracks no dirtiness,
-        # so its tags are all a burst changes there).
-        hit, order, sl, ss, _first = _classify_burst(self.l1.tags, lines)
-        _commit_burst(self.l1.tags, sl, ss)
-        cost.l1_hits = int(hit.sum())
-
-        miss_positions = np.sort(order[~hit])
-        miss_stream = lines[miss_positions]
+        # The L1 tracks no dirtiness, so its tags are all a burst changes
+        # there.  Each branch installs the L1's new occupants and builds
+        # the exact in-order L1 miss stream for the L2.
+        l1 = self.l1
+        span = lines[-1] - lines[0]
+        if (span < l1.nsets or span == n - 1) and _ascending(lines):
+            # Rules 1 and 2 (module docstring): only the first m lines
+            # can hit, the last m become the occupants, and the misses
+            # are already in program order.
+            m = min(n, l1.nsets)
+            mask = l1.nsets - 1
+            head = lines[:m]
+            head_sets = head & mask
+            hit = l1.tags[head_sets] == head
+            miss_stream = head[~hit]
+            if m < n:
+                tail = lines[n - m:]
+                l1.tags[tail & mask] = tail
+                miss_stream = np.concatenate((miss_stream, lines[m:]))
+            else:
+                l1.tags[head_sets] = head
+        else:
+            # Classify against the entry state once: the same
+            # classification gives the miss stream and the new occupants.
+            hit, order, sl, ss, _first = _classify_burst(l1.tags, lines)
+            _commit_burst(l1.tags, sl, ss)
+            miss_stream = lines[np.sort(order[~hit])]
+        cost.l1_hits = n - miss_stream.size
 
         r2 = self.l2.burst(miss_stream, is_write)
         cost.l2_hits = r2.hits
@@ -295,7 +348,7 @@ class CacheHierarchy:
             # mark.  The reorder can only matter when one burst spans an
             # L2 set conflict (>1 MB apart with Table 1's geometry),
             # which page-granular application bursts never do.
-            sets = lines % self.l2.nsets
+            sets = lines & (self.l2.nsets - 1)
             resident = self.l2.tags[sets] == lines
             self.l2.dirty[sets[resident]] = True
 
@@ -322,10 +375,6 @@ class CacheHierarchy:
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         return self.l2.clean(lines)
-
-    def dirty_lines_of(self, lines: np.ndarray) -> np.ndarray:
-        """Subset of ``lines`` that a flush would write back (no change)."""
-        return self.l2.dirty_subset(lines)
 
     def invalidate_lines(self, lines: np.ndarray) -> None:
         """Drop ``lines`` from both levels without write-back (DSM

@@ -106,12 +106,7 @@ class Context:
                     )
 
         # Cache simulation: the exact ordered line stream.
-        cost = self.node.cache.access(lines, is_write)
-        if cost.writeback_lines.size:
-            self.node.memory.record_writebacks(int(cost.writeback_lines.size))
-            self.node.bus.cpu_write_traffic(cost.writeback_lines)
-        self.node.memory.record_fills(cost.memory_accesses)
-        ns = self.params.cpu_cycles_ns(cost.cpu_cycles)
+        ns = self.node.cache_access(lines, is_write)
         yield ns
         self.node.account_compute(ns)
         return None

@@ -236,16 +236,24 @@ class Node:
     def cache_write_private(self, vaddr: int, nbytes: int) -> Generator:
         """Application writes to private memory (message buffers): cache
         simulation without DSM involvement."""
-        lines = lines_in_range(vaddr, nbytes, self.params.cache_line_bytes)
-        cost = self.cache.access(lines, is_write=True)
+        ns = self.cache_access(
+            lines_in_range(vaddr, nbytes, self.params.cache_line_bytes),
+            is_write=True)
+        yield ns
+        self.account_compute(ns)
+        return None
+
+    def cache_access(self, lines: np.ndarray, is_write: bool) -> float:
+        """Run a CPU burst through the cache hierarchy, record its fills
+        and write-backs and show the write-backs to the bus snoopers;
+        returns the CPU stall time.  Not a generator, like
+        :meth:`_write_back`; the caller yields the time and accounts it."""
+        cost = self.cache.access(lines, is_write)
         if cost.writeback_lines.size:
             self.memory.record_writebacks(int(cost.writeback_lines.size))
             self.bus.cpu_write_traffic(cost.writeback_lines)
         self.memory.record_fills(cost.memory_accesses)
-        ns = self.params.cpu_cycles_ns(cost.cpu_cycles)
-        yield ns
-        self.account_compute(ns)
-        return None
+        return self.params.cpu_cycles_ns(cost.cpu_cycles)
 
     # ---------------------------------------------------------------- HostHooks --
     def deliver_to_app(self, desc: ReceiveDescriptor, via_interrupt: bool) -> None:

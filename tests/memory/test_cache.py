@@ -1,9 +1,11 @@
 """Unit + property tests for the cache model.
 
 The load-bearing test is the hypothesis comparison of the vectorized
-burst engine against the scalar :class:`ReferenceCache` on random access
-streams with random burst boundaries.
+burst engine against the scalar :class:`ReferenceCache` on streams of
+random, contiguous, gapped and repeating bursts (``burst_shapes``).
 """
+
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import CacheHierarchy, CacheLevel, ReferenceCache
+
+from .burst_shapes import burst_lines
 
 
 def level(nlines=8, track_dirty=True):
@@ -88,13 +92,6 @@ def test_clean_writes_back_and_keeps_resident():
     assert c.clean(np.array([1, 2])).size == 0
 
 
-def test_dirty_subset():
-    c = level(nlines=8)
-    c.burst(np.array([1]), is_write=True)
-    c.burst(np.array([2]), is_write=False)
-    assert c.dirty_subset(np.array([1, 2, 3])).tolist() == [1]
-
-
 def test_empty_burst():
     c = level()
     r = c.burst(np.empty(0, dtype=np.int64), is_write=True)
@@ -106,24 +103,15 @@ def test_empty_burst():
 
 @st.composite
 def access_script(draw):
-    """Random (line, is_write) stream plus burst segmentation."""
+    """A line stream of shaped bursts plus its burst boundaries; each
+    burst is all-read or all-write."""
     nsets = draw(st.sampled_from([2, 4, 8]))
-    n = draw(st.integers(1, 120))
-    lines = draw(
-        st.lists(st.integers(0, 4 * nsets - 1), min_size=n, max_size=n)
-    )
-    # homogeneous bursts: segment the stream, each segment all-R or all-W
-    n_bursts = draw(st.integers(1, max(1, n // 3)))
-    cuts = sorted(
-        draw(
-            st.lists(
-                st.integers(1, n - 1), min_size=0, max_size=n_bursts,
-                unique=True,
-            )
-        )
-    ) if n > 1 else []
+    bursts = draw(st.lists(burst_lines(4 * nsets, 3 * nsets), min_size=1,
+                           max_size=12))
+    lines = [ln for b in bursts for ln in b]
+    cuts = list(accumulate(len(b) for b in bursts))[:-1]
     writes = draw(
-        st.lists(st.booleans(), min_size=len(cuts) + 1, max_size=len(cuts) + 1)
+        st.lists(st.booleans(), min_size=len(bursts), max_size=len(bursts))
     )
     return nsets, lines, cuts, writes
 
@@ -230,13 +218,6 @@ def test_hierarchy_invalidate_drops_without_writeback():
     assert h.flush_lines(np.array([1])).size == 0
     cost = h.access(np.array([1]), is_write=False)
     assert cost.memory_accesses == 1  # truly gone
-
-
-def test_hierarchy_dirty_lines_of_is_nondestructive():
-    h = hierarchy()
-    h.access(np.array([1, 2]), is_write=True)
-    assert sorted(h.dirty_lines_of(np.array([1, 2, 3])).tolist()) == [1, 2]
-    assert sorted(h.dirty_lines_of(np.array([1, 2, 3])).tolist()) == [1, 2]
 
 
 def test_hierarchy_stats_accumulate():

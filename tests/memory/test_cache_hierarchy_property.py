@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from repro.memory import CacheHierarchy
 
+from .burst_shapes import burst_lines
+
 
 class ScalarHierarchy:
     """Obviously-correct per-access model of the documented semantics."""
@@ -70,20 +72,22 @@ class ScalarHierarchy:
 
 @st.composite
 def access_scripts(draw):
+    """Shaped bursts (contiguous runs up to 3x the L2's sets wrap both
+    levels) mixed with flushes of contiguous ranges."""
     l1_sets = draw(st.sampled_from([2, 4]))
     l2_sets = l1_sets * draw(st.sampled_from([2, 4]))
+    top = 3 * l2_sets
     n_ops = draw(st.integers(1, 60))
     ops = []
     for _ in range(n_ops):
         kind = draw(st.sampled_from(["burst", "flush"]))
         if kind == "burst":
-            length = draw(st.integers(1, 8))
-            lines = draw(st.lists(st.integers(0, 3 * l2_sets - 1),
-                                  min_size=length, max_size=length))
-            ops.append(("burst", lines, draw(st.booleans())))
+            ops.append(("burst", draw(burst_lines(top, top)),
+                        draw(st.booleans())))
         else:
-            ops.append(("flush", [draw(st.integers(0, 3 * l2_sets - 1))],
-                        False))
+            start = draw(st.integers(0, top - 1))
+            length = draw(st.integers(1, l2_sets))
+            ops.append(("flush", list(range(start, start + length)), False))
     return l1_sets, l2_sets, ops
 
 
@@ -121,7 +125,7 @@ def test_hierarchy_matches_scalar_reference(script):
                 ref.writebacks[wb_before:])
         else:
             got = vec.flush_lines(np.array(lines, dtype=np.int64))
-            want = ref.flush(lines[0])
+            want = [w for ln in lines for w in ref.flush(ln)]
             assert sorted(got.tolist()) == sorted(want)
 
     # final L1 and L2 state agrees

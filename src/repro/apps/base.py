@@ -75,28 +75,26 @@ class SharedArray:
         return int(np.ravel_multi_index(idx, self.data.shape)) * self.itemsize
 
     def _row_runs(self, view: np.ndarray) -> List[Tuple[int, int]]:
-        """Non-contiguous view: one run per contiguous last-axis row.
+        """Non-contiguous view: one run per contiguous last-axis row, in
+        C order.
 
-        The view is walked with basic indexing only (``reshape`` would
+        The row starts come from the view's data pointer and strides,
+        one broadcast ``arange`` per leading axis (``reshape`` would
         silently copy a non-contiguous view and yield addresses outside
         the shared segment)."""
-        base_ptr = self.data.__array_interface__["data"][0]
-        runs: List[Tuple[int, int]] = []
-        if view.ndim == 1:
-            rows = [view]
-        else:
-            rows = (view[idx] for idx in np.ndindex(view.shape[:-1]))
-        for row in rows:
-            if row.strides[-1] != self.itemsize:
-                raise ValueError(
-                    "strided last-axis selections are not supported on "
-                    "shared arrays (rows must be contiguous)"
-                )
-            start = row.__array_interface__["data"][0] - base_ptr
-            runs.append(
-                (self.base_vaddr + start, int(row.shape[0] * self.itemsize))
+        if view.strides[-1] != self.itemsize:
+            raise ValueError(
+                "strided last-axis selections are not supported on "
+                "shared arrays (rows must be contiguous)"
             )
-        return runs
+        starts = np.zeros(1, dtype=np.int64)
+        for n, stride in zip(view.shape[:-1], view.strides[:-1]):
+            starts = (starts[:, None]
+                      + np.arange(n, dtype=np.int64) * stride).ravel()
+        base = (self.base_vaddr + view.__array_interface__["data"][0]
+                - self.data.__array_interface__["data"][0])
+        nbytes = int(view.shape[-1] * self.itemsize)
+        return [(base + start, nbytes) for start in starts.tolist()]
 
     # ---------------------------------------------------------------- access --
     def read(self, ctx: Context, key: Key) -> Generator:

@@ -16,9 +16,7 @@ interrupt otherwise (the hybrid scheme of Section 2.1).
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
-
-import numpy as np
+from typing import Generator, Optional, Sequence, Tuple
 
 from ..engine import Category, Counters, Simulator
 from ..memory import BoardTLB, MemoryBus
@@ -289,22 +287,16 @@ class CNIInterface(NetworkInterface):
         return None
 
     # -- snooping --------------------------------------------------------------------
-    def _snoop(self, node_id: int, vlines: np.ndarray) -> None:
+    def _snoop(self, node_id: int, vpages: Sequence[int]) -> None:
         """Consistency snooping: bus write traffic updates cached buffers.
 
         The bus carries physical addresses; we translate the written
-        lines' pages through the host MMU mirror (RTLB) inside the
-        Message Cache.  ``vlines`` arrive as virtual line numbers from
-        the cache model, so we first recover the physical frames the bus
-        would have shown, one per distinct page.  With snooping disabled
+        pages through the host MMU mirror (RTLB) inside the Message
+        Cache.  ``vpages`` arrive as the distinct virtual pages the
+        write traffic reached, so we first recover the physical frames
+        the bus would have shown, one per page.  With snooping disabled
         (ablation) the same frames invalidate the board's stale copies.
         """
-        lines_per_page = self.params.page_size_bytes // self.params.cache_line_bytes
-        lo = int(vlines.min()) // lines_per_page
-        if lo == int(vlines.max()) // lines_per_page:
-            vpages = (lo,)  # one page: every release flush
-        else:
-            vpages = np.unique(vlines // lines_per_page).tolist()
         frames = []
         for vp in vpages:
             try:
@@ -312,7 +304,7 @@ class CNIInterface(NetworkInterface):
             except KeyError:
                 continue
         if frames:
-            self._snoop_sink(np.asarray(frames, dtype=np.int64))
+            self._snoop_sink(frames)
 
     # -- receive wake economics ----------------------------------------------------------
     def rx_wake_overhead_ns(self) -> float:

@@ -46,10 +46,13 @@ class EagerDsmEngine(DsmEngine):
         seq = self.vc.tick(self.me)
         page_bytes = self.collector.drain()
         notices = []
+        node = self.node
         for page, nbytes in sorted(page_bytes.items()):
             notices.append(WriteNotice(page, self.me, seq, nbytes))
             self.diff_store[(page, seq)] = nbytes
-            yield from self.node.flush_page(page)
+            flush_ns = node.write_back_page(page)
+            yield flush_ns
+            node.account_overhead(flush_ns)
         interval = Interval(self.me, seq, tuple(notices))
         self.ilog.record(interval)
         self.pages.end_interval_downgrade()

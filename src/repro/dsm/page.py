@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..memory import AddressSpace
+from .interval import WriteNotice
 
 
 class PageState(enum.Enum):
@@ -170,27 +171,30 @@ class NodePageTable:
         self._written.clear()
         return out
 
-    def apply_notice(self, page: int, proc: int, seq: int,
-                     modified_bytes: int) -> bool:
-        """Process a foreign write notice (the lazy-invalidate action).
+    def apply_notices(self, notices: Iterable[WriteNotice]) -> None:
+        """Process foreign write notices (the lazy-invalidate action),
+        typically one interval's.
 
         The local copy — if one exists — is never destroyed: a node that
         has ever held the page can always reconstruct it by applying the
         pending writers' diffs in causal order (multiple-writer LRC).
-        The notice makes the copy *stale*: accesses fault until the owed
+        A notice makes the copy *stale*: accesses fault until the owed
         modifications are fetched (as diffs, or as a whole page when most
-        of it changed — see the engine's fault policy).
-
-        Returns True when a previously-usable copy just went stale (the
-        caller drops the board's cached buffer then).
+        of it changed — see the engine's fault policy).  The notice's
+        writer becomes the page's fetch source.  Notices of this node's
+        own writes never invalidate the local copy and are skipped.
         """
-        m = self[page]
-        if proc == self.self_id:
-            return False  # own writes never invalidate the local copy
-        m.source = proc  # latest writer becomes the fetch target
-        was_usable = m.state != PageState.INVALID and not m.pending_diffs
-        m.pending_diffs[(proc, seq)] = modified_bytes
-        return was_usable
+        me = self.self_id
+        meta = self._meta
+        for n in notices:
+            proc = n.proc
+            if proc == me:
+                continue
+            m = meta.get(n.page)
+            if m is None:
+                m = self[n.page]
+            m.source = proc
+            m.pending_diffs[(proc, n.seq)] = n.modified_bytes
 
     def install_full_copy(self, page: int) -> None:
         """A full page arrived: all pending foreign writes are subsumed."""

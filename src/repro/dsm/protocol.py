@@ -213,17 +213,16 @@ class DsmEngine:
             if self.vc[iv.proc] >= iv.seq:
                 continue  # already applied
             self.ilog.record(iv)  # may be merely known already: fine
-            for n in iv.notices:
-                self.pages.apply_notice(
-                    n.page, n.proc, n.seq, n.modified_bytes
-                )
+            if iv.notices:
+                self.pages.apply_notices(iv.notices)
                 # Note: the board's Message Cache copy is NOT dropped
                 # here.  It mirrors *host memory*, which only changes via
                 # snooped CPU stores or board-performed DMA installs;
                 # under multiple-writer LRC a copy that lacks a remote
                 # writer's bytes is still a valid transfer source (the
                 # requester owns the reconciliation via diffs).
-                self.node.counters.inc("dsm_notices_applied")
+                self.node.counters.inc("dsm_notices_applied",
+                                       len(iv.notices))
             if self.vc[iv.proc] < iv.seq:
                 self.vc.v[iv.proc] = iv.seq
 
@@ -241,10 +240,13 @@ class DsmEngine:
         seq = self.vc.tick(self.me)
         page_bytes = self.collector.drain()
         notices = []
+        node = self.node
         for page, nbytes in sorted(page_bytes.items()):
             notices.append(WriteNotice(page, self.me, seq, nbytes))
             self.diff_store[(page, seq)] = nbytes
-            yield from self.node.flush_page(page)
+            flush_ns = node.write_back_page(page)
+            yield flush_ns
+            node.account_overhead(flush_ns)
         self.ilog.record(Interval(self.me, seq, tuple(notices)))
         self.pages.end_interval_downgrade()
         cost = self.params.cpu_cycles_ns(

@@ -30,19 +30,40 @@ class Category(Enum):
     SYNCH_DELAY = "synch_delay"
 
 
-class TimeAccount:
-    """Accumulates nanoseconds per :class:`Category` for one processor."""
+def negative_charge(ns: float, category: Category) -> ValueError:
+    """The error every time charge raises for a negative ``ns``."""
+    return ValueError(f"negative time charge {ns} to {category}")
 
-    __slots__ = ("ns",)
+
+class TimeAccount:
+    """Accumulates nanoseconds per :class:`Category` for one processor.
+
+    One float slot per category, named after its value, so a charge on
+    the hot path (:meth:`repro.runtime.Node.account_compute` and its two
+    siblings) adds to an attribute without looking up or hashing a
+    :class:`Category` member.
+    """
+
+    __slots__ = ("computation", "synch_overhead", "synch_delay")
 
     def __init__(self) -> None:
-        self.ns: Dict[Category, float] = {c: 0.0 for c in Category}
+        self.computation = 0.0
+        self.synch_overhead = 0.0
+        self.synch_delay = 0.0
 
     def add(self, category: Category, ns: float) -> None:
         """Charge ``ns`` nanoseconds to ``category``."""
         if ns < 0:
-            raise ValueError(f"negative time charge {ns} to {category}")
-        self.ns[category] += ns
+            raise negative_charge(ns, category)
+        # ``_value_`` is the member's plain attribute; ``.value`` would
+        # run enum's Python-level property on every charge.
+        slot = category._value_
+        setattr(self, slot, getattr(self, slot) + ns)
+
+    @property
+    def ns(self) -> Dict[Category, float]:
+        """Nanoseconds keyed by :class:`Category` (a snapshot)."""
+        return {c: getattr(self, c.value) for c in Category}
 
     @property
     def total_ns(self) -> float:
@@ -51,16 +72,17 @@ class TimeAccount:
 
     def cycles(self, category: Category, cpu_freq_hz: float) -> float:
         """Category time expressed in CPU cycles at ``cpu_freq_hz``."""
-        return self.ns[category] * cpu_freq_hz / 1e9
+        return getattr(self, category.value) * cpu_freq_hz / 1e9
 
     def merge(self, other: "TimeAccount") -> None:
         """Accumulate another account into this one."""
-        for c in Category:
-            self.ns[c] += other.ns[c]
+        self.computation += other.computation
+        self.synch_overhead += other.synch_overhead
+        self.synch_delay += other.synch_delay
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict snapshot (ns) keyed by category value."""
-        return {c.value: self.ns[c] for c in Category}
+        return {c.value: getattr(self, c.value) for c in Category}
 
 
 class Counters:
@@ -117,7 +139,8 @@ class RunStats:
 
     def category_total_ns(self, category: Category) -> float:
         """Sum of ``category`` across processors."""
-        return sum(acc.ns[category] for acc in self.per_processor)
+        slot = category.value
+        return sum(getattr(acc, slot) for acc in self.per_processor)
 
     @property
     def network_cache_hit_ratio(self) -> float:

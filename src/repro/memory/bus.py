@@ -11,15 +11,22 @@ Two kinds of traffic matter to the model:
   time (Table 1: 4 cycles + 2 cycles/word at 25 MHz), so concurrent DMAs
   serialize.
 * **CPU write traffic** (write-backs and flushes).  The CNI Message Cache
-  *snoops* these: every write target that reaches the bus is shown to the
-  registered snoopers (Section 2.2, Consistency Snooping).  CPU-side
-  cycle costs for this traffic are charged analytically by the cache
-  model; the bus only propagates the snoop visibility and counts words.
+  *snoops* these: every page a write reaches is shown to the registered
+  snoopers (Section 2.2, Consistency Snooping: the board snoops the
+  write target into a page buffer).  CPU-side cycle costs for this
+  traffic are charged analytically by the cache model; the bus only
+  propagates the snoop visibility and counts words.
+
+Who reduces lines to pages: a flush that lies in one page (every DSM
+release flush) knows that page and passes it.  For any other traffic,
+a buffer flush that spans pages or the dirty evictions of a cache
+burst (which come in no guaranteed order), the bus reduces the lines
+itself, and only when a snooper is registered.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +34,9 @@ from ..engine import Resource, Simulator
 from ..obs import MetricsScope, SpanTracer, private_scope
 from ..params import SimParams
 
-#: A snooper receives ``(node_id, line_numbers)`` for bus write traffic.
-Snooper = Callable[[int, np.ndarray], None]
+#: A snooper receives ``(node_id, pages)`` for bus write traffic: the
+#: distinct virtual pages written.
+Snooper = Callable[[int, Sequence[int]], None]
 
 
 class MemoryBus:
@@ -42,6 +50,7 @@ class MemoryBus:
         self.node_id = node_id
         self._resource = Resource(sim, f"bus{node_id}")
         self._snoopers: List[Snooper] = []
+        self._lines_per_page = params.lines_per_page
         self.spans = spans
         self.dma_bytes = 0
         self.dma_transfers = 0
@@ -59,13 +68,17 @@ class MemoryBus:
         """Register a device that observes CPU write traffic (the CNI)."""
         self._snoopers.append(snooper)
 
-    def cpu_write_traffic(self, lines: np.ndarray) -> None:
+    def cpu_write_traffic(self, lines: np.ndarray,
+                          pages: Optional[Sequence[int]] = None) -> None:
         """CPU write-backs / flushes of ``lines`` reached the bus.
 
         Bus occupancy of this traffic is folded into the cache model's
         CPU cost; here we count words and let the snoopers watch the
-        addresses (the essence of Section 2.2's mechanism: the interface
-        "snoops out the target of the write from the bus").
+        written pages (the essence of Section 2.2's mechanism: the
+        interface "snoops out the target of the write from the bus").
+        ``pages`` are the distinct pages of ``lines`` when the caller
+        already knows them (a flush within one page); None makes the
+        bus derive them.
         """
         if lines.size == 0:
             return
@@ -73,8 +86,21 @@ class MemoryBus:
         self.writeback_words += int(lines.size) * (
             self.params.cache_line_bytes // self.params.bus_word_bytes
         )
+        if not self._snoopers:
+            return
+        if pages is None:
+            pages = self._pages_of(lines)
         for snooper in self._snoopers:
-            snooper(self.node_id, lines)
+            snooper(self.node_id, pages)
+
+    def _pages_of(self, lines: np.ndarray) -> Sequence[int]:
+        """Distinct pages of ``lines`` in any order (dirty evictions, or
+        a flush that spans pages)."""
+        per_page = self._lines_per_page
+        lo = int(lines.min()) // per_page
+        if lo == int(lines.max()) // per_page:
+            return (lo,)
+        return np.unique(lines // per_page).tolist()
 
     # -- DMA --------------------------------------------------------------------
     def dma_transfer_ns(self, nbytes: int) -> float:

@@ -29,6 +29,16 @@ grouping path.  Rule 1 reports write-backs in line order, the grouping
 path in set order; the two differ only when a burst's sets wrap, and
 callers count the lines (or reduce them to pages), never read the order.
 
+Page-level operations take a line range, not a line array:
+:meth:`CacheHierarchy.flush_range` (write back, keep resident) and
+:meth:`CacheHierarchy.invalidate_range` (drop, no write-back) work on
+slices of the sets the range covers — one slice, two when the range
+wraps the set index, every set when it spans ``nsets`` lines or more —
+and a set's occupant is in the range exactly when ``first <= tag <
+first + n``.  A flush returns its written-back lines in ascending order;
+the caller knows which pages those are and shows them to the bus
+snoopers (:mod:`repro.memory.bus`).
+
 Hierarchy simplification (documented in DESIGN.md): the L1 classifies
 latency only; dirtiness is tracked at the L2, which is the write-back /
 snoop point on the memory bus.  With both levels direct-mapped, the same
@@ -219,35 +229,62 @@ class CacheLevel:
         """Whether ``line`` currently occupies its set."""
         return bool(self.tags[line % self.nsets] == line)
 
-    def drop(self, lines: np.ndarray) -> np.ndarray:
-        """Invalidate ``lines`` where resident; returns the dirty ones.
+    def _range_sets(self, first: int, n: int) -> Tuple[slice, ...]:
+        """The set slices lines ``first .. first+n-1`` map to, in line
+        order: one slice, two when the range wraps the set index, every
+        set when it spans ``nsets`` lines or more.  A set's occupant is
+        in the range exactly when ``first <= tag < first + n``."""
+        if n >= self.nsets:
+            return (slice(0, self.nsets),)
+        start = first & (self.nsets - 1)
+        end = start + n
+        if end <= self.nsets:
+            return (slice(start, end),)
+        return (slice(start, self.nsets), slice(0, end - self.nsets))
+
+    def drop_range(self, first: int, n: int) -> np.ndarray:
+        """Invalidate lines ``first .. first+n-1`` where resident;
+        returns the dirty ones, in ascending order.
 
         Used for DSM page invalidation (the protocol owns the data, so
-        dirty copies are discarded, not written back).
+        dirty copies are discarded, not written back).  A level that
+        tracks no dirtiness keeps every dirty bit clear, so it returns
+        no lines here and writes none back in :meth:`clean_range`.
         """
-        sets = lines % self.nsets
-        here = self.tags[sets] == lines
-        sets = sets[here]
-        if self.track_dirty:
-            was_dirty = self.dirty[sets]
-        else:
-            was_dirty = np.zeros(sets.size, dtype=bool)
-        self.tags[sets] = -1
-        self.dirty[sets] = False
-        return lines[here][was_dirty]
+        last = first + n
+        lines = None
+        for sets in self._range_sets(first, n):
+            tags = self.tags[sets]
+            here = tags >= first
+            here &= tags < last
+            dirty = self.dirty[sets]
+            got = tags[here & dirty]
+            dirty[here] = False
+            tags[here] = -1
+            lines = got if lines is None else np.concatenate((lines, got))
+        # Every set's occupant comes in set order, not line order.
+        return np.sort(lines) if n >= self.nsets else lines
 
-    def clean(self, lines: np.ndarray) -> np.ndarray:
-        """Write back dirty copies of ``lines``; they stay resident clean.
+    def clean_range(self, first: int, n: int) -> np.ndarray:
+        """Write back dirty copies of lines ``first .. first+n-1``; they
+        stay resident clean.
 
-        Returns the lines actually written back (bus/snoop traffic).
+        Returns the lines actually written back (bus/snoop traffic), in
+        ascending order.
         """
-        if not self.track_dirty:
-            return np.empty(0, dtype=np.int64)
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        sets = lines % self.nsets
-        target = (self.tags[sets] == lines) & self.dirty[sets]
-        self.dirty[sets[target]] = False
-        return lines[target]
+        last = first + n
+        lines = None
+        for sets in self._range_sets(first, n):
+            tags = self.tags[sets]
+            dirty = self.dirty[sets]
+            target = tags >= first
+            target &= tags < last
+            target &= dirty
+            dirty[target] = False
+            got = tags[target]
+            lines = got if lines is None else np.concatenate((lines, got))
+        # Every set's occupant comes in set order, not line order.
+        return np.sort(lines) if n >= self.nsets else lines
 
 
 @dataclass
@@ -365,23 +402,24 @@ class CacheHierarchy:
         self.stats_writebacks += int(cost.writeback_lines.size)
         return cost
 
-    def flush_lines(self, lines: np.ndarray) -> np.ndarray:
-        """Write back dirty copies of ``lines``; they stay resident clean.
+    def flush_range(self, first_line: int, n: int) -> np.ndarray:
+        """Write back dirty copies of lines ``first_line ..
+        first_line+n-1``; they stay resident clean.  Returns the
+        written-back lines in ascending order.
 
         This is the traffic the CNI Message Cache snoops, and the cost a
         sender pays before a DMA (or a Message-Cache transmit) so that
         memory is consistent with the CPU cache — Section 2.2's
         write-back-cache flush requirement.
         """
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        return self.l2.clean(lines)
+        return self.l2.clean_range(first_line, n)
 
-    def invalidate_lines(self, lines: np.ndarray) -> None:
-        """Drop ``lines`` from both levels without write-back (DSM
-        invalidation: the protocol owns the authoritative data)."""
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        self.l1.drop(lines)
-        self.l2.drop(lines)
+    def invalidate_range(self, first_line: int, n: int) -> None:
+        """Drop lines ``first_line .. first_line+n-1`` from both levels
+        without write-back (DSM invalidation: the protocol owns the
+        authoritative data)."""
+        self.l1.drop_range(first_line, n)
+        self.l2.drop_range(first_line, n)
 
 
 class ReferenceCache:

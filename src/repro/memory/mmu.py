@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-import numpy as np
-
 
 class TranslationError(KeyError):
     """A translation was requested for an unmapped page."""
@@ -116,15 +114,6 @@ class BoardTLB:
         """
         self.reverse_lookups += 1
         return self._p2v.get(frame)
-
-    def rtlb_p2v_many(self, frames: np.ndarray) -> np.ndarray:
-        """Vectorized RTLB: maps frames to vpages, -1 where unmapped."""
-        self.reverse_lookups += int(frames.size)
-        return np.fromiter(
-            (self._p2v.get(int(f), -1) for f in frames),
-            count=frames.size,
-            dtype=np.int64,
-        )
 
     def __contains__(self, vpage: int) -> bool:
         return vpage in self._v2p

@@ -9,12 +9,13 @@ time model for asynchronous host work (DESIGN.md section 6).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional
+from typing import Deque, Generator, Optional, Tuple
 
 import numpy as np
 
 from ..core import CNIInterface, ReceiveDescriptor, StandardInterface
 from ..engine import Category, Counters, Gate, Simulator, TimeAccount
+from ..engine.stats import negative_charge
 from ..memory import (
     BoardTLB,
     CacheHierarchy,
@@ -72,6 +73,7 @@ class Node:
         self.bus = MemoryBus(sim, params, node_id,
                              metrics=self.metrics.scope("bus"), spans=spans)
         self.memory = MainMemory(params, node_id)
+        self._lines_per_page = params.lines_per_page
         self.mmu = HostMMU(params.page_size_bytes)
         self.tlb = BoardTLB(self.mmu)
 
@@ -116,17 +118,25 @@ class Node:
         return self.engine.handle_packet(packet, on_board)
 
     # ------------------------------------------------------------ accounting --
+    # The three charges reach their TimeAccount slot directly: naming
+    # the Category would cost an enum member lookup and a hash each.
     def account_compute(self, ns: float) -> None:
         """Application computation time."""
-        self.account.add(Category.COMPUTATION, ns)
+        if ns < 0:
+            raise negative_charge(ns, Category.COMPUTATION)
+        self.account.computation += ns
 
     def account_overhead(self, ns: float) -> None:
         """Host time actively spent on synchronization/messaging work."""
-        self.account.add(Category.SYNCH_OVERHEAD, ns)
+        if ns < 0:
+            raise negative_charge(ns, Category.SYNCH_OVERHEAD)
+        self.account.synch_overhead += ns
 
     def account_delay(self, ns: float) -> None:
         """Time the application sat blocked on a remote operation."""
-        self.account.add(Category.SYNCH_DELAY, ns)
+        if ns < 0:
+            raise negative_charge(ns, Category.SYNCH_DELAY)
+        self.account.synch_delay += ns
 
     def steal_host_time(self, ns: float, category: Category) -> None:
         """Asynchronous host-CPU work (interrupts, kernel dispatch, host
@@ -145,42 +155,48 @@ class Node:
         return ns
 
     # -------------------------------------------------------------- memory ops --
-    def page_lines(self, page: int) -> np.ndarray:
-        """Global cache-line numbers of one DSM page."""
-        vaddr = self.page_vaddr(page)
-        return lines_in_range(vaddr, self.params.page_size_bytes,
-                              self.params.cache_line_bytes)
-
     def page_vaddr(self, page: int) -> int:
         """Virtual address of DSM page ``page`` (SPMD: same on all nodes)."""
         return self.engine.segment.page_vaddr(page)
 
-    def flush_page(self, page: int) -> Generator:
-        """Write the page's dirty cache lines back to memory.
+    def write_back_page(self, page: int) -> float:
+        """Write the page's dirty cache lines back to memory; returns the
+        bus time.  Not a generator, like :meth:`cache_access`: the
+        release path yields the time and accounts it itself.
 
-        Run by the application thread (release path).  The write traffic
-        is shown to the bus snoopers, which is how the Message Cache's
-        copy stays consistent (Section 2.2).
+        The write traffic is shown to the bus snoopers once, as the
+        page, which is how the Message Cache's copy stays consistent
+        (Section 2.2).
         """
-        cost = self._write_back(self.page_lines(page))
-        yield cost
-        self.account_overhead(cost)
-        return None
+        vaddr = self.page_vaddr(page)
+        line = self.params.cache_line_bytes
+        vpage = vaddr // self.params.page_size_bytes
+        return self._write_back(vaddr // line, self._lines_per_page, (vpage,))
 
     def flush_buffer(self, vaddr: int, nbytes: int) -> Generator:
         """Flush an arbitrary registered buffer before transmitting it
         (the message-passing send path's consistency obligation)."""
-        cost = self._write_back(
-            lines_in_range(vaddr, nbytes, self.params.cache_line_bytes))
+        cost = 0.0
+        if nbytes > 0:
+            last = vaddr + nbytes - 1
+            line = self.params.cache_line_bytes
+            page = self.params.page_size_bytes
+            one_page = vaddr // page == last // page
+            cost = self._write_back(vaddr // line,
+                                    last // line - vaddr // line + 1,
+                                    (vaddr // page,) if one_page else None)
         yield cost
         self.account_overhead(cost)
         return None
 
-    def _write_back(self, lines: np.ndarray) -> float:
-        """Flush ``lines``' dirty copies to memory, record the
-        write-backs and show them to the bus snoopers; returns the bus
-        time.  Not a generator, so each flush stays one frame."""
-        flushed = self.cache.flush_lines(lines)
+    def _write_back(self, first_line: int, n: int,
+                    pages: Optional[Tuple[int]]) -> float:
+        """Flush the dirty copies of lines ``first_line ..
+        first_line+n-1`` to memory, record the write-backs and show them
+        to the bus snoopers; returns the bus time.  ``pages`` is the one
+        page the range lies in, or None when it spans several: the bus
+        then reduces the flushed lines to their distinct pages."""
+        flushed = self.cache.flush_range(first_line, n)
         if not flushed.size:
             return 0.0
         words = flushed.size * (
@@ -191,13 +207,15 @@ class Node:
             + self.params.bus_cycles_per_word * words
         )
         self.memory.record_writebacks(int(flushed.size))
-        self.bus.cpu_write_traffic(flushed)
+        self.bus.cpu_write_traffic(flushed, pages)
         return cost
 
     def drop_page_from_cpu_cache(self, page: int) -> None:
         """Invalidate a page's lines in the CPU caches (fresh remote data
         just landed in memory underneath them)."""
-        self.cache.invalidate_lines(self.page_lines(page))
+        self.cache.invalidate_range(
+            self.page_vaddr(page) // self.params.cache_line_bytes,
+            self._lines_per_page)
 
     def mc_receive_insert(self, vaddr: int, nbytes: int) -> None:
         """Receive caching (Section 2.2): bind the pages of data that
@@ -247,7 +265,9 @@ class Node:
         """Run a CPU burst through the cache hierarchy, record its fills
         and write-backs and show the write-backs to the bus snoopers;
         returns the CPU stall time.  Not a generator, like
-        :meth:`_write_back`; the caller yields the time and accounts it."""
+        :meth:`_write_back`; the caller yields the time and accounts it.
+        Write-backs from replacements come in no guaranteed order and
+        may span several pages, so the bus reduces them to pages itself."""
         cost = self.cache.access(lines, is_write)
         if cost.writeback_lines.size:
             self.memory.record_writebacks(int(cost.writeback_lines.size))

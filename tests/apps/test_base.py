@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import SharedArray, SharedScalarTable
@@ -15,44 +15,6 @@ from repro.runtime import Cluster
 def make_array(shape, dtype=np.float64):
     seg = SharedSegment(AddressSpace(page_size=4096, dsm_pages=256))
     return SharedArray(seg.alloc(shape, dtype=dtype), "t")
-
-
-def expected_runs(arr: SharedArray, key):
-    """Oracle: byte runs from numpy's own address arithmetic."""
-    view = arr.data[key]
-    base_ptr = arr.data.__array_interface__["data"][0]
-    if np.isscalar(view) or view.ndim == 0:
-        # recompute via a 1-element slice trick
-        flat_index = np.ravel_multi_index(
-            tuple(np.atleast_1d(np.arange(s)[k])[0] for s, k in
-                  zip(arr.data.shape, key if isinstance(key, tuple) else (key,))),
-            arr.data.shape,
-        )
-        return [(arr.base_vaddr + int(flat_index) * arr.itemsize,
-                 arr.itemsize)]
-    rows = view.reshape(-1, view.shape[-1]) if view.ndim > 1 else view[None, :]
-    runs = []
-    for row in rows:
-        start = row.__array_interface__["data"][0] - base_ptr
-        runs.append((arr.base_vaddr + start, row.shape[0] * arr.itemsize))
-    # merge adjacent
-    merged = []
-    for vaddr, nbytes in runs:
-        if merged and merged[-1][0] + merged[-1][1] == vaddr:
-            merged[-1] = (merged[-1][0], merged[-1][1] + nbytes)
-        else:
-            merged.append((vaddr, nbytes))
-    return merged
-
-
-def normalize(runs):
-    merged = []
-    for vaddr, nbytes in sorted(runs):
-        if merged and merged[-1][0] + merged[-1][1] == vaddr:
-            merged[-1] = (merged[-1][0], merged[-1][1] + nbytes)
-        else:
-            merged.append((vaddr, nbytes))
-    return merged
 
 
 def test_full_2d_array_is_one_run():
@@ -105,27 +67,70 @@ def test_non_contiguous_array_rejected():
         SharedArray(alloc, "bad")
 
 
-@given(
-    rows=st.integers(1, 6),
-    cols=st.integers(1, 20),
-    r0=st.integers(0, 5),
-    rlen=st.integers(1, 6),
-    c0=st.integers(0, 19),
-    clen=st.integers(1, 20),
-)
-@settings(max_examples=100, deadline=None)
-def test_runs_match_numpy_oracle(rows, cols, r0, rlen, c0, clen):
-    arr = make_array((rows, cols))
-    key = (slice(min(r0, rows - 1), min(r0 + rlen, rows)),
-           slice(min(c0, cols - 1), min(c0 + clen, cols)))
-    if arr.data[key].size == 0:
-        assert arr.runs_for(key) == []
+def row_walk_runs(arr: SharedArray, key):
+    """Reference: ``runs_for`` as it was before it read strides.
+
+    A scalar is one item; a C-contiguous selection is one run; any
+    other selection is one run per last-axis row, each row reached with
+    basic indexing, in C order (the order ``access_runs`` streams the
+    lines in)."""
+    base_ptr = arr.data.__array_interface__["data"][0]
+
+    def start(view):
+        return arr.base_vaddr + view.__array_interface__["data"][0] - base_ptr
+
+    if all(isinstance(k, int) for k in key):
+        one = tuple(slice(k % n, k % n + 1) for k, n in zip(key, arr.shape))
+        return [(start(arr.data[one]), arr.itemsize)]
+    view = arr.data[key]
+    if view.size == 0:
+        return []
+    if view.flags["C_CONTIGUOUS"]:
+        return [(start(view), int(view.nbytes))]
+    if view.ndim == 1:
+        rows = [view]
+    else:
+        rows = (view[idx] for idx in np.ndindex(view.shape[:-1]))
+    runs = []
+    for row in rows:
+        if row.strides[-1] != arr.itemsize:
+            raise ValueError("strided last axis")
+        runs.append((start(row), int(row.shape[0] * arr.itemsize)))
+    return runs
+
+
+@st.composite
+def selections(draw):
+    """A 1-3-D shape and a key with an int or a non-empty step-1 slice
+    per axis (``test_empty_selection`` covers empty ones)."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(ndim))
+    key = []
+    for n in shape:
+        if draw(st.integers(0, 2)) == 0:
+            key.append(draw(st.integers(-n, n - 1)))
+        else:
+            lo = draw(st.integers(0, n - 1))
+            key.append(slice(lo, draw(st.integers(lo + 1, n))))
+    return shape, tuple(key)
+
+
+@given(selections())
+@example(((3, 4, 5), (slice(0, 2), slice(1, 4), slice(1, 3))))
+@settings(max_examples=300, deadline=None)
+def test_runs_match_numpy_oracle(selection):
+    shape, key = selection
+    arr = make_array(shape)
+    try:
+        want = row_walk_runs(arr, key)
+    except ValueError:
+        with pytest.raises(ValueError, match="strided last-axis"):
+            arr.runs_for(key)
         return
-    got = normalize(arr.runs_for(key))
-    want = normalize(expected_runs(arr, key))
-    assert got == want
+    got = arr.runs_for(key)
+    assert got == want  # the exact runs, in order
     # total bytes equal the selection's size
-    assert sum(n for _, n in got) == arr.data[key].size * 8
+    assert sum(n for _, n in got) == np.asarray(arr.data[key]).size * 8
 
 
 def test_read_write_move_real_data():

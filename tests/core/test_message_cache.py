@@ -1,6 +1,5 @@
 """Unit + property tests for the Message Cache."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,7 +87,7 @@ def test_snoop_updates_cached_page():
     frame = mmu.map_page(9)
     tlb.install(9)
     mc.insert(9)
-    absorbed = mc.snoop(np.array([frame]))
+    absorbed = mc.snoop([frame])
     assert absorbed == 1
     assert mc.snoop_updates == 1
     assert mc.contains(9)  # stays valid: that's the whole point
@@ -96,7 +95,7 @@ def test_snoop_updates_cached_page():
 
 def test_snoop_aborts_for_unmapped_frame():
     mc, mmu, tlb = make_mc()
-    assert mc.snoop(np.array([0xDEAD])) == 0
+    assert mc.snoop([0xDEAD]) == 0
     assert mc.snoop_aborts == 1
 
 
@@ -104,8 +103,21 @@ def test_snoop_aborts_for_uncached_page():
     mc, mmu, tlb = make_mc()
     frame = mmu.map_page(9)
     tlb.install(9)
-    assert mc.snoop(np.array([frame])) == 0
+    assert mc.snoop([frame]) == 0
     assert mc.snoop_aborts == 1
+
+
+def test_snoop_counts_each_distinct_frame():
+    mc, mmu, tlb = make_mc()
+    frames = []
+    for v in (4, 5, 6):
+        frames.append(mmu.map_page(v))
+        tlb.install(v)
+    mc.insert(4)
+    mc.insert(6)
+    assert mc.snoop([frames[0], frames[1], 0xDEAD, frames[2]]) == 2
+    assert (mc.snoop_updates, mc.snoop_aborts) == (2, 2)
+    assert mc.contains(4) and mc.contains(6)
 
 
 def test_snoop_disabled_invalidates():
@@ -113,7 +125,7 @@ def test_snoop_disabled_invalidates():
     frame = mmu.map_page(9)
     tlb.install(9)
     mc.insert(9)
-    dropped = mc.snoop_disabled_writeback(np.array([frame]))
+    dropped = mc.snoop_disabled_writeback([frame])
     assert dropped == 1
     assert not mc.contains(9)
 

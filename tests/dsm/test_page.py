@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsm import NodePageTable, PageState, SharedSegment
+from repro.dsm import NodePageTable, PageState, SharedSegment, WriteNotice
 from repro.memory import AddressSpace
 
 
@@ -17,10 +17,14 @@ def test_initial_state():
     assert t[5].source == 1  # home of page 5 with 4 procs
 
 
+def notice(page, proc, seq=1, modified_bytes=10):
+    return WriteNotice(page, proc, seq, modified_bytes)
+
+
 def test_own_notice_is_ignored():
     t = table(self_id=0)
     t[0].state = PageState.VALID_RO
-    assert not t.apply_notice(0, proc=0, seq=1, modified_bytes=10)
+    t.apply_notices([notice(0, proc=0)])
     assert t[0].state == PageState.VALID_RO
     assert not t[0].pending_diffs
 
@@ -29,8 +33,7 @@ def test_foreign_notice_makes_copy_stale():
     t = table(self_id=0)
     t[2].state = PageState.VALID_RO
     t[2].ever_valid = True
-    went_stale = t.apply_notice(2, proc=1, seq=1, modified_bytes=100)
-    assert went_stale
+    t.apply_notices([notice(2, proc=1, modified_bytes=100)])
     assert t[2].pending_diffs == {(1, 1): 100}
     assert t[2].source == 1
     # the copy itself survives (reconstructible via diffs)
@@ -40,21 +43,22 @@ def test_foreign_notice_makes_copy_stale():
 def test_second_notice_not_reported_stale_again():
     t = table(self_id=0)
     t[2].state = PageState.VALID_RO
-    assert t.apply_notice(2, proc=1, seq=1, modified_bytes=10)
-    assert not t.apply_notice(2, proc=2, seq=1, modified_bytes=10)
+    t.apply_notices([notice(2, proc=1)])
+    t.apply_notices([notice(2, proc=2)])
     assert len(t[2].pending_diffs) == 2
+    assert t[2].source == 2  # the latest writer becomes the fetch target
 
 
 def test_notice_on_invalid_page_accumulates():
     t = table(self_id=0)
-    assert not t.apply_notice(3, proc=1, seq=1, modified_bytes=10)
+    t.apply_notices([notice(3, proc=1)])
     assert t[3].state == PageState.INVALID
     assert t[3].pending_diffs
 
 
 def test_install_full_copy_subsumes_pending():
     t = table(self_id=0)
-    t.apply_notice(3, proc=1, seq=1, modified_bytes=10)
+    t.apply_notices([notice(3, proc=1)])
     t.install_full_copy(3)
     assert t[3].state == PageState.VALID_RO
     assert t[3].ever_valid
@@ -64,12 +68,26 @@ def test_install_full_copy_subsumes_pending():
 def test_apply_diffs_clears_selected():
     t = table(self_id=0)
     t[2].state = PageState.VALID_RO
-    t.apply_notice(2, proc=1, seq=1, modified_bytes=10)
-    t.apply_notice(2, proc=2, seq=1, modified_bytes=10)
+    t.apply_notices([notice(2, proc=1)])
+    t.apply_notices([notice(2, proc=2)])
     t.apply_diffs(2, [(1, 1)])
     assert t[2].pending_diffs == {(2, 1): 10}
     t.apply_diffs(2, [(2, 1), (9, 9)])  # unknown keys are fine
     assert not t[2].pending_diffs
+
+
+def test_one_interval_applies_every_notice():
+    """An interval's notices apply in one call: each named page gets the
+    writer as source and one pending diff, untouched pages stay lazy."""
+    t = table(self_id=0)
+    t.apply_notices([notice(p, proc=1, seq=4, modified_bytes=8 * p)
+                     for p in (1, 5, 6)])
+    for p in (1, 5, 6):
+        assert t[p].source == 1
+        assert t[p].pending_diffs == {(1, 4): 8 * p}
+    assert sorted(t._meta) == [1, 5, 6]
+    t.apply_notices([])  # an empty interval changes nothing
+    assert sorted(t._meta) == [1, 5, 6]
 
 
 def test_make_writable_and_downgrade():

@@ -52,9 +52,9 @@ def test_dma_rejects_negative():
 def test_snoopers_see_write_traffic():
     sim, p, bus = make_bus()
     seen = []
-    bus.add_snooper(lambda node, lines: seen.append((node, lines.tolist())))
+    bus.add_snooper(lambda node, pages: seen.append((node, list(pages))))
     bus.cpu_write_traffic(np.array([10, 11], dtype=np.int64))
-    assert seen == [(0, [10, 11])]
+    assert seen == [(0, [0])]  # both lines lie in page 0
     words_per_line = p.cache_line_bytes // p.bus_word_bytes
     assert bus.writeback_words == 2 * words_per_line
 
@@ -62,10 +62,37 @@ def test_snoopers_see_write_traffic():
 def test_empty_write_traffic_skips_snoopers():
     sim, p, bus = make_bus()
     seen = []
-    bus.add_snooper(lambda node, lines: seen.append(lines))
+    bus.add_snooper(lambda node, pages: seen.append(pages))
     bus.cpu_write_traffic(np.empty(0, dtype=np.int64))
     assert seen == []
     assert bus.writeback_words == 0
+
+
+def test_caller_given_pages_reach_snoopers_as_given():
+    """A flush passes the pages it already knows; the bus still counts
+    words from the lines."""
+    sim, p, bus = make_bus()
+    seen = []
+    bus.add_snooper(lambda node, pages: seen.append(list(pages)))
+    per_page = p.page_size_bytes // p.cache_line_bytes
+    lines = np.arange(3 * per_page, 4 * per_page, dtype=np.int64)
+    bus.cpu_write_traffic(lines, pages=(3,))
+    assert seen == [[3]]
+    words_per_line = p.cache_line_bytes // p.bus_word_bytes
+    assert bus.writeback_words == per_page * words_per_line
+    assert bus.snooped_writebacks == 1
+
+
+def test_bus_derives_distinct_pages_of_unordered_lines():
+    """Dirty evictions come in no order; the bus shows each page once."""
+    sim, p, bus = make_bus()
+    seen = []
+    bus.add_snooper(lambda node, pages: seen.append(list(pages)))
+    per_page = p.page_size_bytes // p.cache_line_bytes
+    lines = np.array([2 * per_page + 1, 5, 7 * per_page, 5, 2 * per_page],
+                     dtype=np.int64)
+    bus.cpu_write_traffic(lines)
+    assert seen == [[0, 2, 7]]
 
 
 def test_utilization_tracks_hold_time():

@@ -77,7 +77,7 @@ def test_drop_returns_dirty_lines_only():
     c = level(nlines=8)
     c.burst(np.array([1, 2]), is_write=True)
     c.burst(np.array([3]), is_write=False)
-    dirty = c.drop(np.array([1, 2, 3, 4]))
+    dirty = c.drop_range(1, 4)
     assert sorted(dirty.tolist()) == [1, 2]
     assert not c.resident(1) and not c.resident(3)
 
@@ -85,11 +85,37 @@ def test_drop_returns_dirty_lines_only():
 def test_clean_writes_back_and_keeps_resident():
     c = level(nlines=8)
     c.burst(np.array([1, 2]), is_write=True)
-    flushed = c.clean(np.array([1, 2, 3]))
+    flushed = c.clean_range(1, 3)
     assert sorted(flushed.tolist()) == [1, 2]
     assert c.resident(1) and c.resident(2)
     # second flush: nothing dirty anymore
-    assert c.clean(np.array([1, 2])).size == 0
+    assert c.clean_range(1, 2).size == 0
+
+
+def test_range_wrapping_the_set_index_takes_both_ends():
+    """Lines 6..9 sit in sets 6, 7, 0 and 1 of an 8-set level."""
+    c = level(nlines=8)
+    c.burst(np.array([5, 6, 7, 8, 9, 10]), is_write=True)
+    assert c.clean_range(6, 4).tolist() == [6, 7, 8, 9]  # ascending
+    assert c.clean_range(5, 6).tolist() == [5, 10]
+    assert all(c.resident(x) for x in range(5, 11))
+    c.burst(np.array([6, 9]), is_write=True)
+    assert c.drop_range(6, 4).tolist() == [6, 9]
+    assert [c.resident(x) for x in range(5, 11)] == [
+        True, False, False, False, False, True]
+
+
+def test_range_of_nsets_lines_or_more_takes_every_set():
+    """A range longer than the level reaches every set; only occupants
+    inside the range are cleaned or dropped, in ascending order."""
+    c = level(nlines=4)
+    c.burst(np.array([8, 5, 2, 3]), is_write=True)   # sets 0, 1, 2, 3
+    assert c.clean_range(2, 8).tolist() == [2, 3, 5, 8]
+    c.burst(np.array([8, 5, 2, 3]), is_write=True)
+    assert c.clean_range(3, 4).tolist() == [3, 5]    # exactly nsets lines
+    assert c.clean_range(0, 12).tolist() == [2, 8]
+    assert c.drop_range(4, 5).tolist() == []         # clean by now
+    assert [c.resident(x) for x in (2, 3, 5, 8)] == [True, True, False, False]
 
 
 def test_empty_burst():
@@ -199,23 +225,23 @@ def test_hierarchy_l1_hit_write_dirties_l2():
     h = hierarchy(l1_lines=4, l2_lines=4)
     h.access(np.array([0]), is_write=False)  # clean in both
     h.access(np.array([0]), is_write=True)   # L1 hit, must dirty L2 copy
-    flushed = h.flush_lines(np.array([0]))
+    flushed = h.flush_range(0, 1)
     assert flushed.tolist() == [0]
 
 
 def test_hierarchy_flush_then_flush_is_empty():
     h = hierarchy()
     h.access(np.array([1, 2, 3]), is_write=True)
-    first = h.flush_lines(np.array([1, 2, 3]))
+    first = h.flush_range(1, 3)
     assert sorted(first.tolist()) == [1, 2, 3]
-    assert h.flush_lines(np.array([1, 2, 3])).size == 0
+    assert h.flush_range(1, 3).size == 0
 
 
 def test_hierarchy_invalidate_drops_without_writeback():
     h = hierarchy()
     h.access(np.array([1]), is_write=True)
-    h.invalidate_lines(np.array([1]))
-    assert h.flush_lines(np.array([1])).size == 0
+    h.invalidate_range(1, 1)
+    assert h.flush_range(1, 1).size == 0
     cost = h.access(np.array([1]), is_write=False)
     assert cost.memory_accesses == 1  # truly gone
 

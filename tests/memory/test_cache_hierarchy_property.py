@@ -69,26 +69,49 @@ class ScalarHierarchy:
             return [line]
         return []
 
+    def invalidate(self, line):
+        """Drop ``line`` from both levels, with no write-back."""
+        s1 = line % self.l1_sets
+        s2 = line % self.l2_sets
+        if self.l1.get(s1) == line:
+            del self.l1[s1]
+        if self.l2.get(s2) == line:
+            del self.l2[s2]
+            self.l2_dirty.pop(s2, None)
+
 
 @st.composite
 def access_scripts(draw):
     """Shaped bursts (contiguous runs up to 3x the L2's sets wrap both
-    levels) mixed with flushes of contiguous ranges."""
+    levels) mixed with flushes and invalidations of line ranges; ranges
+    start anywhere, so they wrap the set index, and run up to 3x the
+    L2's sets, so they exceed both levels."""
     l1_sets = draw(st.sampled_from([2, 4]))
     l2_sets = l1_sets * draw(st.sampled_from([2, 4]))
     top = 3 * l2_sets
     n_ops = draw(st.integers(1, 60))
     ops = []
     for _ in range(n_ops):
-        kind = draw(st.sampled_from(["burst", "flush"]))
+        kind = draw(st.sampled_from(["burst", "flush", "invalidate"]))
         if kind == "burst":
             ops.append(("burst", draw(burst_lines(top, top)),
                         draw(st.booleans())))
         else:
             start = draw(st.integers(0, top - 1))
-            length = draw(st.integers(1, l2_sets))
-            ops.append(("flush", list(range(start, start + length)), False))
+            length = draw(st.integers(1, 3 * l2_sets))
+            ops.append((kind, (start, length), False))
     return l1_sets, l2_sets, ops
+
+
+def assert_same_state(vec, ref):
+    """Both levels' tags, and the L2's dirty bits, agree."""
+    for s in range(ref.l1_sets):
+        assert vec.l1.tags[s] == ref.l1.get(s, -1)
+    for s in range(ref.l2_sets):
+        want = ref.l2.get(s, -1)
+        assert vec.l2.tags[s] == want
+        if want != -1:
+            assert bool(vec.l2.dirty[s]) == ref.l2_dirty.get(s, False)
 
 
 @given(access_scripts())
@@ -123,16 +146,15 @@ def test_hierarchy_matches_scalar_reference(script):
                                        + 20 * (ref.memory - mem_before))
             assert sorted(cost.writeback_lines.tolist()) == sorted(
                 ref.writebacks[wb_before:])
+        elif kind == "flush":
+            start, length = lines
+            got = vec.flush_range(start, length)
+            want = [w for ln in range(start, start + length)
+                    for w in ref.flush(ln)]
+            assert got.tolist() == want  # ascending, as the range is
         else:
-            got = vec.flush_lines(np.array(lines, dtype=np.int64))
-            want = [w for ln in lines for w in ref.flush(ln)]
-            assert sorted(got.tolist()) == sorted(want)
-
-    # final L1 and L2 state agrees
-    for s in range(l1_sets):
-        assert vec.l1.tags[s] == ref.l1.get(s, -1)
-    for s in range(l2_sets):
-        want = ref.l2.get(s, -1)
-        assert vec.l2.tags[s] == want
-        if want != -1:
-            assert bool(vec.l2.dirty[s]) == ref.l2_dirty.get(s, False)
+            start, length = lines
+            vec.invalidate_range(start, length)
+            for ln in range(start, start + length):
+                ref.invalidate(ln)
+        assert_same_state(vec, ref)

@@ -1,6 +1,5 @@
 """Unit tests for host MMU and board TLB/RTLB."""
 
-import numpy as np
 import pytest
 
 from repro.memory import BoardTLB, HostMMU, TranslationError
@@ -67,15 +66,16 @@ def test_rtlb_unmapped_frame_aborts_snoop():
     assert tlb.rtlb_p2v(0xdead) is None
 
 
-def test_rtlb_vectorized():
+def test_rtlb_maps_each_snooped_frame():
     mmu = HostMMU(4096)
     tlb = BoardTLB(mmu)
     frames = []
     for v in (1, 2, 3):
         frames.append(mmu.map_page(v))
         tlb.install(v)
-    probe = np.array([frames[0], 0x9999, frames[2]], dtype=np.int64)
-    assert tlb.rtlb_p2v_many(probe).tolist() == [1, -1, 3]
+    probe = [frames[0], 0x9999, frames[2]]
+    assert [tlb.rtlb_p2v(f) for f in probe] == [1, None, 3]
+    assert tlb.reverse_lookups == 3
 
 
 def test_board_evict():

@@ -61,23 +61,60 @@ def test_stolen_time_inflates_compute():
     assert node.account.ns[Category.COMPUTATION] == pytest.approx(1000.0, rel=1e-6)
 
 
+def test_charges_reject_negative_time():
+    node = one_node_cluster().nodes[0]
+    for charge in (node.account_compute, node.account_overhead,
+                   node.account_delay):
+        with pytest.raises(ValueError, match="negative time charge"):
+            charge(-1.0)
+    assert node.account.as_dict() == {
+        "computation": 0.0, "synch_overhead": 0.0, "synch_delay": 0.0}
+
+
 def test_flush_page_writes_back_and_snoops():
     cluster = one_node_cluster()
     node = cluster.nodes[0]
     arr = cluster.alloc_shared((512,))
     seen = []
-    node.bus.add_snooper(lambda nid, lines: seen.append(lines.size))
+    node.bus.add_snooper(lambda nid, pages: seen.append(list(pages)))
 
     def kernel(ctx):
         yield from ctx.write_runs([(arr.base_vaddr, 4096)])
-        yield from node.flush_page(0)
+        cost = node.write_back_page(0)
+        assert cost > 0
+        yield cost
         # second flush: nothing dirty
-        t0 = ctx.sim.now
-        yield from node.flush_page(0)
-        assert ctx.sim.now == t0
+        assert node.write_back_page(0) == 0.0
 
     cluster.run(kernel)
-    assert sum(seen) >= 128  # all 128 lines of the page reached the bus
+    page = node.params.page_size_bytes
+    assert seen == [[arr.base_vaddr // page]]  # the page, snooped once
+    words_per_line = node.params.cache_line_bytes // node.params.bus_word_bytes
+    assert node.bus.writeback_words == 128 * words_per_line  # every line
+
+
+def test_multi_page_buffer_flush_snoops_each_flushed_page():
+    """A buffer flush over three pages shows the snoopers the distinct
+    pages of its flushed lines: the first and the last page, not the
+    clean middle one."""
+    cluster = one_node_cluster()
+    node = cluster.nodes[0]
+    page = node.params.page_size_bytes
+    vaddr = node.alloc_private_buffer(3 * page)
+    seen = []
+    node.bus.add_snooper(lambda nid, pages: seen.append(list(pages)))
+
+    def kernel(ctx):
+        yield from node.cache_write_private(vaddr + page - 64, 64)
+        yield from node.cache_write_private(vaddr + 2 * page, 96)
+        yield from node.flush_buffer(vaddr + 32, 3 * page - 64)
+        yield from node.flush_buffer(vaddr + 32, 3 * page - 64)  # clean
+
+    cluster.run(kernel)
+    first = vaddr // page
+    assert seen == [[first, first + 2]]
+    words_per_line = node.params.cache_line_bytes // node.params.bus_word_bytes
+    assert node.bus.writeback_words == 5 * words_per_line
 
 
 def three_page_snoop_node(snoop_enabled=True):

@@ -1,9 +1,11 @@
 """A deterministic pending-event set.
 
-The queue orders callbacks by ``(time, priority, sequence)``.  The
+The queue orders entries by ``(time, priority, sequence)``.  The
 sequence number makes ordering total and deterministic: two events
 scheduled for the same instant fire in scheduling order, which keeps
 simulation runs reproducible (a property the test-suite relies on).
+Priority 0 is a timed event; priority 1 (``call_soon``, a spawn, an
+event wake) runs after the timed events of its instant.
 
 This sits at the bottom of every simulated nanosecond, so the
 implementation is tuned for the dispatch loop: ``__slots__`` on the
@@ -11,13 +13,27 @@ queue and handles, a plain integer sequence counter, and heap entries
 that are built exactly once per event.  The rest of ``repro.engine``
 reaches into ``_heap`` and ``_seq`` directly under one contract:
 ``_heap`` is never rebound, entries are ``(time, priority, seq,
-handle)``, and every push takes the next ``_seq``.  Two places rely on
-it.  The simulator's main loop skims cancelled entries itself and pays
-one ``heappop`` per event.  ``Process._step`` pushes a timed wait
-straight onto the heap, with a handle the process reuses for all its
-timed waits (its callback is rebound at each push and cleared by the
-loop at each pop).  The queue itself therefore only schedules:
-``push``, ``len`` and ``bool``.
+handle)``, and every push takes the next ``_seq``.
+
+A handle is an :class:`EventHandle`, a callback that
+``Simulator.schedule`` and ``call_soon`` push through
+:meth:`EventQueue.push`, or a ``Process``, the handle of its own
+wake-ups: a spawn and an event or join wake push it at priority 1
+(``Simulator.spawn``, ``Event.trigger``), a timed wait at priority 0
+(the dispatch loop).  A process has at most one entry in the heap.
+
+``Simulator.run`` is the only consumer.  It skims cancelled entries
+itself, pops a callback's entry before running it, and resumes a
+process's generator directly.  A priority-0 process entry stays at the
+heap root while the body runs: every push the body makes sorts after
+it (its time is the current instant or later, and at the same instant
+it has priority 1 or a later sequence number), so the next timed wait
+replaces the root with one ``heapreplace``.  A priority-1 entry is
+popped before the body runs, because a priority-0 push for the same
+instant would sort ahead of it.  ``Process.kill`` rewrites its pending
+timed entry in place under the same key, which keeps the heap ordered.
+The queue itself therefore only schedules: ``push``, ``len`` and
+``bool``.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ class Resource:
     def acquire(self) -> Generator:
         """Coroutine: wait until the resource is free, then hold it."""
         if self._busy:
-            ev = self.sim.event()
+            ev = Event(self.sim)
             self._waiters.append(ev)
             yield ev
         else:
@@ -140,7 +140,7 @@ class Mailbox:
             self.got_count += 1
             item = self._items.popleft()
             return item
-        ev = self.sim.event()
+        ev = Event(self.sim)
         self._getters.append(ev)
         item = yield ev
         return item
@@ -166,7 +166,7 @@ class Gate:
 
     def wait(self) -> Generator:
         """Coroutine: suspend until the next :meth:`notify`."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         self._waiters.append(ev)
         value = yield ev
         return value
@@ -179,7 +179,7 @@ class Gate:
         notification will not double-trigger it) and ``timeout_value``
         is returned — callers distinguish a wakeup from an expiry by a
         sentinel that a notify can never carry."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         self._waiters.append(ev)
         timed_out = []
 

@@ -24,7 +24,7 @@ import sys
 import time
 from functools import partial
 from heapq import heappush
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional, Union
 
 from .event_queue import EventHandle, EventQueue
 
@@ -74,14 +74,17 @@ class Event:
 
     Events follow the usual discrete-event idiom: any number of processes
     (or plain callbacks) may wait; :meth:`trigger` wakes them all at the
-    current simulation instant (or ``delay`` ns later), passing ``value``.
+    current simulation instant, passing ``value``.  To fire later, use
+    :meth:`Simulator.timeout`.
     """
 
     __slots__ = ("sim", "_waiters", "triggered", "value")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self._waiters: List[Callable[[Any], None]] = []
+        # Processes blocked on the event (the dispatch loop registers
+        # them) and callbacks registered through wait(), in order.
+        self._waiters: List[Union["Process", Callable[[Any], None]]] = []
         self.triggered = False
         self.value: Any = None
 
@@ -92,7 +95,7 @@ class Event:
         else:
             self._waiters.append(callback)
 
-    def trigger(self, value: Any = None, delay: float = 0.0) -> None:
+    def trigger(self, value: Any = None) -> None:
         """Fire the event, waking all waiters.
 
         Triggering twice is an error: events are one-shot by design so
@@ -100,21 +103,42 @@ class Event:
         """
         if self.triggered:
             raise SimulationError("event triggered twice")
-        if delay:
-            self.sim.schedule(delay, lambda: self.trigger(value))
-            return
         self.triggered = True
         self.value = value
-        waiters, self._waiters = self._waiters, []
-        for cb in waiters:
-            self.sim.call_soon(partial(cb, value))
+        waiters = self._waiters
+        if not waiters:
+            return
+        self._waiters = []
+        sim = self.sim
+        queue = sim._queue
+        now = sim.now
+        for waiter in waiters:
+            if waiter.__class__ is Process:
+                # The process is its own heap entry; the loop sends the
+                # parked value in.
+                waiter._value = value
+                seq = queue._seq
+                queue._seq = seq + 1
+                heappush(queue._heap, (now, 1, seq, waiter))
+            else:
+                sim.call_soon(partial(waiter, value))
 
 
 class Process:
-    """A simulated activity: a generator driven by the kernel."""
+    """A simulated activity: a generator driven by the kernel.
+
+    A process is the heap handle of its own wake-ups (see
+    :mod:`repro.engine.event_queue`): it has at most one entry in the
+    heap at a time, and :meth:`Simulator.run` resumes its generator
+    directly when that entry comes up.
+    """
 
     __slots__ = ("sim", "name", "_gen", "finished", "killed", "result",
-                 "_done_event", "_wake")
+                 "_done_event", "_value")
+
+    #: Heap entries are skimmed when their handle is cancelled; a
+    #: process's own entry never is (kill() swaps a timed one out).
+    cancelled = False
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "proc"):
         if not hasattr(gen, "send"):
@@ -126,11 +150,9 @@ class Process:
         self.killed = False
         self.result: Any = None
         self._done_event = Event(sim)
-        # The handle of this process's timed waits, reused from one wait
-        # to the next: it sits in the heap only while the process sleeps.
-        # kill() cancels it, so a stale heap entry is skimmed like any
-        # cancelled handle.
-        self._wake = EventHandle(None)
+        # What the next spawn or event wake sends into the generator;
+        # the dispatch loop takes it (and clears it) at the wake.
+        self._value: Any = None
 
     # -- introspection -----------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -143,49 +165,47 @@ class Process:
         return self._done_event
 
     # -- kernel interface ----------------------------------------------------
-    def _step(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
-        """Advance the generator one hop and dispatch on what it yields."""
+    def _finish(self, result: Any) -> None:
+        """The generator returned ``result``.  A killed process's closed
+        generator ends at its next wake; that wake is a no-op."""
         if self.finished:
-            return  # a stale wakeup racing a kill(); the process is gone
-        try:
-            if exc is None:
-                yielded = self._gen.send(value)
-            else:
-                yielded = self._gen.throw(exc)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = stop.value
-            self._done_event.trigger(stop.value)
             return
-        if type(yielded) is float and yielded >= 0.0:
-            # Timed wait, the common case: push the wake handle straight
-            # onto the heap as ``Simulator.schedule`` would (priority 0,
-            # next sequence number).  NaN fails the compare and takes
-            # _dispatch, whose push raises on it.
-            sim = self.sim
-            queue = sim._queue
-            wake = self._wake
-            wake.callback = self._step
-            seq = queue._seq
-            queue._seq = seq + 1
-            heappush(queue._heap, (sim._now + yielded, 0, seq, wake))
-        else:
-            self._dispatch(yielded)
+        self.finished = True
+        self.result = result
+        self._done_event.trigger(result)
 
     def _dispatch(self, yielded: Any) -> None:
+        """Route a yield the dispatch loop does not take inline: a
+        triggered event, a join, a non-float delay or a bad yield.  The
+        process has no heap entry when this runs."""
+        sim = self.sim
+        if isinstance(yielded, Process):
+            yielded = yielded._done_event
         if isinstance(yielded, Event):
-            yielded.wait(self._step)
-        elif isinstance(yielded, Process):
-            yielded.done_event.wait(self._step)
+            if yielded.triggered:
+                self._value = yielded.value
+                sim._push(sim.now, 1, self)
+            else:
+                yielded._waiters.append(self)
         elif isinstance(yielded, (int, float)):
             if yielded < 0:
-                self._step(exc=SimulationError(
+                self._step(SimulationError(
                     f"process {self.name} yielded negative delay {yielded}"))
-                return
-            self._wake = self.sim.schedule(float(yielded), self._step)
+            else:
+                sim._push(sim.now + float(yielded), 0, self)
         else:
-            self._step(exc=SimulationError(
+            self._step(SimulationError(
                 f"process {self.name} yielded unsupported {yielded!r}"))
+
+    def _step(self, exc: BaseException) -> None:
+        """Throw a bad yield's error back into the generator and route
+        whatever it yields next."""
+        try:
+            yielded = self._gen.throw(exc)
+        except StopIteration as stop:
+            self._finish(stop.value)
+            return
+        self._dispatch(yielded)
 
     def kill(self) -> None:
         """Terminate the process immediately (crash-stop semantics).
@@ -199,20 +219,36 @@ class Process:
             return
         self.finished = True
         self.killed = True
-        self._wake.cancel()
+        # A pending timed wake is skimmed, never counted: swap the entry
+        # for a cancelled handle under the same key, so the heap stays
+        # ordered.  A spawn or event wake stays and counts as one event
+        # when it pops (the closed generator stops at once), as does the
+        # wake of an event this process was blocked on, if it fires.
+        heap = self.sim._queue._heap
+        for i, entry in enumerate(heap):
+            if entry[3] is self:
+                if not entry[1]:
+                    handle = EventHandle(None)
+                    handle.cancel()
+                    heap[i] = (entry[0], 0, entry[2], handle)
+                break
         self._gen.close()
         self._done_event.trigger(None)
 
 
 class Simulator:
-    """Owns the clock and the pending-event set."""
+    """Owns the clock and the pending-event set.
 
-    __slots__ = ("_queue", "_now", "_running",
+    ``now`` is the current simulated time in nanoseconds, a plain
+    attribute: the dispatch loop sets it, and nothing else may.
+    """
+
+    __slots__ = ("_queue", "now", "_running",
                  "events_processed", "queue_len_hwm", "waiter_probes")
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        self.now = 0.0
         self._running = False
         #: Events dispatched over the simulator's lifetime (all runs).
         self.events_processed = 0
@@ -222,23 +258,17 @@ class Simulator:
         #: subsystems register one each (see stuck_report()).
         self.waiter_probes: List[Callable[[], Any]] = []
 
-    # -- time ---------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     # -- scheduling -----------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[[], None], priority: int = 0):
         """Run ``callback`` after ``delay`` ns of simulated time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self._queue.push(self._now + delay, callback, priority)
+        return self._queue.push(self.now + delay, callback, priority)
 
     def call_soon(self, callback: Callable[[], None]):
         """Run ``callback`` at the current instant, after pending events
         already scheduled for this instant."""
-        return self._queue.push(self._now, callback, priority=1)
+        return self._queue.push(self.now, callback, priority=1)
 
     def event(self) -> Event:
         """Create a fresh one-shot :class:`Event`."""
@@ -253,8 +283,17 @@ class Simulator:
     def spawn(self, gen: Generator, name: str = "proc") -> Process:
         """Start a new process at the current instant."""
         proc = Process(self, gen, name=name)
-        self.call_soon(proc._step)
+        self._push(self.now, 1, proc)
         return proc
+
+    def _push(self, time: float, priority: int, proc: Process) -> None:
+        """Queue a wake-up of ``proc`` (the heap entry is the process)."""
+        if time != time:  # NaN guard, as EventQueue.push
+            raise ValueError("event time is NaN")
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(queue._heap, (time, priority, seq, proc))
 
     # -- stuck diagnosis ------------------------------------------------------
     def add_waiter_probe(self, probe: Callable[[], Any]) -> None:
@@ -270,7 +309,7 @@ class Simulator:
         waits: List[str] = []
         for probe in self.waiter_probes:
             waits.extend(str(w) for w in probe())
-        return StuckReport(self._now, waits)
+        return StuckReport(self.now, waits)
 
     # -- main loop --------------------------------------------------------------
     def run(self, until: Optional[float] = None,
@@ -279,6 +318,9 @@ class Simulator:
         """Execute events until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.  Returns the final simulated time.
 
+        ``until`` earlier than the clock raises :class:`SimulationError`:
+        the clock never runs backwards.
+
         ``wall_budget_s`` bounds *host* wall-clock time: the run stops
         (leaving the queue non-empty) once the budget expires — the
         quiescence watchdog's backstop against genuinely livelocked
@@ -286,18 +328,28 @@ class Simulator:
         every 1024 events."""
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until}) is earlier than the clock "
+                f"(t={self.now} ns)")
         self._running = True
-        # The dispatch loop works on the heap directly (the EventQueue
-        # fast-path contract: `_heap` is never rebound, entries are
-        # ``(time, priority, seq, handle)``; the handle may be a
-        # process's reused wake handle, so clearing its callback at pop
-        # also drops the bound ``Process._step`` it holds): one heappop
-        # per event, hwm/fired accumulated in locals and written back
-        # once.  One integer compare per event covers both
-        # ``max_events`` and the wall-clock check: ``limit`` is the next
-        # fired count at which either applies.  The engine test-suite
-        # pins dispatch order, events_processed, queue_len_hwm sampling
-        # and the `until` clamp rules against a reference ordering.
+        # The loop works on the heap directly, under the EventQueue
+        # contract (`_heap` is never rebound; entries are ``(time,
+        # priority, seq, handle)`` and each push takes the next `_seq`).
+        # A handle is an EventHandle, whose callback is cleared at the
+        # pop, or a Process, whose generator the loop resumes itself:
+        # with None after a timed wait (priority 0), with the parked
+        # value after a spawn or event wake (priority 1).  A priority-0
+        # entry stays at the root while the body runs — every push the
+        # body makes sorts after it — so the next timed wait replaces it
+        # with one heapreplace.  A priority-1 entry is popped first: a
+        # priority-0 push for the same instant would sort ahead of it.
+        # hwm/fired live in locals and are written back once.  One
+        # integer compare per event covers both ``max_events`` and the
+        # wall-clock check: ``limit`` is the next fired count at which
+        # either applies.  The engine test-suite pins dispatch order,
+        # events_processed, queue_len_hwm sampling, the wake and kill
+        # rules and the `until` clamp against a reference ordering.
         stop = sys.maxsize if max_events is None else max_events
         if wall_budget_s is None:
             deadline = None
@@ -305,21 +357,24 @@ class Simulator:
         else:
             deadline = time.perf_counter() + wall_budget_s
             limit = 0
-        heap = self._queue._heap
+        queue = self._queue
+        heap = queue._heap
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         hwm = self.queue_len_hwm
         fired = 0
         try:
             while heap:
                 entry = heap[0]
-                if entry[3].cancelled:
+                handle = entry[3]
+                if handle.cancelled:
                     heappop(heap)
                     if heap:
                         continue
                     break  # drained while skimming: no `until` clamp
                 t = entry[0]
                 if until is not None and t > until:
-                    self._now = until
+                    self.now = until
                     break
                 if fired >= limit:
                     if fired >= stop or time.perf_counter() > deadline:
@@ -328,23 +383,60 @@ class Simulator:
                 qlen = len(heap)
                 if qlen > hwm:
                     hwm = qlen
-                heappop(heap)
-                handle = entry[3]
-                callback = handle.callback
-                handle.callback = None
-                assert t >= self._now, "time went backwards"
-                self._now = t
-                callback()
+                assert t >= self.now, "time went backwards"
+                self.now = t
+                if handle.__class__ is not Process:
+                    heappop(heap)
+                    callback = handle.callback
+                    handle.callback = None
+                    callback()
+                    fired += 1
+                    continue
+                root = not entry[1]
+                if root:
+                    value = None
+                else:
+                    heappop(heap)
+                    value = handle._value
+                    handle._value = None
+                try:
+                    yielded = handle._gen.send(value)
+                except StopIteration as end:
+                    if root:
+                        heappop(heap)
+                    handle._finish(end.value)
+                    fired += 1
+                    continue
+                except BaseException:
+                    if root:
+                        heappop(heap)  # the raising wake is consumed
+                    raise
+                if yielded.__class__ is float and yielded >= 0.0:
+                    # A timed wait, the common case.  NaN fails the
+                    # compare and takes _dispatch, whose push raises.
+                    seq = queue._seq
+                    queue._seq = seq + 1
+                    if root:
+                        heapreplace(heap, (t + yielded, 0, seq, handle))
+                    else:
+                        heappush(heap, (t + yielded, 0, seq, handle))
+                else:
+                    if root:
+                        heappop(heap)
+                    if yielded.__class__ is Event and not yielded.triggered:
+                        yielded._waiters.append(handle)
+                    else:
+                        handle._dispatch(yielded)
                 fired += 1
             else:
                 if until is not None:
-                    self._now = max(self._now, until)
+                    self.now = until  # never behind the clock (checked above)
         finally:
             self._running = False
             self.events_processed += fired
             if hwm > self.queue_len_hwm:
                 self.queue_len_hwm = hwm
-        return self._now
+        return self.now
 
     def run_process(self, gen: Generator, name: str = "main",
                     max_events: Optional[int] = None) -> Any:
@@ -358,5 +450,5 @@ class Simulator:
         if not proc.finished:
             raise SimulationError(
                 f"deadlock: process {name!r} never finished "
-                f"(no pending events at t={self._now} ns)")
+                f"(no pending events at t={self.now} ns)")
         return proc.result

@@ -10,7 +10,9 @@ wall-clock budget.
 
 import random
 
-from repro.engine import Simulator
+import pytest
+
+from repro.engine import Event, SimulationError, Simulator
 
 
 def reference_order(entries):
@@ -172,3 +174,134 @@ def test_wall_budget_keeps_order_and_max_events():
     assert len(fired) == 2500 and sim.events_processed == 2500
     sim.run(wall_budget_s=60.0)
     assert fired == sorted(range(3000), key=lambda i: (i % 7, i))
+
+
+def test_run_until_earlier_than_the_clock_raises():
+    """``until`` never moves the clock backwards: with events still
+    pending, asking for an earlier stop is an error, and the clock
+    stays where the first run left it."""
+    sim = Simulator()
+    sim.schedule(20.0, lambda: None)
+    assert sim.run(until=12.0) == 12.0
+    with pytest.raises(SimulationError, match="earlier"):
+        sim.run(until=5.0)
+    assert sim.now == 12.0
+    assert sim.run(until=12.0) == 12.0
+    assert sim.run() == 20.0 and sim.events_processed == 1
+
+
+# -- process wake-ups -------------------------------------------------------
+
+
+def test_event_woken_process_may_schedule_at_its_own_instant():
+    """A process resumed by an event pushes a priority-0 entry for the
+    same instant, which sorts ahead of the wake being dispatched; the
+    callback still runs once, before the process's next timed wait."""
+    sim = Simulator()
+    ev = Event(sim)
+    log = []
+
+    def waiter():
+        yield ev
+        sim.schedule(0.0, lambda: log.append(("cb", sim.now)))
+        yield 5.0
+        log.append(("waiter", sim.now))
+
+    sim.spawn(waiter(), "waiter")
+    sim.schedule(10.0, ev.trigger)
+    assert sim.run() == 15.0
+    assert log == [("cb", 10.0), ("waiter", 15.0)]
+    assert sim.events_processed == 5
+
+
+def test_kill_after_the_event_wake_is_queued_skips_the_body():
+    """An event wake already queued when its process is killed still
+    pops (and counts) at that instant, but the body does not resume."""
+    sim = Simulator()
+    ev = Event(sim)
+    resumed = []
+
+    def waiter():
+        yield ev
+        resumed.append(sim.now)
+
+    target = sim.spawn(waiter(), "waiter")
+
+    def killer():
+        yield 5.0
+        ev.trigger("go")
+        target.kill()
+
+    sim.spawn(killer(), "killer")
+    assert sim.run() == 5.0
+    assert resumed == [] and target.killed
+    assert sim.events_processed == 4
+
+
+def test_kill_before_the_first_step_never_runs_the_body():
+    sim = Simulator()
+    ran = []
+
+    def body():
+        ran.append(sim.now)
+        yield 1.0
+
+    proc = sim.spawn(body(), "never")
+    proc.kill()
+    sim.run()
+    assert ran == [] and proc.killed and proc.finished
+    assert sim.events_processed == 1
+
+
+def test_killed_event_waiter_is_not_resumed_by_a_later_trigger():
+    """Killing a process blocked on an event wakes its joiner with
+    ``None`` at once; the event firing later resumes nothing, and its
+    wake of the dead process is still one counted event."""
+    sim = Simulator()
+    ev = Event(sim)
+    log = []
+
+    def waiter():
+        yield ev
+        log.append("resumed")
+
+    target = sim.spawn(waiter(), "waiter")
+
+    def joiner():
+        value = yield target
+        log.append((sim.now, value))
+
+    def killer():
+        yield 5.0
+        target.kill()
+        yield 1.0
+        ev.trigger("late")
+
+    sim.spawn(joiner(), "joiner")
+    sim.spawn(killer(), "killer")
+    assert sim.run() == 6.0
+    assert log == [(5.0, None)]
+    assert sim.events_processed == 7
+
+
+def test_run_resumes_after_a_process_raised_out_of_it():
+    """The wake that raised is consumed and not counted; the next run
+    carries on with the other process."""
+    sim = Simulator()
+    done = []
+
+    def broken():
+        yield 5.0
+        raise RuntimeError("app bug")
+
+    def other():
+        yield 10.0
+        done.append(sim.now)
+
+    sim.spawn(broken(), "broken")
+    sim.spawn(other(), "other")
+    with pytest.raises(RuntimeError, match="app bug"):
+        sim.run()
+    assert sim.now == 5.0 and sim.events_processed == 2
+    assert sim.run() == 10.0
+    assert done == [10.0] and sim.events_processed == 3

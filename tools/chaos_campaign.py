@@ -17,6 +17,13 @@ docs/reliability.md):
   typed failures) is bit-identical between ``--jobs 1`` and
   ``--jobs N``.
 
+Each run's line carries the first 16 hex digits of its digest and, for
+a successful run, of a hash of its whole metric snapshot (``-`` for a
+typed failure).  The digest hashes only the outcome, so a metric that
+moves with the outcome unchanged (``engine.events_processed``, say)
+shows only in the snapshot hash.  Two commits that must agree give the
+same output except the ``wall:`` line: compare them with one ``diff``.
+
 Usage:
     tools/chaos_campaign.py           # 3 fabrics x 7 workloads x 6 plans
     tools/chaos_campaign.py --smoke   # banyan, 3 workloads x 3 plans
@@ -26,6 +33,8 @@ Exit status 0 when every run passed the contract, 1 otherwise.
 """
 
 import argparse
+import hashlib
+import json
 import os
 import sys
 import time
@@ -145,6 +154,12 @@ def _digest(result: Any) -> str:
     return result.digest()
 
 
+def _snapshot_hash(metrics: Dict[str, Any]) -> str:
+    """16 hex digits of a hash of a run's whole metric snapshot."""
+    blob = json.dumps(metrics, sort_keys=True, default=repr).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 def run_campaign(jobs: int, smoke: bool) -> int:
     from repro.harness import RunFailure, run_map
 
@@ -170,14 +185,17 @@ def run_campaign(jobs: int, smoke: bool) -> int:
             problems.append(f"digest mismatch at jobs {jobs}")
         if isinstance(s_res, RunFailure):
             outcome = s_res.error_type
+            snapshot = "-"
             if s_res.error_type not in TYPED_OK:
                 problems.append(
                     f"untyped outcome {s_res.error_type}: {s_res.message}")
         else:
             outcome = "ok"
+            snapshot = _snapshot_hash(s_res.metrics)
         outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
         status = "FAIL " + "; ".join(problems) if problems else outcome
-        print(f"[chaos]   {label:<42} {status}")
+        print(f"[chaos]   {label:<42} {_digest(s_res)[:16]} "
+              f"{snapshot:<16} {status}")
         failures += bool(problems)
 
     summary = ", ".join(f"{k}={v}" for k, v in sorted(outcome_counts.items()))

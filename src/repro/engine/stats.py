@@ -15,13 +15,6 @@ from enum import Enum
 from typing import Dict, Iterable, List, Mapping
 
 
-#: Format version of the ``run_stats`` JSON document
-#: (:meth:`RunStats.to_json`).  Bump on any incompatible change;
-#: :meth:`RunStats.from_json` rejects every other version with
-#: :class:`ValueError` so a persisted result can never be half-read.
-RUN_STATS_SCHEMA_VERSION = 1
-
-
 class Category(Enum):
     """Where a processor's time goes (the paper's Tables 2-4 rows)."""
 
@@ -165,51 +158,6 @@ class RunStats:
         }
         blob = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-    def to_json(self, indent: int = None) -> str:
-        """The run's full result as a versioned JSON document.
-
-        Canonical (sorted keys) and lossless, so
-        ``RunStats.from_json(s.to_json())`` has the *bit-identical* digest
-        of ``s`` — the property the run-farm store's cache-hit guarantee
-        rests on (Python floats round-trip exactly through JSON).
-        """
-        doc = {
-            "kind": "run_stats",
-            "schema_version": RUN_STATS_SCHEMA_VERSION,
-            "elapsed_ns": self.elapsed_ns,
-            "counters": self.counters.as_dict(),
-            "metrics": self.metrics,
-            "metric_kinds": self.metric_kinds,
-            "accounts": [a.as_dict() for a in self.per_processor],
-        }
-        return json.dumps(doc, sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, doc) -> "RunStats":
-        """Rebuild a :class:`RunStats` from :meth:`to_json` output
-        (text or the parsed document).  Documents of any other kind or
-        ``schema_version`` raise :class:`ValueError`."""
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        if not isinstance(doc, dict) or doc.get("kind") != "run_stats":
-            raise ValueError("not a run_stats document")
-        version = doc.get("schema_version")
-        if version != RUN_STATS_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported run_stats schema_version {version!r}; this "
-                f"build reads version {RUN_STATS_SCHEMA_VERSION}")
-        stats = cls(elapsed_ns=doc["elapsed_ns"],
-                    metrics=dict(doc.get("metrics", {})),
-                    metric_kinds=dict(doc.get("metric_kinds", {})))
-        for name, value in doc.get("counters", {}).items():
-            stats.counters.inc(name, value)
-        for account_doc in doc.get("accounts", []):
-            account = TimeAccount()
-            for key, ns in account_doc.items():
-                account.add(Category(key), ns)
-            stats.per_processor.append(account)
-        return stats
 
     def overhead_table(self, cpu_freq_hz: float) -> Dict[str, float]:
         """The Tables 2-4 breakdown, in CPU cycles (summed over procs)."""

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import json
 import os
 import random
 import time
@@ -59,7 +58,6 @@ from ..params import SimParams
 
 __all__ = [
     "POOL_METRICS",
-    "RUN_DOC_SCHEMA_VERSION",
     "RunFailure",
     "RunSpec",
     "default_jobs",
@@ -75,30 +73,6 @@ __all__ = [
 
 #: Worker-RNG seed base, mixed with each spec's sweep position.
 _SEED_BASE = 0x5EED_C0DE
-
-#: Format version of the ``run_spec`` / ``run_failure`` JSON documents
-#: (:meth:`RunSpec.to_json`).  Bump on any incompatible change to the
-#: document shape; ``from_json`` rejects versions it does not read —
-#: a store written by a different format must fail loudly, not be
-#: half-read (docs/service.md).
-#:
-#: Version 3: ``params.topology`` is always a spec string (the default
-#: fabric is ``banyan:32``).
-RUN_DOC_SCHEMA_VERSION = 3
-
-
-def _check_doc(doc: Any, kind: str) -> Dict[str, Any]:
-    """Shared ``from_json`` validation: kind tag + schema version."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    if not isinstance(doc, dict) or doc.get("kind") != kind:
-        raise ValueError(f"not a {kind} document")
-    version = doc.get("schema_version")
-    if version != RUN_DOC_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported {kind} schema_version {version!r}; this build "
-            f"reads version {RUN_DOC_SCHEMA_VERSION}")
-    return doc
 
 #: Module-wide default worker count used when ``run_map(jobs=None)``.
 #: Starts at 1 (today's in-process behaviour) so library callers and the
@@ -217,57 +191,6 @@ class RunSpec:
         return (f"{self.app}/{self.interface}"
                 f"/p{self.params.num_processors}")
 
-    def to_doc(self) -> Dict[str, Any]:
-        """The spec as a versioned, JSON-ready document (plain data)."""
-        from .serde import encode_params, encode_workload
-
-        return {
-            "kind": "run_spec",
-            "schema_version": RUN_DOC_SCHEMA_VERSION,
-            "app": self.app,
-            "interface": self.interface,
-            "params": encode_params(self.params),
-            "workload": encode_workload(self.workload),
-            "seed": self.seed,
-            "meta": [[k, v] for k, v in self.meta],
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys — byte-stable for a given
-        spec, which is what :meth:`digest` hashes)."""
-        return json.dumps(self.to_doc(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, doc: Any) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_json` text (or the parsed
-        document).  Unknown ``schema_version`` values, unknown params
-        fields and unknown workload types all raise :class:`ValueError`
-        — forward compatibility is an explicit error, never a guess."""
-        from .serde import decode_params, decode_workload
-
-        doc = _check_doc(doc, "run_spec")
-        meta = tuple((k, v) for k, v in doc.get("meta", []))
-        return cls(app=doc["app"],
-                   params=decode_params(doc["params"]),
-                   interface=doc.get("interface", "cni"),
-                   workload=decode_workload(doc.get("workload")),
-                   seed=doc.get("seed"),
-                   meta=meta)
-
-    def digest(self) -> str:
-        """Content digest of everything that determines the run's result.
-
-        The run-farm store (:mod:`repro.service`) is keyed by this:
-        identical digest == identical simulation == the stored
-        :class:`~repro.engine.RunStats` is the answer.  ``meta`` is
-        excluded — it labels log records, it never reaches the
-        simulation.
-        """
-        doc = self.to_doc()
-        del doc["meta"]
-        blob = json.dumps(doc, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
 
 @dataclass(frozen=True)
 class RunFailure:
@@ -298,22 +221,6 @@ class RunFailure:
             h.update(part.encode("utf-8"))
             h.update(b"\x00")
         return h.hexdigest()
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Versioned JSON form (the run-farm store's failure records)."""
-        return json.dumps({
-            "kind": "run_failure",
-            "schema_version": RUN_DOC_SCHEMA_VERSION,
-            "spec_desc": self.spec_desc,
-            "error_type": self.error_type,
-            "message": self.message,
-        }, sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, doc: Any) -> "RunFailure":
-        """Rebuild from :meth:`to_json` text (or the parsed document)."""
-        doc = _check_doc(doc, "run_failure")
-        return cls(doc["spec_desc"], doc["error_type"], doc["message"])
 
 
 def _typed_errors() -> tuple:

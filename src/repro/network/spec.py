@@ -1,9 +1,9 @@
 """The fabric-topology grammar: ``banyan:32``, ``fattree:k=4``, ``torus:4x4x4``.
 
 This module is deliberately light — no engine imports — so that
-:meth:`repro.params.SimParams.validate` and the harness serde can parse
-and validate a topology string without pulling in the timed fabric
-models (:mod:`repro.network.fabrics`).
+:meth:`repro.params.SimParams.validate` can parse and validate a
+topology string without pulling in the timed fabric models
+(:mod:`repro.network.fabrics`).
 
 Grammar (one spec string, case-sensitive)::
 
@@ -17,9 +17,11 @@ Grammar (one spec string, case-sensitive)::
                              dimension-order escape)
 
 :func:`parse_topology` returns a frozen :class:`TopologySpec` whose
-:meth:`~TopologySpec.canonical` string round-trips through the parser —
-the property the run-farm serde relies on.  Malformed or unknown specs
-raise :class:`TopologyError` (a :class:`ValueError`), never a guess.
+:meth:`~TopologySpec.canonical` string round-trips through the parser,
+so the name a fabric reports (:meth:`repro.network.Topology.describe`,
+the harness's ``fabric topology:`` banner, ``params.validate`` errors)
+is itself a valid spec.  Malformed or unknown specs raise
+:class:`TopologyError` (a :class:`ValueError`), never a guess.
 """
 
 from __future__ import annotations

@@ -284,9 +284,6 @@ class SimParams:
     use_message_cache: bool = True
     """CNI feature: transmit/receive caching + snooping."""
 
-    use_adc: bool = True
-    """CNI feature: Application Device Channels (kernel bypass)."""
-
     use_aih: bool = True
     """CNI feature: protocol handlers on the NI processor."""
 
@@ -472,11 +469,12 @@ def standard_interface_params(base: SimParams = PAPER_PARAMS) -> SimParams:
 
     Section 3: no Application Device Channels, no Message Cache and no
     support for Application Interrupt Handlers; otherwise identical
-    hardware and software.
+    hardware and software.  Channels follow the cluster's interface,
+    not a flag: a ``"standard"`` cluster builds the kernel-mediated
+    :class:`~repro.core.standard_nic.StandardInterface`.
     """
     return base.replace(
         use_message_cache=False,
-        use_adc=False,
         use_aih=False,
         snoop_enabled=False,
         transmit_caching=False,
@@ -485,10 +483,12 @@ def standard_interface_params(base: SimParams = PAPER_PARAMS) -> SimParams:
 
 
 def cni_params(base: SimParams = PAPER_PARAMS) -> SimParams:
-    """The full CNI configuration (all three mechanisms on)."""
+    """The full CNI configuration: the Message Cache (with snooping and
+    both caching directions) and Application Interrupt Handlers on.  The
+    third mechanism, Application Device Channels, comes with the
+    ``"cni"`` interface itself."""
     return base.replace(
         use_message_cache=True,
-        use_adc=True,
         use_aih=True,
         snoop_enabled=True,
         transmit_caching=True,

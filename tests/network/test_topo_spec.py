@@ -72,7 +72,7 @@ def test_non_string_rejected():
 
 
 def test_topology_error_is_value_error():
-    # callers that catch ValueError (params.validate, serde) keep working
+    # callers that catch ValueError (params.validate) keep working
     assert issubclass(TopologyError, ValueError)
 
 

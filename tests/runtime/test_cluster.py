@@ -19,7 +19,6 @@ def test_bad_interface_rejected():
 def test_standard_interface_forces_features_off():
     cluster = Cluster(params(), interface="standard")
     assert not cluster.params.use_message_cache
-    assert not cluster.params.use_adc
     assert not cluster.params.use_aih
 
 

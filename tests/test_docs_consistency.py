@@ -4,8 +4,10 @@ docs/observability.md's metric catalog must match what the simulator
 actually registers (both directions — no stale docs, no undocumented
 instrumentation).  The logic lives in tools/check_docs_metrics.py so it
 can also run standalone.  DESIGN.md's module map must name only modules
-that exist."""
+that exist, and every relative link in the docs must point at a file
+that exists."""
 
+import glob
 import os
 import re
 import sys
@@ -78,3 +80,37 @@ def test_design_module_map_names_existing_files():
     missing = [f for f in files
                if not os.path.isfile(os.path.join(REPO_DIR, "src", f))]
     assert not missing, f"DESIGN.md §3 names missing modules: {missing}"
+
+
+#: The pages whose links are checked: the top-level guides and every
+#: subsystem page.
+LINKED_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
+
+#: An inline Markdown link's target, with an optional quoted title.
+_LINK_RE = re.compile(r"\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+#: A target with a URL scheme (``https:``, ``mailto:``) is not a file.
+_SCHEME_RE = re.compile(r"[a-z][a-z0-9+.-]*:")
+
+
+def _relative_links():
+    """``(page, target)`` for every relative link in :data:`LINKED_DOCS`;
+    a pure ``#anchor`` or a URL is skipped."""
+    for pattern in LINKED_DOCS:
+        for page in sorted(glob.glob(os.path.join(REPO_DIR, pattern))):
+            with open(page) as fh:
+                text = fh.read()
+            for target in _LINK_RE.findall(text):
+                if target.startswith("#") or _SCHEME_RE.match(target):
+                    continue
+                yield page, target
+
+
+def test_relative_doc_links_resolve():
+    links = list(_relative_links())
+    assert len(links) > 50
+    missing = [
+        f"{os.path.relpath(page, REPO_DIR)}: {target}"
+        for page, target in links
+        if not os.path.exists(os.path.join(
+            os.path.dirname(page), target.split("#", 1)[0]))]
+    assert not missing, f"relative doc links to missing files: {missing}"

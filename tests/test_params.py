@@ -84,7 +84,6 @@ def test_message_cache_zero_is_allowed():
 def test_standard_interface_strips_cni_features():
     p = standard_interface_params()
     assert not p.use_message_cache
-    assert not p.use_adc
     assert not p.use_aih
     assert not p.snoop_enabled
     # hardware is otherwise identical
@@ -94,7 +93,7 @@ def test_standard_interface_strips_cni_features():
 
 def test_cni_params_all_on():
     p = cni_params()
-    assert p.use_message_cache and p.use_adc and p.use_aih and p.snoop_enabled
+    assert p.use_message_cache and p.use_aih and p.snoop_enabled
 
 
 def test_frozen():

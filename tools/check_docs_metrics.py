@@ -3,12 +3,12 @@
 
 Extracts every backticked dotted metric name between the
 ``<!-- metric-catalog:start -->`` / ``<!-- metric-catalog:end -->``
-markers in docs/observability.md, docs/runtime.md, docs/service.md and
-docs/network.md (the ``runtime.*``, ``service.*`` and ``net.*`` scopes
-are cataloged next to their subsystems), smoke-runs the simulator (a
-CNI cluster, a standard cluster, two messaging microbenchmarks, a
-run-farm cache round trip, and one run per fabric topology — the union
-exercises every subsystem), and fails if
+markers in docs/observability.md, docs/runtime.md and docs/network.md
+(the ``runtime.*`` and ``net.*`` scopes are cataloged next to their
+subsystems), smoke-runs the simulator (a CNI cluster, a standard
+cluster, two messaging microbenchmarks, a two-point parallel dispatch,
+and one run per fabric topology — the union exercises every
+subsystem), and fails if
 
 * any documented name was never registered (stale docs), or
 * any registered name is missing from the catalog (undocumented
@@ -31,11 +31,9 @@ from typing import Set, Tuple
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOC_PATH = os.path.join(REPO_ROOT, "docs", "observability.md")
 RUNTIME_DOC_PATH = os.path.join(REPO_ROOT, "docs", "runtime.md")
-SERVICE_DOC_PATH = os.path.join(REPO_ROOT, "docs", "service.md")
 NETWORK_DOC_PATH = os.path.join(REPO_ROOT, "docs", "network.md")
 #: Every docs page carrying a marker-delimited metric catalog.
-CATALOG_DOCS = (DOC_PATH, RUNTIME_DOC_PATH, SERVICE_DOC_PATH,
-                NETWORK_DOC_PATH)
+CATALOG_DOCS = (DOC_PATH, RUNTIME_DOC_PATH, NETWORK_DOC_PATH)
 START = "<!-- metric-catalog:start -->"
 END = "<!-- metric-catalog:end -->"
 
@@ -114,21 +112,6 @@ def registered_names() -> Set[str]:
         else:
             os.environ["REPRO_POOL_FORCE"] = forced_before
     names.update(pool_metrics())
-    # One run-farm cache round trip (miss -> execute -> hit) so the
-    # service.* scope is exercised, not merely registered at import.
-    import tempfile
-
-    from repro.service import RunFarm, service_metrics
-
-    with tempfile.TemporaryDirectory(prefix="repro-docscheck-") as root:
-        with RunFarm(store=root, workers=1, autostart=False) as farm:
-            spec = RunSpec("jacobi",
-                           SimParams().replace(num_processors=1),
-                           "cni", tiny)
-            for _ in range(2):
-                farm.submit(spec)
-                farm.step()
-    names.update(service_metrics())
     # One run per multi-hop fabric so the net.* scope is exercised on
     # every topology family (the runs above cover the default banyan).
     for topology, nprocs in (("fattree:k=4", 4), ("torus:2x2:adaptive", 4)):
@@ -156,8 +139,7 @@ def main() -> int:
             print(f"  {name}")
     if undocumented:
         print("registered but missing from the docs metric catalogs "
-              "(docs/observability.md, docs/runtime.md, docs/service.md, "
-              "docs/network.md):")
+              "(docs/observability.md, docs/runtime.md, docs/network.md):")
         for name in sorted(undocumented):
             print(f"  {name}")
     if stale or undocumented:

@@ -55,6 +55,9 @@ class HandlerRegistry:
         self.params = params
         self.memory_bytes = memory_bytes
         self._segments: Dict[int, _Segment] = {}
+        #: Handler memory currently occupied (the installed segments'
+        #: sizes, kept as a running total by install and uninstall).
+        self.used_bytes = 0
         self.dispatches = 0
         self.swap_ins = 0
         m = metrics if metrics is not None else private_scope()
@@ -63,11 +66,6 @@ class HandlerRegistry:
         m.gauge("handler_bytes_used", fn=lambda: self.used_bytes)
 
     # -- installation -----------------------------------------------------------
-    @property
-    def used_bytes(self) -> int:
-        """Handler memory currently occupied."""
-        return sum(s.size for s in self._segments.values())
-
     def install(self, key: int, fn: HandlerFn, code_size: int) -> float:
         """Swap handler ``fn`` in under ``key``; returns the swap-in time.
 
@@ -87,6 +85,7 @@ class HandlerRegistry:
                 f"> {self.memory_bytes}"
             )
         self._segments[key] = _Segment(key, code_size, fn)
+        self.used_bytes += code_size
         self.swap_ins += 1
         return self.params.dma_time_ns(code_size)
 
@@ -94,7 +93,7 @@ class HandlerRegistry:
         """Free a handler segment (connection teardown)."""
         if key not in self._segments:
             raise HandlerError(f"handler key {key} not installed")
-        del self._segments[key]
+        self.used_bytes -= self._segments.pop(key).size
 
     def installed(self, key: int) -> bool:
         """Whether ``key`` has resident code."""

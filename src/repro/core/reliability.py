@@ -214,8 +214,10 @@ class ReliableTransport:
         """
         if packet.rel_seq is None or not self.enabled:
             return [packet], True
-        stream = self._streams.setdefault(
-            (packet.src_node, packet.channel_id), _RxStream())
+        key = (packet.src_node, packet.channel_id)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams[key] = _RxStream()
         seq = packet.rel_seq
         if seq < stream.next_seq or seq in stream.buffer:
             self.dup_drops += 1

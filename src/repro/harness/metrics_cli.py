@@ -68,6 +68,9 @@ def run_metrics_workload(app: str, interface: str, nprocs: int, scale,
 
 def metrics_main(argv: List[str], scale) -> int:
     """Entry point for the ``metrics`` subcommand."""
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        return 0
     argv = list(argv)
     app = _take(argv, "--app") or "jacobi"
     interface = _take(argv, "--interface") or "cni"
@@ -122,3 +125,9 @@ def metrics_main(argv: List[str], scale) -> int:
             fh.write(snapshot_to_json(snapshot, meta=meta))
         print(f"\nwrote {json_path}")
     return 0
+
+
+if __name__ == "__main__":
+    from .runner import main
+
+    sys.exit(main(["metrics"] + sys.argv[1:]))

@@ -468,11 +468,7 @@ def main(argv: List[str] = None) -> int:
         print(f"fabric topology: {spec.canonical()} "
               f"({spec.capacity} attachment points)")
     scale = PAPER if (full or os.environ.get("REPRO_FULL") == "1") else QUICK
-    if not argv:
-        print(__doc__)
-        print("experiments:", " ".join(sorted(EXPERIMENTS)))
-        return 2
-    if argv[0] == "metrics":
+    if argv[:1] == ["metrics"]:
         from .metrics_cli import metrics_main
 
         # The metrics subcommand builds its own params from --nprocs;
@@ -480,6 +476,10 @@ def main(argv: List[str] = None) -> int:
         # it to this driver's base_params.
         extra = ["--topology", topology_arg] if topology_arg else []
         return metrics_main(argv[1:] + extra, scale)
+    if not argv or "-h" in argv or "--help" in argv:
+        print(__doc__)
+        print("experiments:", " ".join(sorted(EXPERIMENTS)))
+        return 0 if argv else 2
     ids = sorted(EXPERIMENTS) if argv == ["all"] else argv
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:

@@ -39,6 +39,12 @@ first + n``.  A flush returns its written-back lines in ascending order;
 the caller knows which pages those are and shows them to the bus
 snoopers (:mod:`repro.memory.bus`).
 
+A level's ``tags`` and ``dirty`` arrays exist from its first touch: the
+first operation that reads either builds both (every tag -1, every line
+clean), and later reads find plain instance attributes.  A node whose
+CPU never touches memory — every node of a collectives-only run — so
+holds no cache arrays, where Table 1's geometry would give it 297 KB.
+
 Hierarchy simplification (documented in DESIGN.md): the L1 classifies
 latency only; dirtiness is tracked at the L2, which is the write-back /
 snoop point on the memory bus.  With both levels direct-mapped, the same
@@ -133,8 +139,24 @@ class CacheLevel:
         self.nsets = size_bytes // line_bytes
         self.line_bytes = line_bytes
         self.track_dirty = track_dirty
-        self.tags = np.full(self.nsets, -1, dtype=np.int64)
-        self.dirty = np.zeros(self.nsets, dtype=bool)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        """Build the level's ``tags`` (each set's occupant line, -1 when
+        empty) and ``dirty`` bits (all clean) at its first touch.
+
+        Python calls this only for an attribute the instance lacks, so
+        it runs once per level; every later read of either array is a
+        plain instance attribute.
+        """
+        if name not in ("tags", "dirty"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        state = self.__dict__
+        if "tags" not in state:
+            self.tags = np.full(self.nsets, -1, dtype=np.int64)
+        if "dirty" not in state:
+            self.dirty = np.zeros(self.nsets, dtype=bool)
+        return state[name]
 
     def burst(self, lines: np.ndarray, is_write: bool) -> BurstResult:
         """Feed a program-ordered homogeneous burst through this level.

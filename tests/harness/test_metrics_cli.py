@@ -2,6 +2,10 @@
 the ``--metrics`` export path, and the ``metrics`` CLI subcommand."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +105,20 @@ def test_runner_exports_metrics_json_per_experiment(tmp_path, capsys):
     for r in doc["runs"]:
         for nid in range(2):
             assert f"node{nid}.nic.tx.packets_sent" in r["metrics"]
+
+
+def test_metrics_cli_module_runs_the_metrics_subcommand():
+    """``python -m repro.harness.metrics_cli`` is the ``metrics``
+    subcommand, not a module that exits 0 having run nothing."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.harness.metrics_cli", "--help"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "--nprocs" in proc.stdout and "--topology" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.harness.metrics_cli", "--nprocs", "0"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2
+    assert "--nprocs" in proc.stderr

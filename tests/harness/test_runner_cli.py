@@ -53,6 +53,14 @@ def test_no_arguments_prints_usage(capsys):
     assert "experiments:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_and_exits_zero(capsys, flag):
+    assert main([flag]) == 0
+    out = capsys.readouterr().out
+    assert "Usage::" in out
+    assert "experiments:" in out and "fig2" in out
+
+
 def test_metrics_bad_nprocs_exits_nonzero(capsys):
     assert main(["metrics", "--nprocs", "zonk"]) == 2
     assert "--nprocs" in capsys.readouterr().err
@@ -68,3 +76,13 @@ def test_metrics_bad_interface_exits_nonzero(capsys):
 def test_metrics_unrecognized_arguments_exit_nonzero(capsys):
     assert main(["metrics", "--frobnicate"]) == 2
     assert "--frobnicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_metrics_help_prints_its_options_and_exits_zero(capsys, flag):
+    assert main(["metrics", flag]) == 0
+    out = capsys.readouterr().out
+    for option in ("--app", "--nprocs", "--interface", "--json",
+                   "--topology"):
+        assert option in out
+    assert "experiments:" not in out   # the subcommand's text, not the runner's

@@ -5,6 +5,7 @@ burst engine against the scalar :class:`ReferenceCache` on streams of
 random, contiguous, gapped and repeating bursts (``burst_shapes``).
 """
 
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import CacheHierarchy, CacheLevel, ReferenceCache
+from repro.params import SimParams
 
 from .burst_shapes import burst_lines
 
@@ -265,3 +267,88 @@ def test_hierarchy_cost_classification_is_exhaustive(stream):
     for line, w in stream:
         cost = h.access(np.array([line]), is_write=w)
         assert cost.l1_hits + cost.l2_hits + cost.memory_accesses == 1
+
+
+# ------------------------------------------------- state at first touch ----
+
+def table1_hierarchy():
+    p = SimParams()
+    return CacheHierarchy(p.l1_size_bytes, p.l2_size_bytes,
+                          p.cache_line_bytes, p.l1_access_cycles,
+                          p.l2_access_cycles, p.memory_latency_cycles)
+
+
+def built_arrays(level):
+    """Which of the level's arrays exist yet (its own instance state)."""
+    return {"tags", "dirty"} & vars(level).keys()
+
+
+def traced(fn):
+    """``fn()``'s result and the bytes it left allocated."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_table1_hierarchy_allocates_no_arrays_until_first_access():
+    """Building Table 1's hierarchy allocates no tag or dirty array (the
+    L1's tags alone would be 8 KB); the first access builds both
+    levels' arrays, every tag -1 and every line clean beforehand."""
+    h, grown = traced(table1_hierarchy)
+    assert grown < 4096
+    assert not built_arrays(h.l1) and not built_arrays(h.l2)
+
+    cost, grown = traced(lambda: h.access(np.arange(8), is_write=False))
+    assert (cost.l1_hits, cost.l2_hits, cost.memory_accesses) == (0, 0, 8)
+    assert grown >= (h.l1.nsets + h.l2.nsets) * 8     # both tag arrays
+    assert built_arrays(h.l1) == built_arrays(h.l2) == {"tags", "dirty"}
+    assert (h.l1.tags[8:] == -1).all() and (h.l2.tags[8:] == -1).all()
+    assert not h.l1.dirty.any() and not h.l2.dirty.any()
+
+
+def test_first_touch_builds_only_missing_arrays():
+    c = level()
+    with pytest.raises(AttributeError):
+        getattr(c, "no_such_attribute")
+    mine = np.full(c.nsets, 3, dtype=np.int64)
+    c.tags = mine
+    assert not c.dirty.any()
+    assert c.tags is mine
+
+
+def run_script(h, first):
+    """One op of kind ``first``, then a fixed mix of every kind;
+    returns everything the ops report."""
+    out = []
+    ops = [first, "write", "read", "flush", "write", "invalidate", "read",
+           "flush"]
+    for i, op in enumerate(ops):
+        lo = 1000 * i + 37
+        if op in ("read", "write"):
+            lines = np.concatenate((np.arange(lo, lo + 300),
+                                    np.arange(lo + 40000, lo + 40100)))
+            c = h.access(lines, is_write=op == "write")
+            out.append((c.accesses, c.l1_hits, c.l2_hits, c.memory_accesses,
+                        c.cpu_cycles, sorted(c.writeback_lines.tolist())))
+        elif op == "flush":
+            out.append(h.flush_range(0, 50000).tolist())
+        else:
+            h.invalidate_range(lo - 2000, 1500)
+    return out
+
+
+@pytest.mark.parametrize("first", ["read", "write", "flush", "invalidate"])
+def test_first_touch_behaves_as_an_eagerly_built_hierarchy(first):
+    lazy, eager = table1_hierarchy(), table1_hierarchy()
+    for lv in (eager.l1, eager.l2):   # build every array before any op
+        assert (lv.tags == -1).all() and not lv.dirty.any()
+    assert run_script(lazy, first) == run_script(eager, first)
+    for a, b in ((lazy.l1, eager.l1), (lazy.l2, eager.l2)):
+        assert (a.tags == b.tags).all() and (a.dirty == b.dirty).all()

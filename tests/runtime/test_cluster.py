@@ -97,3 +97,21 @@ def test_alloc_shared_exhaustion():
     cluster = Cluster(params(), interface="cni")
     with pytest.raises(MemoryError):
         cluster.alloc_shared((1024 * 1024,))  # 8 MB > 16 pages
+
+
+def test_collectives_only_run_builds_no_cache_arrays():
+    """A level's arrays exist from its first touch, and an all-reduce
+    never touches memory: after a collbench run on a 16-node fat-tree
+    every node's L1 and L2 still hold no tag or dirty array."""
+    from repro.collectives import CollBenchConfig, collective_kernel
+
+    p = params(16).replace(topology="fattree:k=4")
+    cluster = Cluster(p, interface="cni")
+    cfg = CollBenchConfig("allreduce", rounds=2)
+    stats = cluster.run(lambda ctx: collective_kernel(ctx, cfg))
+    assert all(stats.metrics[f"node{i}.coll.ops_completed"] == 2
+               for i in range(16))
+    for node in cluster.nodes:
+        for level in (node.cache.l1, node.cache.l2):
+            assert not {"tags", "dirty"} & vars(level).keys(), (
+                node.node_id, level.name)

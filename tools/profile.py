@@ -15,6 +15,12 @@ so profile output and benchmark numbers describe the same code path::
     python tools/profile.py --sort tottime --limit 40
     python tools/profile.py --callers repro            # who calls into repro.*
     python tools/profile.py --dump /tmp/run.prof       # for snakeviz/pstats
+    python tools/profile.py --workload allreduce-fattree --memory
+
+``--memory`` runs the workload under ``tracemalloc`` instead of cProfile
+and prints the traced peak and the top allocation sites by line, as
+live when the simulation ends and the cluster still holds everything it
+built.
 
 Per-layer shares of host time come from ``bench/run.py --trace 1``.
 """
@@ -24,20 +30,72 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from typing import List, Optional
 
 # This file is named profile.py, which would shadow the stdlib `profile`
 # module that cProfile imports — drop the script's directory from the
 # module search path before touching the profiler machinery.
 _HERE = os.path.dirname(os.path.abspath(__file__))
+_ROOT = os.path.dirname(_HERE)
 sys.path[:] = [p for p in sys.path
                if os.path.abspath(p or os.getcwd()) != _HERE]
 sys.path.insert(0, os.path.join(_HERE, "..", "bench"))
 
 import cProfile  # noqa: E402
 import pstats  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import workloads  # noqa: E402  (puts src/ on the path)
+
+from repro.runtime import Cluster  # noqa: E402
+
+#: Stack depth tracemalloc records per block under ``--memory``: deep
+#: enough to reach the simulator line behind a numpy allocation.
+_MEMORY_FRAMES = 4
+
+
+def _memory(inputs, limit: int) -> None:
+    """One run under tracemalloc: print the traced peak and the top
+    ``limit`` allocation sites live as ``Cluster.run`` returns.
+
+    A block is charged to the innermost line of the simulator's own
+    source on its stack (the ``np.full`` call, not numpy's body), or to
+    its allocating line when no simulator frame is there.
+    """
+    snapshots = []
+    cluster_run = Cluster.run
+
+    def run_then_snapshot(self, *args, **kwargs):
+        stats = cluster_run(self, *args, **kwargs)
+        snapshots.append(tracemalloc.take_snapshot())
+        return stats
+
+    Cluster.run = run_then_snapshot
+    tracemalloc.start(_MEMORY_FRAMES)
+    try:
+        inputs.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        Cluster.run = cluster_run
+
+    src = os.path.join(_ROOT, "src") + os.sep
+    sizes: Counter = Counter()
+    blocks: Counter = Counter()
+    for trace in snapshots[-1].traces:
+        frames = trace.traceback  # oldest first
+        site = next((f for f in reversed(frames)
+                     if os.path.normpath(f.filename).startswith(src)),
+                    frames[-1])
+        where = f"{os.path.relpath(site.filename, _ROOT)}:{site.lineno}"
+        sizes[where] += trace.size
+        blocks[where] += 1
+    print(f"[profile] traced peak {peak / 1e6:.1f} MB")
+    print(f"[profile] top {limit} allocation sites live at the end of the "
+          f"simulation:")
+    for where, size in sizes.most_common(limit):
+        print(f"  {size / 1e6:8.3f} MB in {blocks[where]:7,d} blocks  {where}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -55,11 +113,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="also print callers of functions matching PATTERN")
     ap.add_argument("--dump", default=None, metavar="FILE",
                     help="write raw cProfile stats to FILE")
+    ap.add_argument("--memory", action="store_true",
+                    help="trace allocations instead of profiling: print "
+                         "the peak and the top --limit sites by line")
     args = ap.parse_args(argv)
 
     w = workloads.WORKLOADS[args.workload]
     inputs = workloads.build(w, workloads.DEFAULT_SEED, args.smoke)
     inputs.run()  # warm-up: imports, numpy, allocator
+    if args.memory:
+        print(f"[profile] {w.name} ({'smoke' if args.smoke else w.spec}) "
+              f"under tracemalloc")
+        _memory(inputs, args.limit)
+        return 0
     prof = cProfile.Profile()
     prof.enable()
     stats, _result = inputs.run()

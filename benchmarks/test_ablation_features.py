@@ -47,10 +47,7 @@ def run_migration_ring(laps=6, nprocs=4, **flags):
 
 def test_ablation_message_cache(scale, show):
     full = run_migration_ring()
-    no_mc = run_migration_ring(
-        use_message_cache=False,
-        transmit_caching=False, receive_caching=False,
-    )
+    no_mc = run_migration_ring(transmit_caching=False, receive_caching=False)
     print(f"\nfull-CNI {full.elapsed_ns/1e6:.3f} ms vs "
           f"no-message-cache {no_mc.elapsed_ns/1e6:.3f} ms")
     assert full.elapsed_ns < no_mc.elapsed_ns

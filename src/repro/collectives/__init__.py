@@ -2,25 +2,18 @@
 
 The subsystem the paper's Application Interrupt Handlers were built for
 (Section 2.3): collective protocol steps that complete on the network
-interface processor with **zero host interrupts**.  Two interchangeable
-engines implement the same root-gathered protocol — NIC-resident
-(:class:`NicCollectiveEngine`, AIH handlers dispatched by PATHFINDER)
-and host-based (:class:`HostCollectiveEngine`, the baseline) — selected
-by ``SimParams.collectives`` / the harness ``--collectives`` flag.
+interface processor with **zero host interrupts**.  One engine
+(:class:`CollectiveEngine`) implements the root-gathered protocol, and
+each step runs where the platform puts it: in an AIH dispatched by
+PATHFINDER on a CNI with AIH support, on the host CPU after an interrupt
+on the standard interface or on a CNI with AIH ablated away.
 
-See docs/collectives.md for the API, the engine cost models, the
-AIH/PATHFINDER mapping and the ``coll.*`` metrics.
+See docs/collectives.md for the API, the cost model, the AIH/PATHFINDER
+mapping and the ``coll.*`` metrics.
 """
 
 from .bench import CollBenchConfig, collective_kernel, run_collective_bench
-from .engine import (
-    OPS,
-    CollectiveEngine,
-    HostCollectiveEngine,
-    NicCollectiveEngine,
-    make_collective_engine,
-    resolve_engine_kind,
-)
+from .engine import OPS, CollectiveEngine
 from .errors import CollectiveError
 from .messages import (
     COLL_HANDLER_CODE_BYTES,
@@ -40,13 +33,9 @@ __all__ = [
     "CollRelease",
     "CollectiveEngine",
     "CollectiveError",
-    "HostCollectiveEngine",
-    "NicCollectiveEngine",
     "collective_kernel",
     "combine",
-    "make_collective_engine",
     "reduce_values",
-    "resolve_engine_kind",
     "run_collective_bench",
     "value_wire_bytes",
 ]

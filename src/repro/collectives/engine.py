@@ -1,8 +1,7 @@
-"""Collective-operation engines: NIC-resident (AIH) and host-based.
+"""The collective-operation engine, one instance per node.
 
-One engine instance per node (mirroring :class:`repro.dsm.DsmEngine`),
-reachable as ``node.coll``.  Both engines speak the same root-gathered
-protocol:
+Mirroring :class:`repro.dsm.DsmEngine`, every node has one engine,
+reachable as ``node.coll``, speaking a root-gathered protocol:
 
 * every participant sends a :class:`CollArrive` to the episode root
   (from the application thread: user-level ADC stores on the CNI, a
@@ -12,29 +11,27 @@ protocol:
   the result (barrier: nothing, or a consistency attachment; all-reduce:
   the combined value; reduce: root keeps the result locally).
 
-*Where* the root's gather/combine/release steps run is the engine's
-whole difference:
+*Where* an inbound protocol step runs is the platform's fact, not the
+engine's (Section 2.3), and :meth:`repro.runtime.Node.protocol_step_ns`
+prices it:
 
-* :class:`NicCollectiveEngine` — the paper's Section 2.3 payoff.
-  PATHFINDER classifies COLLECTIVE packets into Application Interrupt
-  Handlers (installed via :class:`~repro.core.aih.HandlerRegistry`);
-  every protocol step executes on the NI processor's clock
-  (``ni_aih_protocol_cycles``) and the host never takes an interrupt on
-  the collective path.  Requires a CNI with AIH support.
-* :class:`HostCollectiveEngine` — the baseline.  Every collective packet
-  costs the host ``host_protocol_cycles`` of stolen time (plus the
-  standard interface's per-packet interrupt, charged by the NIC itself);
-  on a CNI the board handler is a trampoline that bounces the packet to
-  the host (interrupt + kernel trap + host handler).
+* on a CNI with AIH, PATHFINDER classifies COLLECTIVE packets into
+  Application Interrupt Handlers; the step runs on the NI processor's
+  clock (``ni_aih_protocol_cycles``, counted in ``coll.nic_steps``) and
+  the host never takes an interrupt on the collective path;
+* on the standard interface, and on a CNI with AIH ablated away (whose
+  board has already charged the host its interrupt and kernel bounce),
+  the step runs on the host: ``host_protocol_cycles`` of stolen time,
+  counted in ``coll.host_steps`` and ``coll.host_interrupts``.
 
 Consistency protocols attach to barriers through the optional
 ``consistency`` hook object (duck-typed; see docs/collectives.md):
-``coll_on_arrive``, ``coll_gather_complete``, ``coll_make_release``,
-``coll_on_release``.  The DSM engine uses these to ship its interval
-payloads inside collective packets, which keeps the pre-collectives
-barrier economics bit-for-bit identical.
+``coll_on_arrive``, ``coll_make_release``, ``coll_on_release``.  The DSM
+engine uses these to ship its interval payloads inside collective
+packets, which keeps the pre-collectives barrier economics bit-for-bit
+identical.
 
-Retransmission rides the PR-2 reliable transport: collective packets are
+Retransmission rides the reliable transport: collective packets are
 ordinary reliable traffic, so a lost cell under a fault plan is retried
 by the NIC with no engine involvement.
 """
@@ -45,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..core.adc import TransmitDescriptor
-from ..engine import Category, SimulationError
+from ..engine import SimulationError
 from ..engine.waits import TIMEOUT, Waits
 from ..network import Packet, PacketKind
 from ..params import SimParams
@@ -53,16 +50,9 @@ from .errors import CollectiveError
 from .messages import CollArrive, CollMsgType, CollRelease
 from .ops import REDUCERS, reduce_values, value_wire_bytes
 
-__all__ = [
-    "OPS",
-    "CollectiveEngine",
-    "NicCollectiveEngine",
-    "HostCollectiveEngine",
-    "resolve_engine_kind",
-    "make_collective_engine",
-]
+__all__ = ["OPS", "CollectiveEngine"]
 
-#: Operations every engine implements (and the per-op latency metrics).
+#: Operations the engine implements (and the per-op latency metrics).
 OPS = ("barrier", "allreduce", "reduce", "broadcast", "multicast")
 
 @dataclass
@@ -78,12 +68,7 @@ class _Episode:
 
 
 class CollectiveEngine:
-    """Shared protocol logic; subclasses choose the execution platform."""
-
-    #: True when protocol steps run on the NI processor (no host part).
-    resident = False
-    #: Engine name as selected by ``SimParams.collectives``.
-    name = "?"
+    """Gather/release protocol state and behaviour for one node."""
 
     def __init__(self, node, nprocs: int, root: int = 0):
         if not 0 <= root < nprocs:
@@ -119,11 +104,6 @@ class CollectiveEngine:
         self._m_host_intr = scope.counter("host_interrupts")
         self._m_timeouts = scope.counter("timeouts")
         self._op_ns = {op: scope.histogram(f"{op}_ns") for op in OPS}
-
-    # ------------------------------------------------------------- platform --
-    def _charge_rx(self, on_board: bool) -> float:
-        """Cost of one inbound protocol step on this engine's platform."""
-        raise NotImplementedError
 
     # ------------------------------------------------------- app-side API --
     def barrier(self, coll_id: int = 0, *, payload: Any = None,
@@ -272,7 +252,6 @@ class CollectiveEngine:
         key = (coll_id, seq)
         if ep.op == "barrier" and ep.attached:
             att = self.consistency
-            att.coll_gather_complete(coll_id)
             for node in range(self.nprocs):
                 payload, pb = att.coll_make_release(coll_id, node)
                 if node == self.me:
@@ -313,8 +292,16 @@ class CollectiveEngine:
 
     # ------------------------------------------------------ packet handler --
     def handle_packet(self, packet: Packet, on_board: bool) -> Generator:
-        """Inbound COLLECTIVE packet (the engine's protocol sink)."""
-        yield self._charge_rx(on_board)
+        """Inbound COLLECTIVE packet (the engine's protocol sink); the
+        step runs where the board put it (``on_board``)."""
+        p = self.params
+        if on_board:
+            self._m_nic_steps.inc()
+        else:
+            self._m_host_steps.inc()
+            self._m_host_intr.inc()
+        yield self.node.protocol_step_ns(
+            on_board, p.ni_aih_protocol_cycles, p.host_protocol_cycles)
         mt = CollMsgType(packet.handler_key)
         if mt is CollMsgType.COLL_ARRIVE:
             self._arrive_logic(packet.payload)
@@ -420,65 +407,3 @@ class CollectiveEngine:
                        f"(coll {coll_id}, seq {seq}) gathering, "
                        f"waiting on {absent}")
         return out
-
-
-class NicCollectiveEngine(CollectiveEngine):
-    """Gather/release runs inside AIH handlers on the NI processor."""
-
-    resident = True
-    name = "nic"
-
-    def __init__(self, node, nprocs: int, root: int = 0):
-        if node.interface != "cni" or not node.params.use_aih:
-            raise CollectiveError(
-                "NIC-resident collectives need a CNI with AIH support "
-                f"(interface={node.interface!r}, "
-                f"use_aih={node.params.use_aih})")
-        super().__init__(node, nprocs, root)
-
-    def _charge_rx(self, on_board: bool) -> float:
-        if not on_board:
-            raise SimulationError(
-                f"node {self.me}: NIC-resident collective handler "
-                "dispatched on the host")
-        self._m_nic_steps.inc()
-        return self.params.ni_cycles_ns(self.params.ni_aih_protocol_cycles)
-
-
-class HostCollectiveEngine(CollectiveEngine):
-    """Gather/release runs on the host CPU (the paper's baseline)."""
-
-    name = "host"
-
-    def _charge_rx(self, on_board: bool) -> float:
-        p = self.params
-        self._m_host_steps.inc()
-        self._m_host_intr.inc()
-        ns = p.cpu_cycles_ns(p.host_protocol_cycles)
-        if on_board:
-            # CNI trampoline: the board handler's only job is bouncing
-            # the packet to the host (interrupt + kernel dispatch), where
-            # the real protocol step then runs.
-            ns += p.interrupt_latency_ns + p.cpu_cycles_ns(
-                p.kernel_trap_cycles)
-        self.node.steal_host_time(ns, Category.SYNCH_OVERHEAD)
-        return ns
-
-
-def resolve_engine_kind(params: SimParams, interface: str) -> str:
-    """Which engine a platform gets: an explicit ``params.collectives``
-    wins (``"nic"`` is rejected later if the platform can't run it);
-    ``None`` follows the platform — NIC-resident on a CNI with AIH,
-    host-based everywhere else (matching pre-collectives behaviour,
-    where protocol handlers ran wherever the interface put them)."""
-    if params.collectives is not None:
-        return params.collectives
-    return "nic" if (interface == "cni" and params.use_aih) else "host"
-
-
-def make_collective_engine(node, nprocs: int, root: int = 0) -> CollectiveEngine:
-    """Build the collective engine for ``node`` per its platform/params."""
-    kind = resolve_engine_kind(node.params, node.interface)
-    if kind == "nic":
-        return NicCollectiveEngine(node, nprocs, root)
-    return HostCollectiveEngine(node, nprocs, root)

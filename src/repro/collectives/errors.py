@@ -1,9 +1,7 @@
 """Typed errors for the collective-operations subsystem.
 
-Shared with :mod:`repro.dsm.barrier`, whose episode bookkeeping predates
-this package: a duplicate arrival or an out-of-range participant is the
-same protocol violation whether the gather runs in the DSM barrier
-manager or in a collective engine.
+The DSM barrier rides the collective engine, so a duplicate arrival or
+an out-of-range participant at a DSM barrier raises this error too.
 """
 
 from __future__ import annotations
@@ -13,6 +11,6 @@ __all__ = ["CollectiveError"]
 
 class CollectiveError(ValueError):
     """A collective-protocol violation (duplicate arrival, unknown
-    participant, mismatched operation, unsupported engine/platform
-    combination).  Subclasses :class:`ValueError` so callers that
+    participant, mismatched operation, unknown reducer) or an episode
+    that timed out.  Subclasses :class:`ValueError` so callers that
     predate the typed hierarchy keep working."""

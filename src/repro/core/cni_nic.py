@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Sequence, Tuple
 
-from ..engine import Category, Counters, Simulator
+from ..engine import Counters, Simulator
 from ..memory import BoardTLB, MemoryBus
 from ..network import Network, Packet, PacketKind
 from ..obs import MetricsScope, private_scope
@@ -167,7 +167,7 @@ class CNIInterface(NetworkInterface):
         first = packet.src_vaddr // page_size
         last = (packet.src_vaddr + packet.payload_bytes - 1) // page_size
         mc = self.message_cache
-        use_mc = self.params.use_message_cache and self.params.transmit_caching
+        use_mc = self.params.transmit_caching
         staged = False
         for vpage in range(first, last + 1):
             if use_mc and mc.lookup_transmit(vpage):
@@ -246,7 +246,7 @@ class CNIInterface(NetworkInterface):
         if self.params.use_aih:
             yield self.handlers.dispatch_time_ns()
             # resolve (and count) the control transfer; the handler logic
-            # itself is the DSM engine, charged on the NI clock inside.
+            # itself is the owning engine, charged on the NI clock inside.
             self.handlers.dispatch(packet.handler_key)
             yield from self.protocol_sink(packet, True)
         else:
@@ -255,9 +255,7 @@ class CNIInterface(NetworkInterface):
             yield self.params.interrupt_latency_ns
             host_ns = self.params.cpu_cycles_ns(self.params.kernel_trap_cycles)
             self.hooks.steal_host_time(
-                self.params.interrupt_latency_ns + host_ns,
-                Category.SYNCH_OVERHEAD,
-            )
+                self.params.interrupt_latency_ns + host_ns)
             yield host_ns
             yield from self.protocol_sink(packet, False)
         return None

@@ -19,7 +19,7 @@ drain (the quiescence watchdog depends on that).
 
 The messaging runtime consults :meth:`FailureDetector.is_suspected` to
 turn a deadline expiry into the sharper :class:`~repro.runtime.PeerDead`;
-collective engines name suspected participants in their aborts; the
+the collective engine names suspected participants in their aborts; the
 application queries it through ``Context.suspected_peers()``.
 """
 

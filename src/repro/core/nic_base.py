@@ -11,7 +11,7 @@ which live in the subclasses.
 Host-side interaction contract (implemented by :class:`HostHooks`, which
 the runtime node provides):
 
-* ``steal_host_time(ns, category)`` — asynchronous work executed on the
+* ``steal_host_time(ns)`` — asynchronous work executed on the
   host CPU (interrupt handlers, kernel dispatch, host protocol code);
   inflates the application thread's execution and is accounted as synch
   overhead.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional, Protocol
 
-from ..engine import Category, Counters, Mailbox, Simulator
+from ..engine import Counters, Mailbox, Simulator
 from ..memory import MemoryBus
 from ..network import CellTrain, Network, Packet, PacketKind, Reassembler, Segmenter
 from ..obs import MetricsScope, private_scope
@@ -37,7 +37,7 @@ from .reliability import ReliableTransport
 class HostHooks(Protocol):
     """What the NIC needs from its host workstation (the runtime node)."""
 
-    def steal_host_time(self, ns: float, category: Category) -> None:
+    def steal_host_time(self, ns: float) -> None:
         """Charge asynchronous host-CPU work (see module docstring)."""
 
     def deliver_to_app(self, desc: ReceiveDescriptor, via_interrupt: bool) -> None:

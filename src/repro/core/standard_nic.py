@@ -29,7 +29,7 @@ from typing import Deque, Generator, Optional
 
 from collections import deque
 
-from ..engine import Category, Counters, Simulator
+from ..engine import Counters, Simulator
 from ..network import Network, Packet, PacketKind
 from ..memory import MemoryBus
 from ..obs import MetricsScope
@@ -104,9 +104,7 @@ class StandardInterface(NetworkInterface):
         host_ns = self.params.cpu_cycles_ns(
             self.params.kernel_trap_cycles + classify_cycles
         )
-        self.hooks.steal_host_time(
-            self.params.interrupt_latency_ns + host_ns, Category.SYNCH_OVERHEAD
-        )
+        self.hooks.steal_host_time(self.params.interrupt_latency_ns + host_ns)
         yield host_ns
 
         if packet.kind in (PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE,

@@ -2,10 +2,11 @@
 
 The engine (:class:`DsmEngine`) is platform-neutral; the CNI runs its
 handlers in Application Interrupt Handlers on the NI processor, the
-standard interface runs them on the host after an interrupt.
+standard interface runs them on the host after an interrupt.  Barriers
+ride the collective engine (:mod:`repro.collectives`), with this engine
+as their consistency attachment.
 """
 
-from .barrier import BarrierEpisode, BarrierManager
 from .checker import Violation, assert_healthy, check_cluster
 from .diff import RangeSet
 from .eager import EagerDsmEngine
@@ -20,8 +21,6 @@ from .interval import (
 )
 from .locks import LocalLockState, LocalLockTable, LockManagerRecord, LockManagerTable
 from .messages import (
-    BarrierArrive,
-    BarrierRelease,
     DiffReply,
     DiffReq,
     LockForward,
@@ -36,13 +35,9 @@ from .protocol import DsmEngine
 from .vector_clock import VectorClock
 
 __all__ = [
-    "BarrierArrive",
     "Violation",
     "assert_healthy",
     "check_cluster",
-    "BarrierEpisode",
-    "BarrierManager",
-    "BarrierRelease",
     "DiffReply",
     "DiffReq",
     "DsmEngine",

@@ -98,15 +98,19 @@ class EagerDsmEngine(DsmEngine):
     # -- new message handlers ------------------------------------------------
     def handle_packet(self, packet: Packet, on_board: bool) -> Generator:
         mt = MsgType(packet.handler_key)
+        p = self.params
         if mt == MsgType.INVALIDATE:
-            yield self._charge_ns(on_board)
+            yield self.node.protocol_step_ns(
+                on_board, p.ni_aih_protocol_cycles, p.host_protocol_cycles)
             body = packet.payload
             self._apply_intervals(body.intervals)
             ack = InvAck(acker=self.me, releaser=body.releaser, seq=body.seq)
             self._send(body.releaser, MsgType.INV_ACK, ack, ack.wire_bytes)
             return None
         if mt == MsgType.INV_ACK:
-            yield self._charge_ns(on_board, factor=0.25)
+            yield self.node.protocol_step_ns(
+                on_board, p.ni_aih_protocol_cycles * 0.25,
+                p.host_protocol_cycles * 0.25)
             body = packet.payload
             self.waits.wake(("inv", body.seq))
             return None

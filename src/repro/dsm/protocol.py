@@ -18,8 +18,9 @@ The protocol (TreadMarks-style LRC, multiple-writer):
 * intervals + vector clocks + write notices (:mod:`.interval`);
 * locks: home-serialized, granted by the previous releaser with the
   notices the acquirer lacks (:mod:`.locks`);
-* barriers: centralized manager merges and rebroadcasts intervals
-  (:mod:`.barrier`);
+* barriers: the collective engine's root gathers every arriver's
+  intervals and releases to each node the ones it lacks (this engine is
+  the barrier's consistency attachment, :mod:`repro.collectives`);
 * pages: lazy invalidation on acquire; full-page fetch from the latest
   writer on a miss; concurrent writers keep their copies and exchange
   *diffs* sized by the bytes actually written (:mod:`.page`,
@@ -36,11 +37,10 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..core.adc import TransmitDescriptor
-from ..engine import Category, SimulationError
+from ..engine import SimulationError
 from ..engine.waits import TIMEOUT, Waits
 from ..network import Packet, PacketKind
 from ..params import SimParams
-from .barrier import BarrierManager
 from .directory import HomePolicy
 from .interval import Interval, IntervalLog, WriteCollector, WriteNotice
 from .locks import LocalLockTable, LockManagerTable
@@ -87,9 +87,6 @@ class DsmEngine:
                                    homes.page_homes(segment.npages), self.me)
         self.local_locks = LocalLockTable()
         self.managed_locks = LockManagerTable()
-        self.barrier_mgr = (
-            BarrierManager(nprocs) if self.me == homes.barrier_manager else None
-        )
         self._barrier_sent_seq = 0
         #: Arrivers' vector clocks for in-flight barriers, kept by the
         #: manager between gather and release (collective attachment).
@@ -116,16 +113,6 @@ class DsmEngine:
         self.pages.seed_homes(self.homes.page_homes(self.segment.npages))
 
     # ------------------------------------------------------------------ utils --
-    def _charge_ns(self, on_board: bool, factor: float = 1.0) -> float:
-        """Cost of one protocol action on its execution platform."""
-        if on_board:
-            return self.params.ni_cycles_ns(
-                self.params.ni_aih_protocol_cycles * factor
-            )
-        ns = self.params.cpu_cycles_ns(self.params.host_protocol_cycles * factor)
-        self.node.steal_host_time(ns, Category.SYNCH_OVERHEAD)
-        return ns
-
     def _send(self, dst: int, msg_type: MsgType, body,
               payload_bytes: int, src_vaddr: Optional[int] = None,
               cacheable: bool = False) -> None:
@@ -446,22 +433,17 @@ class DsmEngine:
         return (own, vc), intervals_wire_bytes(own) + 8 * len(vc)
 
     # ------------------------------------- collective attachment (barrier) --
-    # Hooks called by the collective engine (docs/collectives.md): the
+    # Hooks called by the collective engine (docs/collectives.md), which
+    # has checked the arriver and the episode before it calls them: the
     # root-side pair runs on whatever platform executes the gather (NI
     # processor or host CPU); the participant-side hook runs where the
     # release packet is handled.
     def coll_on_arrive(self, coll_id: int, arriver: int, payload) -> None:
         """Root gather step: log the arriver's intervals + vector clock."""
-        assert self.barrier_mgr is not None, "not the barrier manager"
         intervals, vc = payload
         for iv in intervals:
             self.ilog.record(iv)
-        self.barrier_mgr.arrive(coll_id, arriver, intervals)
         self._barrier_vcs[(coll_id, arriver)] = list(vc)
-
-    def coll_gather_complete(self, coll_id: int) -> None:
-        """Root: everyone arrived; close the episode."""
-        self.barrier_mgr.complete(coll_id)
 
     def coll_make_release(self, coll_id: int, node: int) -> Tuple[Any, int]:
         """Root: build ``node``'s release payload (the intervals that
@@ -482,7 +464,9 @@ class DsmEngine:
         the cost clock is the NI processor (CNI Application Interrupt
         Handler) or the host CPU (standard interface / no-AIH ablation).
         """
-        yield self._charge_ns(on_board)
+        p = self.params
+        yield self.node.protocol_step_ns(
+            on_board, p.ni_aih_protocol_cycles, p.host_protocol_cycles)
         mt = MsgType(packet.handler_key)
         body = packet.payload
         if mt == MsgType.LOCK_REQ:
@@ -590,16 +574,8 @@ class DsmEngine:
         # work runs on the NI processor against board copies; on the
         # standard interface the host does it.
         words = -(-total // self.params.bus_word_bytes)
-        if on_board:
-            yield self.params.ni_cycles_ns(
-                self.params.diff_cycles_per_word * words
-            )
-        else:
-            ns = self.params.cpu_cycles_ns(
-                self.params.diff_cycles_per_word * words
-            )
-            self.node.steal_host_time(ns, Category.SYNCH_OVERHEAD)
-            yield ns
+        cycles = self.params.diff_cycles_per_word * words
+        yield self.node.protocol_step_ns(on_board, cycles, cycles)
         reply = DiffReply(
             page=msg.page, writer=self.me,
             intervals=list(msg.intervals), diff_bytes=total,

@@ -448,8 +448,9 @@ def collective_latency_experiment(
     jobs: Optional[int] = None,
 ) -> SeriesResult:
     """Collectives extension (not a paper figure): mean barrier and
-    all-reduce latency vs processor count, NIC-resident engine (CNI)
-    against the host-based engine (standard interface).
+    all-reduce latency vs processor count, with the protocol steps on
+    the NI processor (``nic_*`` rows: the CNI, whose AIHs run them)
+    against the host CPU (``host_*`` rows: the standard interface).
 
     The NIC rows are *asserted* interrupt-free: the run fails if any
     ``coll.host_steps`` / ``coll.host_interrupts`` were counted, or if
@@ -464,12 +465,12 @@ def collective_latency_experiment(
         x_label="processors",
         xs=[float(p) for p in procs],
     )
-    combos = (("nic", "cni"), ("host", "standard"))
     specs = []
     for p in procs:
-        for engine, iface in combos:
-            params = base.replace(num_processors=int(p),
-                                  collectives=engine)
+        params = base.replace(num_processors=int(p))
+        for iface in ("cni", "standard"):
+            # Where the steps run: the CNI's AIHs, the standard NI's host.
+            engine = "nic" if iface == "cni" else "host"
             for op in ("barrier", "allreduce"):
                 specs.append(RunSpec(
                     "collbench", params, iface,

@@ -19,8 +19,7 @@ Usage::
     python -m repro.harness all --metrics out/          # + metrics JSON per exp
     python -m repro.harness metrics --app water         # per-node metric table
     python -m repro.harness faults                      # loss-rate sweep
-    python -m repro.harness collectives                 # NIC vs host engines
-    python -m repro.harness fig4 --collectives host     # force an engine
+    python -m repro.harness collectives                 # NIC vs host steps
     python -m repro.harness fig2 --fault-plan 'seed=7;cell_loss(rate=0.01)'
     python -m repro.harness fig2 --topology torus:4x4        # pick a fabric
 
@@ -310,7 +309,7 @@ def exp_faults(scale: Scale, base: Optional[SimParams] = None) -> Result:
 
 def exp_collectives(scale: Scale, base: Optional[SimParams] = None) -> Result:
     """Collectives extension: barrier/all-reduce latency vs processor
-    count, NIC-resident vs host-based engine (docs/collectives.md)."""
+    count, steps on the NI processor vs on the host (docs/collectives.md)."""
     return collective_latency_experiment(scale.procs,
                                          rounds=scale.coll_rounds,
                                          base_params=base,
@@ -394,7 +393,6 @@ def main(argv: List[str] = None) -> int:
     csv_dir = _take_option(argv, "--csv")
     metrics_dir = _take_option(argv, "--metrics")
     fault_spec = _take_option(argv, "--fault-plan")
-    coll_arg = _take_option(argv, "--collectives")
     jobs_arg = _take_option(argv, "--jobs")
     deadline_arg = _take_option(argv, "--deadline-ns")
     heartbeat_arg = _take_option(argv, "--heartbeat-ns")
@@ -421,14 +419,6 @@ def main(argv: List[str] = None) -> int:
                                           reliable_transport=True)
         print(f"fault plan: {base_params.fault_plan.describe()} "
               f"(reliable transport on)")
-    if coll_arg:
-        if coll_arg not in ("nic", "host"):
-            print(f"--collectives: {coll_arg!r} must be 'nic' or 'host'",
-                  file=sys.stderr)
-            return 1
-        base_params = (base_params or SimParams()).replace(
-            collectives=coll_arg)
-        print(f"collectives engine forced: {coll_arg}")
     if deadline_arg:
         try:
             deadline_ns = float(deadline_arg)

@@ -264,28 +264,22 @@ class CacheLevel:
             return (slice(start, end),)
         return (slice(start, self.nsets), slice(0, end - self.nsets))
 
-    def drop_range(self, first: int, n: int) -> np.ndarray:
-        """Invalidate lines ``first .. first+n-1`` where resident;
-        returns the dirty ones, in ascending order.
+    def drop_range(self, first: int, n: int) -> None:
+        """Invalidate lines ``first .. first+n-1`` where resident.
 
         Used for DSM page invalidation (the protocol owns the data, so
-        dirty copies are discarded, not written back).  A level that
-        tracks no dirtiness keeps every dirty bit clear, so it returns
-        no lines here and writes none back in :meth:`clean_range`.
+        dirty copies are discarded, not written back).  Only a level
+        that tracks dirtiness has dirty bits to clear; the others keep
+        every bit clear.
         """
         last = first + n
-        lines = None
         for sets in self._range_sets(first, n):
             tags = self.tags[sets]
             here = tags >= first
             here &= tags < last
-            dirty = self.dirty[sets]
-            got = tags[here & dirty]
-            dirty[here] = False
             tags[here] = -1
-            lines = got if lines is None else np.concatenate((lines, got))
-        # Every set's occupant comes in set order, not line order.
-        return np.sort(lines) if n >= self.nsets else lines
+            if self.track_dirty:
+                self.dirty[sets][here] = False
 
     def clean_range(self, first: int, n: int) -> np.ndarray:
         """Write back dirty copies of lines ``first .. first+n-1``; they

@@ -257,14 +257,6 @@ class SimParams:
     for a loss-free network.  (Typed loosely to keep ``repro.params``
     import-cycle-free; validated structurally.)"""
 
-    # ------------------------------------------------------------ collectives
-    collectives: Optional[str] = None
-    """Collective-operations engine: ``"nic"`` (AIH-resident gather and
-    release on the NI processor, zero host interrupts; requires a CNI
-    with ``use_aih``), ``"host"`` (host-CPU protocol steps, the paper's
-    baseline), or None to follow the platform — NIC-resident on a CNI
-    with AIH, host-based otherwise.  See docs/collectives.md."""
-
     # --------------------------------------------------------------- cluster
     topology: str = "banyan:32"
     """Fabric topology spec (``repro.network.spec`` grammar):
@@ -281,9 +273,6 @@ class SimParams:
     a fixed portion of the address space, approximate-LRU recycled)."""
 
     # ------------------------------------------------------------- NIC flags
-    use_message_cache: bool = True
-    """CNI feature: transmit/receive caching + snooping."""
-
     use_aih: bool = True
     """CNI feature: protocol handlers on the NI processor."""
 
@@ -293,10 +282,13 @@ class SimParams:
     board copy of the page)."""
 
     transmit_caching: bool = True
-    """Ablation knob: cache pages on the transmit path."""
+    """CNI feature, Message Cache (Section 2.2): transmit pages from
+    cached board buffers (ablation knob)."""
 
     receive_caching: bool = True
-    """Ablation knob: cache pages on the receive path."""
+    """CNI feature, Message Cache: bind received pages into the cache
+    (ablation knob).  With both caching flags off the board never uses
+    its Message Cache, as on the standard interface."""
 
     # ------------------------------------------------------------- derived --
     @property
@@ -433,10 +425,6 @@ class SimParams:
                 "heartbeat_interval_ns must be >= 0 (0 = detector off)")
         if self.heartbeat_miss_budget < 1:
             raise ValueError("heartbeat_miss_budget must be >= 1")
-        if self.collectives not in (None, "nic", "host"):
-            raise ValueError(
-                f"collectives={self.collectives!r} must be None, 'nic' "
-                "or 'host'")
         # Light parser, no fabric/engine imports (repro.network.spec is
         # import-cycle-free by design).
         from .network.spec import parse_topology
@@ -474,7 +462,6 @@ def standard_interface_params(base: SimParams = PAPER_PARAMS) -> SimParams:
     :class:`~repro.core.standard_nic.StandardInterface`.
     """
     return base.replace(
-        use_message_cache=False,
         use_aih=False,
         snoop_enabled=False,
         transmit_caching=False,
@@ -488,7 +475,6 @@ def cni_params(base: SimParams = PAPER_PARAMS) -> SimParams:
     third mechanism, Application Device Channels, comes with the
     ``"cni"`` interface itself."""
     return base.replace(
-        use_message_cache=True,
         use_aih=True,
         snoop_enabled=True,
         transmit_caching=True,

@@ -12,11 +12,7 @@ from typing import Callable, Generator, List, Optional
 
 import numpy as np
 
-from ..collectives import (
-    COLL_HANDLER_CODE_BYTES,
-    CollMsgType,
-    make_collective_engine,
-)
+from ..collectives import COLL_HANDLER_CODE_BYTES, CollectiveEngine, CollMsgType
 from ..dsm import DsmEngine, HomePolicy, MsgType, SharedSegment
 from ..dsm.eager import EagerDsmEngine
 from ..engine import (
@@ -115,7 +111,7 @@ class Cluster:
             # Collective engine (repro.collectives): the DSM barrier and
             # the app-facing collective API both run through it; the DSM
             # engine rides along as the barrier's consistency attachment.
-            node.coll = make_collective_engine(
+            node.coll = CollectiveEngine(
                 node, params.num_processors, root=self.homes.barrier_manager)
             node.coll.consistency = engine
             # Messaging engine (docs/runtime.md): rendezvous responder +
@@ -159,10 +155,9 @@ class Cluster:
                     node.nic.install_protocol_handler(
                         int(mt), node.engine.handle_packet, per_type
                     )
-                # Collective AIHs: with the NIC-resident engine these
-                # hold the gather/release protocol; with the host engine
-                # the same patterns classify the packets but the handler
-                # is a bounce-to-host trampoline (the engine prices it).
+                # Collective AIHs: the gather/release protocol runs on
+                # the NI processor (with AIH ablated away the same
+                # patterns bounce to the host).
                 per_coll = COLL_HANDLER_CODE_BYTES // len(CollMsgType)
                 for cmt in CollMsgType:
                     node.nic.install_protocol_handler(

@@ -138,16 +138,31 @@ class Node:
             raise negative_charge(ns, Category.SYNCH_DELAY)
         self.account.synch_delay += ns
 
-    def steal_host_time(self, ns: float, category: Category) -> None:
+    def steal_host_time(self, ns: float) -> None:
         """Asynchronous host-CPU work (interrupts, kernel dispatch, host
-        protocol handlers).  Accounted immediately; if the application is
-        computing, its next burst stretches by the same amount (the CPU
-        was serving the network instead of the application).  Work that
-        lands while the application is *blocked* overlaps the wait and
-        steals nothing extra."""
-        self.account.add(category, ns)
+        protocol handlers), accounted immediately as synch overhead; if
+        the application is computing, its next burst stretches by the
+        same amount (the CPU was serving the network instead of the
+        application).  Work that lands while the application is
+        *blocked* overlaps the wait and steals nothing extra."""
+        if ns < 0:
+            raise negative_charge(ns, Category.SYNCH_OVERHEAD)
+        self.account.synch_overhead += ns
         if not self.app_blocked:
             self._stolen_ns += ns
+
+    def protocol_step_ns(self, on_board: bool, ni_cycles: float,
+                         host_cycles: float) -> float:
+        """Price one protocol step where the board ran it (Section 2.3):
+        ``ni_cycles`` on the NI processor's clock for an Application
+        Interrupt Handler, or ``host_cycles`` on the CPU clock, stolen
+        from the application as synch overhead.  Returns the step's
+        time for the handler to yield."""
+        if on_board:
+            return self.params.ni_cycles_ns(ni_cycles)
+        ns = self.params.cpu_cycles_ns(host_cycles)
+        self.steal_host_time(ns)
+        return ns
 
     def take_stolen_ns(self) -> float:
         """Drain the pending inflation (used by the compute primitive)."""
@@ -222,7 +237,7 @@ class Node:
         just landed at ``vaddr`` (a DSM page or a runtime landing
         buffer) into the Message Cache.  No-op on the standard interface
         or when receive caching is ablated away."""
-        if not (self.params.use_message_cache and self.params.receive_caching):
+        if not self.params.receive_caching:
             return
         mc = getattr(self.nic, "message_cache", None)
         if mc is None or nbytes <= 0:

@@ -40,7 +40,7 @@ from enum import IntEnum
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..core import PIO_THRESHOLD_BYTES, ReceiveDescriptor
-from ..engine import Category, SimulationError
+from ..engine import SimulationError
 from ..engine.waits import TIMEOUT, Waits
 from ..network import Packet, PacketKind
 from ..params import SimParams
@@ -230,8 +230,17 @@ class MessagingEngine:
 
     # ------------------------------------------------------ packet handler --
     def handle_packet(self, packet: Packet, on_board: bool) -> Generator:
-        """Inbound RUNTIME packet (the engine's protocol sink)."""
-        yield self._charge_rx(on_board)
+        """Inbound RUNTIME packet (the engine's protocol sink): an AIH on
+        the NI processor (``on_board``), or a host step — on the
+        standard interface, or on a CNI with AIH ablated away, whose
+        board has already charged the host its bounce."""
+        p = self.params
+        if on_board:
+            self._m_nic_steps.inc()
+        else:
+            self._m_host_steps.inc()
+        yield self.node.protocol_step_ns(
+            on_board, p.ni_aih_protocol_cycles, p.host_protocol_cycles)
         mt = RtMsgType(packet.handler_key)
         if mt is RtMsgType.RTS:
             yield from self._on_rts(packet)
@@ -363,20 +372,6 @@ class MessagingEngine:
             )
         )
         self._m_bytes.inc(wire_bytes)
-
-    def _charge_rx(self, on_board: bool) -> float:
-        """Cost of one inbound protocol step on this node's platform:
-        an AIH on the NI processor (``on_board``), or a host step — on
-        the standard interface, or on a CNI with AIH ablated away, whose
-        board has already charged the host its bounce."""
-        p = self.params
-        if on_board:
-            self._m_nic_steps.inc()
-            return p.ni_cycles_ns(p.ni_aih_protocol_cycles)
-        self._m_host_steps.inc()
-        ns = p.cpu_cycles_ns(p.host_protocol_cycles)
-        self.node.steal_host_time(ns, Category.SYNCH_OVERHEAD)
-        return ns
 
     # ------------------------------------------------------ wait machinery --
     def wait(self, key: Tuple[str, int], event,

@@ -17,18 +17,20 @@ pytestmark = pytest.mark.chaos
 LOSSY = FaultPlan(seed=11, schedules=(CellLoss(rate=0.02),))
 
 
-def lossy_params(engine, **over):
+def lossy_params(**over):
     return SimParams().replace(
-        num_processors=3, reliable_transport=True, collectives=engine,
-        fault_plan=LOSSY, **over)
+        num_processors=3, reliable_transport=True, fault_plan=LOSSY, **over)
 
 
-@pytest.mark.parametrize("engine,interface", [("nic", "cni"),
-                                              ("host", "standard"),
-                                              ("host", "cni")])
-def test_allreduce_survives_cell_loss(engine, interface):
+@pytest.mark.parametrize("interface,use_aih", [
+    pytest.param("cni", True, id="nic-cni"),
+    pytest.param("standard", True, id="host-standard"),
+    pytest.param("cni", False, id="host-cni"),
+])
+def test_allreduce_survives_cell_loss(interface, use_aih):
     cfg = CollBenchConfig(op="allreduce", rounds=8, vector_len=4)
-    stats, _ = run_collective_bench(lossy_params(engine), interface, cfg)
+    stats, _ = run_collective_bench(lossy_params(use_aih=use_aih),
+                                    interface, cfg)
     agg = aggregate_nodes(stats.metrics)
     assert agg["faults.cells_dropped"] > 0
     assert agg["nic.reliab.retransmits"] > 0
@@ -38,6 +40,6 @@ def test_allreduce_survives_cell_loss(engine, interface):
 
 def test_lossy_run_is_deterministic():
     cfg = CollBenchConfig(op="allreduce", rounds=6)
-    first, _ = run_collective_bench(lossy_params("nic"), "cni", cfg)
-    second, _ = run_collective_bench(lossy_params("nic"), "cni", cfg)
+    first, _ = run_collective_bench(lossy_params(), "cni", cfg)
+    second, _ = run_collective_bench(lossy_params(), "cni", cfg)
     assert first.digest() == second.digest()

@@ -1,8 +1,9 @@
-"""Engine equivalence and executor determinism for collectives.
+"""Platform equivalence and executor determinism for collectives.
 
-The issue's contract: NIC and host engines produce *identical collective
-results* (the combined values, not the timings), and each engine's runs
-produce identical ``RunStats.digest()`` at any ``--jobs`` value.
+The contract: steps on the NI processor and steps on the host produce
+*identical collective results* (the combined values, not the timings),
+and each platform's runs produce identical ``RunStats.digest()`` at any
+``--jobs`` value.
 """
 
 import pytest
@@ -13,17 +14,18 @@ from repro.harness.experiments import collective_latency_experiment
 from repro.params import SimParams
 from repro.runtime import Cluster
 
-COMBOS = [("nic", "cni"), ("host", "standard"), ("host", "cni")]
+#: (interface, use_aih): the CNI, the standard NI and a CNI without AIH.
+COMBOS = [("cni", True), ("standard", True), ("cni", False)]
 
 
-def _params(nprocs, engine):
-    return SimParams().replace(num_processors=nprocs, collectives=engine,
+def _params(nprocs, use_aih=True):
+    return SimParams().replace(num_processors=nprocs, use_aih=use_aih,
                                dsm_address_space_pages=16)
 
 
-def _collect_results(engine, interface, nprocs=3, rounds=3):
+def _collect_results(interface, use_aih, nprocs=3, rounds=3):
     """Every node's view of every collective result, keyed by round."""
-    cluster = Cluster(_params(nprocs, engine), interface=interface)
+    cluster = Cluster(_params(nprocs, use_aih), interface=interface)
     seen = {}
 
     def kernel(ctx):
@@ -41,18 +43,20 @@ def _collect_results(engine, interface, nprocs=3, rounds=3):
 
 
 def test_engines_produce_identical_collective_results():
-    results = [_collect_results(engine, iface) for engine, iface in COMBOS]
+    results = [_collect_results(iface, aih) for iface, aih in COMBOS]
     assert results[0] == results[1] == results[2]
     # and every node agrees within a run
     for (rank, r), vals in results[0].items():
         assert vals == results[0][(0, r)]
 
 
-@pytest.mark.parametrize("engine,interface", [("nic", "cni"),
-                                              ("host", "standard")])
-def test_digest_identical_at_any_jobs_value(engine, interface):
+@pytest.mark.parametrize("interface", [
+    pytest.param("cni", id="nic-cni"),
+    pytest.param("standard", id="host-standard"),
+])
+def test_digest_identical_at_any_jobs_value(interface):
     specs = [
-        RunSpec("collbench", _params(p, engine), interface,
+        RunSpec("collbench", _params(p), interface,
                 CollBenchConfig(op=op, rounds=3))
         for p in (1, 2, 4) for op in ("barrier", "allreduce")
     ]
@@ -63,8 +67,8 @@ def test_digest_identical_at_any_jobs_value(engine, interface):
 
 def test_repeated_runs_are_bit_identical():
     cfg = CollBenchConfig(op="allreduce", rounds=3)
-    a = run_collective_bench(_params(3, "nic"), "cni", cfg)[0]
-    b = run_collective_bench(_params(3, "nic"), "cni", cfg)[0]
+    a = run_collective_bench(_params(3), "cni", cfg)[0]
+    b = run_collective_bench(_params(3), "cni", cfg)[0]
     assert a.digest() == b.digest()
     assert a.elapsed_ns == b.elapsed_ns
 

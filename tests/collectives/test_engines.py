@@ -1,31 +1,34 @@
-"""Collective-engine unit/behaviour tests: op semantics, platform
-selection, typed errors, and the zero-host-interrupt claim."""
+"""Collective-engine unit/behaviour tests: op semantics on the model's
+three platforms, where the protocol steps run, typed errors, and the
+zero-host-interrupt claim."""
 
 import pytest
 
 from repro.collectives import (
     CollArrive,
     CollectiveError,
-    HostCollectiveEngine,
-    NicCollectiveEngine,
     combine,
     reduce_values,
-    resolve_engine_kind,
     value_wire_bytes,
 )
 from repro.obs import aggregate_nodes
-from repro.params import SimParams, standard_interface_params
+from repro.params import SimParams
 from repro.runtime import Cluster
 
-#: (engine, interface) platforms every behaviour test runs on; the
-#: (host, cni) row exercises the bounce-to-host trampoline path.
-PLATFORMS = [("nic", "cni"), ("host", "standard"), ("host", "cni")]
+#: (interface, use_aih) of the platforms every behaviour test runs on,
+#: named for where the collective steps run: the CNI's AIHs, the
+#: standard NI's host, and the host of a CNI with AIH ablated away
+#: (its board bounces every protocol packet to the host).
+PLATFORMS = [
+    pytest.param("cni", True, id="nic-cni"),
+    pytest.param("standard", True, id="host-standard"),
+    pytest.param("cni", False, id="host-cni"),
+]
 
 
-def make_cluster(nprocs=3, engine=None, interface="cni", **over):
+def make_cluster(nprocs=3, interface="cni", **over):
     params = SimParams().replace(
-        num_processors=nprocs, collectives=engine,
-        dsm_address_space_pages=16, **over)
+        num_processors=nprocs, dsm_address_space_pages=16, **over)
     return Cluster(params, interface=interface)
 
 
@@ -49,9 +52,9 @@ def test_combine_and_reduce_values():
 
 # ------------------------------------------------------- op semantics --
 
-@pytest.mark.parametrize("engine,interface", PLATFORMS)
-def test_allreduce_every_node_gets_combined_value(engine, interface):
-    cluster = make_cluster(3, engine, interface)
+@pytest.mark.parametrize("interface,use_aih", PLATFORMS)
+def test_allreduce_every_node_gets_combined_value(interface, use_aih):
+    cluster = make_cluster(3, interface, use_aih=use_aih)
     got = {}
 
     def kernel(ctx):
@@ -62,9 +65,9 @@ def test_allreduce_every_node_gets_combined_value(engine, interface):
     assert got == {0: [3.0, 3.0], 1: [3.0, 3.0], 2: [3.0, 3.0]}
 
 
-@pytest.mark.parametrize("engine,interface", PLATFORMS)
-def test_reduce_only_root_gets_result(engine, interface):
-    cluster = make_cluster(3, engine, interface)
+@pytest.mark.parametrize("interface,use_aih", PLATFORMS)
+def test_reduce_only_root_gets_result(interface, use_aih):
+    cluster = make_cluster(3, interface, use_aih=use_aih)
     got = {}
 
     def kernel(ctx):
@@ -76,9 +79,9 @@ def test_reduce_only_root_gets_result(engine, interface):
     assert got == {0: None, 1: 6, 2: None}
 
 
-@pytest.mark.parametrize("engine,interface", PLATFORMS)
-def test_broadcast_delivers_root_value(engine, interface):
-    cluster = make_cluster(3, engine, interface)
+@pytest.mark.parametrize("interface,use_aih", PLATFORMS)
+def test_broadcast_delivers_root_value(interface, use_aih):
+    cluster = make_cluster(3, interface, use_aih=use_aih)
     got = {}
 
     def kernel(ctx):
@@ -90,9 +93,9 @@ def test_broadcast_delivers_root_value(engine, interface):
     assert got == {0: 42.0, 1: 42.0, 2: 42.0}
 
 
-@pytest.mark.parametrize("engine,interface", PLATFORMS)
-def test_multicast_hits_only_destinations(engine, interface):
-    cluster = make_cluster(4, engine, interface)
+@pytest.mark.parametrize("interface,use_aih", PLATFORMS)
+def test_multicast_hits_only_destinations(interface, use_aih):
+    cluster = make_cluster(4, interface, use_aih=use_aih)
     got = {}
 
     def kernel(ctx):
@@ -105,9 +108,9 @@ def test_multicast_hits_only_destinations(engine, interface):
     assert got == {0: [7.0], 1: [7.0], 2: None, 3: [7.0]}
 
 
-@pytest.mark.parametrize("engine,interface", PLATFORMS)
-def test_mixed_collectives_and_dsm_barriers_interleave(engine, interface):
-    cluster = make_cluster(2, engine, interface)
+@pytest.mark.parametrize("interface,use_aih", PLATFORMS)
+def test_mixed_collectives_and_dsm_barriers_interleave(interface, use_aih):
+    cluster = make_cluster(2, interface, use_aih=use_aih)
     got = {}
 
     def kernel(ctx):
@@ -124,37 +127,6 @@ def test_mixed_collectives_and_dsm_barriers_interleave(engine, interface):
     assert got == {0: (3.0, 30.0, 30.0), 1: (3.0, 30.0, None)}
 
 
-# ------------------------------------------------- engine resolution --
-
-def test_engine_resolution_follows_platform():
-    p = SimParams()
-    assert resolve_engine_kind(p, "cni") == "nic"
-    assert resolve_engine_kind(standard_interface_params(p),
-                               "standard") == "host"
-    assert resolve_engine_kind(p.replace(use_aih=False), "cni") == "host"
-    assert resolve_engine_kind(p.replace(collectives="host"), "cni") == "host"
-
-
-def test_forced_nic_engine_requires_cni_with_aih():
-    with pytest.raises(CollectiveError):
-        make_cluster(2, engine="nic", interface="standard")
-    with pytest.raises(CollectiveError):
-        make_cluster(2, engine="nic", interface="cni", use_aih=False)
-
-
-def test_invalid_collectives_param_rejected():
-    with pytest.raises(ValueError):
-        SimParams().replace(collectives="board")
-
-
-def test_cluster_engines_match_selection():
-    assert isinstance(make_cluster(2).nodes[0].coll, NicCollectiveEngine)
-    assert isinstance(make_cluster(2, interface="standard").nodes[0].coll,
-                      HostCollectiveEngine)
-    assert isinstance(make_cluster(2, engine="host").nodes[0].coll,
-                      HostCollectiveEngine)
-
-
 # ------------------------------------------------------- typed errors --
 
 def test_duplicate_arrival_raises_collective_error():
@@ -169,6 +141,8 @@ def test_unknown_participant_raises_collective_error():
     coll = make_cluster(2).nodes[0].coll
     with pytest.raises(CollectiveError):
         coll._arrive_logic(CollArrive(0, "barrier", 0, 5, "sum", None, 0))
+    # CollectiveError subclasses ValueError: legacy handlers still catch.
+    assert issubclass(CollectiveError, ValueError)
 
 
 def test_mixed_op_episode_raises_collective_error():
@@ -223,10 +197,49 @@ def test_host_engine_takes_host_steps_on_standard_interface():
 
 
 def test_host_engine_on_cni_bounces_to_host():
-    cluster = make_cluster(4, engine="host", interface="cni")
+    """A CNI without AIH bounces every collective packet to its host:
+    the board charges one interrupt and kernel trap, then the step costs
+    the host its protocol cycles — each exactly once per packet."""
+    cluster = make_cluster(4, use_aih=False)
+    p = cluster.params
+    stolen = []
+    for node in cluster.nodes:
+        def steal(ns, steal=node.steal_host_time):
+            stolen.append(ns)
+            steal(ns)
+        node.steal_host_time = steal
     stats = cluster.run(barrier_kernel())
     agg = aggregate_nodes(stats.metrics)
-    assert agg["coll.nic_steps"] == 0
-    assert agg["coll.host_steps"] > 0
-    # AIH trampolines still dispatched on the board
-    assert agg["nic.aih.dispatches"] > 0
+    steps = agg["coll.host_steps"]
+    assert agg["coll.nic_steps"] == 0 and steps > 0
+    bounce = p.interrupt_latency_ns + p.cpu_cycles_ns(p.kernel_trap_cycles)
+    step = p.cpu_cycles_ns(p.host_protocol_cycles)
+    assert stolen.count(bounce) == steps
+    assert stolen.count(step) == steps
+    assert len(stolen) == 2 * steps
+
+
+# ------------------------------------------------ where the steps run --
+
+def test_collective_steps_run_where_the_platform_puts_them():
+    """One engine, three platforms: a CNI with AIH runs every inbound
+    collective step on the NI processor; the standard NI and a CNI
+    without AIH run every one on the host, with no AIH dispatch.  The
+    packets are the same, so the step count is too."""
+    steps = []
+    for platform in PLATFORMS:
+        interface, use_aih = platform.values
+        stats = make_cluster(4, interface, use_aih=use_aih).run(
+            barrier_kernel())
+        agg = aggregate_nodes(stats.metrics)
+        board, host = agg["coll.nic_steps"], agg["coll.host_steps"]
+        dispatches = agg.get("nic.aih.dispatches", 0)
+        if platform.id == "nic-cni":
+            assert host == 0 and agg["coll.host_interrupts"] == 0
+            assert dispatches == board
+            steps.append(board)
+        else:
+            assert board == 0 and dispatches == 0
+            assert agg["coll.host_interrupts"] == host
+            steps.append(host)
+    assert steps[0] > 0 and steps == [steps[0]] * 3

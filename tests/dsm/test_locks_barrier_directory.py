@@ -1,20 +1,8 @@
-"""Unit tests for lock tables, barrier manager and home policy."""
+"""Unit tests for lock tables and home policy."""
 
 import pytest
 
-from repro.collectives import CollectiveError
-from repro.dsm import (
-    BarrierManager,
-    HomePolicy,
-    Interval,
-    LocalLockTable,
-    LockManagerTable,
-    WriteNotice,
-)
-
-
-def iv(proc, seq):
-    return Interval(proc=proc, seq=seq, notices=())
+from repro.dsm import HomePolicy, LocalLockTable, LockManagerTable
 
 
 # ---------------------------------------------------------------- lock tables --
@@ -41,66 +29,6 @@ def test_held_locks():
     t.state(2)
     t.state(7).held = True
     assert t.held_locks() == [1, 7]
-
-
-# ------------------------------------------------------------------- barrier --
-
-def test_barrier_gathers_and_completes():
-    mgr = BarrierManager(3)
-    mgr.arrive(0, 0, [iv(0, 1)])
-    assert not mgr.is_complete(0)
-    mgr.arrive(0, 1, [])
-    mgr.arrive(0, 2, [iv(2, 1)])
-    assert mgr.is_complete(0)
-    ep = mgr.complete(0)
-    assert {(i.proc, i.seq) for i in ep.intervals} == {(0, 1), (2, 1)}
-    assert ep.episode == 1
-
-
-def test_barrier_double_arrival_rejected():
-    mgr = BarrierManager(2)
-    mgr.arrive(0, 0, [])
-    with pytest.raises(CollectiveError):
-        mgr.arrive(0, 0, [])
-
-
-def test_barrier_unknown_participant_rejected():
-    mgr = BarrierManager(2)
-    with pytest.raises(CollectiveError):
-        mgr.arrive(0, 2, [])
-    with pytest.raises(CollectiveError):
-        mgr.arrive(0, -1, [])
-    # CollectiveError subclasses ValueError: legacy handlers still catch.
-    assert issubclass(CollectiveError, ValueError)
-
-
-def test_barrier_premature_complete_rejected():
-    mgr = BarrierManager(2)
-    mgr.arrive(0, 0, [])
-    with pytest.raises(RuntimeError):
-        mgr.complete(0)
-
-
-def test_barrier_episodes_increment():
-    mgr = BarrierManager(1)
-    mgr.arrive(0, 0, [])
-    assert mgr.complete(0).episode == 1
-    mgr.arrive(0, 0, [])
-    assert mgr.complete(0).episode == 2
-    assert mgr.crossings == 2
-
-
-def test_barrier_ids_independent():
-    mgr = BarrierManager(2)
-    mgr.arrive(0, 0, [])
-    mgr.arrive(1, 0, [])
-    mgr.arrive(1, 1, [])
-    assert mgr.is_complete(1) and not mgr.is_complete(0)
-
-
-def test_barrier_validation():
-    with pytest.raises(CollectiveError):
-        BarrierManager(0)
 
 
 # ---------------------------------------------------------------- home policy --

@@ -38,11 +38,6 @@ def test_bad_deadline_and_heartbeat_exit_nonzero(capsys):
     assert "--heartbeat-ns" in capsys.readouterr().err
 
 
-def test_bad_collectives_value_exits_nonzero(capsys):
-    assert main(["--collectives", "carrier-pigeon", "fig2"]) == 1
-    assert "--collectives" in capsys.readouterr().err
-
-
 def test_bad_fault_plan_exits_nonzero(capsys):
     assert main(["--fault-plan", "gibberish((", "fig2"]) == 1
     assert "--fault-plan" in capsys.readouterr().err

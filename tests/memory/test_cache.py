@@ -75,13 +75,16 @@ def test_write_hit_then_conflict_writes_back():
     assert r.evicted_lines.tolist() == [0]
 
 
-def test_drop_returns_dirty_lines_only():
-    c = level(nlines=8)
-    c.burst(np.array([1, 2]), is_write=True)
+@pytest.mark.parametrize("track_dirty", [True, False],
+                         ids=["tracks-dirty", "no-dirty-bits"])
+def test_drop_clears_tags_and_dirty_bits_in_range(track_dirty):
+    c = level(nlines=8, track_dirty=track_dirty)
+    c.burst(np.array([1, 2, 6]), is_write=True)
     c.burst(np.array([3]), is_write=False)
-    dirty = c.drop_range(1, 4)
-    assert sorted(dirty.tolist()) == [1, 2]
-    assert not c.resident(1) and not c.resident(3)
+    assert c.drop_range(1, 4) is None
+    assert c.tags.tolist() == [-1, -1, -1, -1, -1, -1, 6, -1]
+    # Line 6 lies outside the range; only a tracking level marks it.
+    assert np.flatnonzero(c.dirty).tolist() == ([6] if track_dirty else [])
 
 
 def test_clean_writes_back_and_keeps_resident():
@@ -102,9 +105,10 @@ def test_range_wrapping_the_set_index_takes_both_ends():
     assert c.clean_range(5, 6).tolist() == [5, 10]
     assert all(c.resident(x) for x in range(5, 11))
     c.burst(np.array([6, 9]), is_write=True)
-    assert c.drop_range(6, 4).tolist() == [6, 9]
+    c.drop_range(6, 4)
     assert [c.resident(x) for x in range(5, 11)] == [
         True, False, False, False, False, True]
+    assert not c.dirty.any()
 
 
 def test_range_of_nsets_lines_or_more_takes_every_set():
@@ -116,8 +120,10 @@ def test_range_of_nsets_lines_or_more_takes_every_set():
     c.burst(np.array([8, 5, 2, 3]), is_write=True)
     assert c.clean_range(3, 4).tolist() == [3, 5]    # exactly nsets lines
     assert c.clean_range(0, 12).tolist() == [2, 8]
-    assert c.drop_range(4, 5).tolist() == []         # clean by now
+    c.burst(np.array([5]), is_write=True)            # dirty again
+    c.drop_range(4, 5)
     assert [c.resident(x) for x in (2, 3, 5, 8)] == [True, True, False, False]
+    assert not c.dirty.any()
 
 
 def test_empty_burst():

@@ -18,7 +18,8 @@ def test_bad_interface_rejected():
 
 def test_standard_interface_forces_features_off():
     cluster = Cluster(params(), interface="standard")
-    assert not cluster.params.use_message_cache
+    assert not cluster.params.transmit_caching
+    assert not cluster.params.receive_caching
     assert not cluster.params.use_aih
 
 
@@ -26,7 +27,7 @@ def test_cni_keeps_ablation_flags():
     p = params().replace(receive_caching=False)
     cluster = Cluster(p, interface="cni")
     assert not cluster.params.receive_caching
-    assert cluster.params.use_message_cache  # untouched
+    assert cluster.params.transmit_caching  # untouched
 
 
 def test_cluster_runs_once():

@@ -39,8 +39,8 @@ def test_accounting_categories():
 def test_steal_accumulates_and_drains():
     cluster = one_node_cluster()
     node = cluster.nodes[0]
-    node.steal_host_time(10.0, Category.SYNCH_OVERHEAD)
-    node.steal_host_time(5.0, Category.SYNCH_OVERHEAD)
+    node.steal_host_time(10.0)
+    node.steal_host_time(5.0)
     assert node.account.ns[Category.SYNCH_OVERHEAD] == 15.0
     assert node.take_stolen_ns() == 15.0
     assert node.take_stolen_ns() == 0.0
@@ -51,7 +51,7 @@ def test_stolen_time_inflates_compute():
     node = cluster.nodes[0]
 
     def kernel(ctx):
-        node.steal_host_time(1000.0, Category.SYNCH_OVERHEAD)
+        node.steal_host_time(1000.0)
         t0 = ctx.sim.now
         yield from ctx.compute(166)  # 1000 ns of work at 166 MHz
         assert ctx.sim.now - t0 == pytest.approx(2000.0, rel=1e-6)
@@ -64,11 +64,12 @@ def test_stolen_time_inflates_compute():
 def test_charges_reject_negative_time():
     node = one_node_cluster().nodes[0]
     for charge in (node.account_compute, node.account_overhead,
-                   node.account_delay):
+                   node.account_delay, node.steal_host_time):
         with pytest.raises(ValueError, match="negative time charge"):
             charge(-1.0)
     assert node.account.as_dict() == {
         "computation": 0.0, "synch_overhead": 0.0, "synch_delay": 0.0}
+    assert node.take_stolen_ns() == 0.0
 
 
 def test_flush_page_writes_back_and_snoops():

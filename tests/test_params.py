@@ -83,7 +83,7 @@ def test_message_cache_zero_is_allowed():
 
 def test_standard_interface_strips_cni_features():
     p = standard_interface_params()
-    assert not p.use_message_cache
+    assert not p.transmit_caching and not p.receive_caching
     assert not p.use_aih
     assert not p.snoop_enabled
     # hardware is otherwise identical
@@ -93,7 +93,8 @@ def test_standard_interface_strips_cni_features():
 
 def test_cni_params_all_on():
     p = cni_params()
-    assert p.use_message_cache and p.use_aih and p.snoop_enabled
+    assert p.transmit_caching and p.receive_caching
+    assert p.use_aih and p.snoop_enabled
 
 
 def test_frozen():

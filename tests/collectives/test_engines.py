@@ -6,7 +6,9 @@ import pytest
 
 from repro.collectives import (
     CollArrive,
+    CollectiveEngine,
     CollectiveError,
+    CollMsgType,
     combine,
     reduce_values,
     value_wire_bytes,
@@ -221,11 +223,12 @@ def test_host_engine_on_cni_bounces_to_host():
 
 # ------------------------------------------------ where the steps run --
 
-def test_collective_steps_run_where_the_platform_puts_them():
-    """One engine, three platforms: a CNI with AIH runs every inbound
-    collective step on the NI processor; the standard NI and a CNI
-    without AIH run every one on the host, with no AIH dispatch.  The
-    packets are the same, so the step count is too."""
+def test_engine_resolution_follows_platform():
+    """One engine, three platforms: where a collective step runs is
+    resolved from the board.  A CNI with AIH runs every inbound step on
+    the NI processor; the standard NI and a CNI without AIH run every
+    one on the host, with no AIH dispatch.  The packets are the same, so
+    the step count is too."""
     steps = []
     for platform in PLATFORMS:
         interface, use_aih = platform.values
@@ -243,3 +246,24 @@ def test_collective_steps_run_where_the_platform_puts_them():
             assert agg["coll.host_interrupts"] == host
             steps.append(host)
     assert steps[0] > 0 and steps == [steps[0]] * 3
+
+
+def test_cluster_engines_match_selection():
+    """Every platform builds the one engine per node, rooted at the
+    barrier manager with the DSM engine as its consistency attachment.
+    Only a CNI programs the collective message types as board handlers
+    (with AIH ablated away the same patterns bounce to the host)."""
+    for platform in PLATFORMS:
+        interface, use_aih = platform.values
+        cluster = make_cluster(3, interface, use_aih=use_aih)
+        for node in cluster.nodes:
+            coll = node.coll
+            assert type(coll) is CollectiveEngine
+            assert coll.node is node and coll.me == node.node_id
+            assert coll.root == cluster.homes.barrier_manager
+            assert coll.consistency is node.engine
+            if interface == "cni":
+                assert all(node.nic.handlers.installed(int(t))
+                           for t in CollMsgType)
+            else:
+                assert not hasattr(node.nic, "handlers")

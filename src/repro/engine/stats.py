@@ -123,13 +123,6 @@ class RunStats:
     at the end of the run (dotted name -> value); see
     docs/observability.md for the catalog."""
 
-    metric_kinds: Dict[str, str] = field(default_factory=dict)
-    """``{dotted name: kind}`` for :attr:`metrics` ("counter", "gauge"
-    or "histogram").  Lets :func:`repro.obs.registry_from_snapshot`
-    rebuild a mergeable registry from the snapshot — the parallel sweep
-    executor uses it to fold worker metric trees into one sweep-wide
-    tree with the right per-kind semantics."""
-
     def category_total_ns(self, category: Category) -> float:
         """Sum of ``category`` across processors."""
         slot = category.value

@@ -25,8 +25,6 @@ from .parallel import (
     default_jobs,
     effective_cores,
     execute_run,
-    merge_run_metrics,
-    pool_metrics,
     pool_size,
     run_map,
     set_default_jobs,
@@ -61,12 +59,10 @@ __all__ = [
     "format_series",
     "format_table",
     "latency_microbenchmark",
-    "merge_run_metrics",
     "message_cache_size_experiment",
     "one_way_latency_ns",
     "overhead_table_experiment",
     "page_size_experiment",
-    "pool_metrics",
     "pool_size",
     "render_series_svg",
     "run_experiment",

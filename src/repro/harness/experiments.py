@@ -41,11 +41,6 @@ from .results import SeriesResult, TableResult
 DEFAULT_PROCS = (1, 2, 4, 8, 16, 32)
 
 
-def _run_app(app: str, params: SimParams, interface: str, workload) -> RunStats:
-    """Run one point in-process and record it (single-run convenience)."""
-    return run_map([RunSpec(app, params, interface, workload)], jobs=1)[0]
-
-
 def speedup_experiment(
     app: str,
     workload,

@@ -3,10 +3,9 @@
 Every experiment in this harness is a grid of *independent* simulated
 cluster runs (interface x parameter value x processor count).  The runs
 share nothing at runtime — each builds its own :class:`~repro.runtime.Cluster`
-— so they fan out across a process pool the way Balsam fans independent
-jobs across a pilot allocation, with one hard requirement on top:
-**bit-for-bit determinism**.  A sweep executed with ``--jobs 8`` must
-produce exactly the per-point :meth:`~repro.engine.RunStats.digest`
+— so they fan out across a process pool, with one hard requirement on
+top: **bit-for-bit determinism**.  A sweep executed with ``--jobs 8``
+must produce exactly the per-point :meth:`~repro.engine.RunStats.digest`
 values that ``--jobs 1`` produces (the in-process debugging path), which
 the executor guarantees by
 
@@ -14,27 +13,19 @@ the executor guarantees by
 * seeding each worker's global RNGs from the spec's position in the
   sweep (the simulation's own randomness — fault plans, Water's initial
   state — is already carried by explicit seeds inside the spec);
-* re-sequencing results by sweep position in the parent (chunks finish
-  out of order; the result list and all shared mutation — the
-  :data:`~repro.harness.export.GLOBAL_METRICS_LOG` recording — are
-  strictly in spec order).
+* returning results in spec order (``Executor.map``) and doing all
+  shared mutation — the :data:`~repro.harness.export.GLOBAL_METRICS_LOG`
+  recording — in the parent, in spec order.
 
 The pool itself is **warm**: created lazily on the first ``run_map``
 that needs workers, sized by :func:`default_jobs`, and reused across
-calls, so an experiment made of many small sweeps pays worker
-spawn + interpreter import once per *process*, not once per sweep.
-Workers pre-import the simulation stack on spawn
-(:func:`_warm_worker`), specs ship in per-worker **chunks** whose shared
-``SimParams`` / workload configs are pickled once per chunk rather than
-once per point, and the pool is torn down by ``atexit`` (or immediately
-when a worker raises an untyped error) so no orphan workers outlive the
-harness.  Lifecycle and overhead are instrumented under the
-``harness.pool.*`` metrics (:func:`pool_metrics`).
-
-Worker metric trees come back inside ``RunStats.metrics`` /
-``RunStats.metric_kinds`` and fold into one sweep-wide tree through the
-existing dotted-hierarchy merge (:func:`merge_run_metrics` →
-:func:`repro.obs.registry_from_snapshot` + :meth:`MetricsRegistry.merge`).
+calls, so an experiment made of many small sweeps pays worker spawn
+once per *process*, not once per sweep.  Each sweep is one
+``Executor.map`` in chunks of :func:`_chunksize` points; a chunk
+pickles as one call, so the ``SimParams`` and workload config its specs
+share cross the process boundary once per chunk.  The pool is torn down
+at exit, or at once when a worker raises an untyped error, so no orphan
+workers outlive the harness.
 
 See docs/parallel_runs.md for the design and the `--jobs` CLI usage.
 """
@@ -45,26 +36,21 @@ import atexit
 import hashlib
 import os
 import random
-import time
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import RunStats
-from ..obs import MetricsRegistry, registry_from_snapshot
 from ..params import SimParams
 
 __all__ = [
-    "POOL_METRICS",
     "RunFailure",
     "RunSpec",
     "default_jobs",
     "effective_cores",
     "execute_run",
-    "merge_run_metrics",
-    "pool_metrics",
     "pool_size",
     "run_map",
     "set_default_jobs",
@@ -84,35 +70,9 @@ _default_jobs: int = 1
 #: that per-chunk submit/pickle overhead stays negligible.
 _CHUNKS_PER_WORKER = 2
 
-#: Dispatch-overhead histogram buckets (ns per point): spans IPC noise
-#: (~tens of us) up to a full worker cold-start (~hundreds of ms).
-_OVERHEAD_BUCKETS_NS: Tuple[float, ...] = (
-    10_000.0, 30_000.0, 100_000.0, 300_000.0, 1_000_000.0, 3_000_000.0,
-    10_000_000.0, 30_000_000.0, 100_000_000.0, 1_000_000_000.0,
-)
-
-#: Parent-side registry for the executor's own lifecycle metrics.  These
-#: are *harness* metrics (one registry per parent process), deliberately
-#: separate from the per-run simulation registries that ship back inside
-#: ``RunStats.metrics`` — see the ``harness.pool.*`` catalog section in
-#: docs/observability.md.
-POOL_METRICS = MetricsRegistry()
-_pool_scope = POOL_METRICS.scope("harness.pool")
-_m_spawns = _pool_scope.counter("spawns")
-_m_workers = _pool_scope.counter("workers_provisioned")
-_m_warm_hits = _pool_scope.counter("warm_hits")
-_m_shutdowns = _pool_scope.counter("shutdowns")
-_m_chunks = _pool_scope.counter("chunks_dispatched")
-_m_points = _pool_scope.counter("points_dispatched")
-_m_inline = _pool_scope.counter("points_inline")
-_m_size = _pool_scope.gauge("size")
-_m_overhead = _pool_scope.histogram("dispatch_overhead_ns",
-                                    _OVERHEAD_BUCKETS_NS)
-
 #: The warm pool (created lazily, survives across ``run_map`` calls).
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_size: int = 0
-_atexit_registered = False
 
 
 def default_jobs() -> int:
@@ -128,13 +88,6 @@ def effective_cores() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover — non-Linux
         return os.cpu_count() or 1
-
-
-def _force_pool() -> bool:
-    """``REPRO_POOL_FORCE=1`` disables the cpu-aware worker clamp —
-    tests and the bench dispatch-overhead arm use it to exercise the
-    real pool even on a 1-core machine."""
-    return os.environ.get("REPRO_POOL_FORCE", "") == "1"
 
 
 def set_default_jobs(jobs: Optional[int]) -> int:
@@ -166,8 +119,8 @@ class RunSpec:
     """
 
     app: str
-    """Application kernel: ``jacobi``, ``water``, ``cholesky`` or
-    ``collbench`` (the collective microbenchmark)."""
+    """Workload name in the registry (:data:`repro.apps.WORKLOADS`),
+    such as ``jacobi`` or ``collbench``."""
 
     params: SimParams
     """Full simulation configuration (processor count, fault plan, ...)."""
@@ -278,60 +231,28 @@ def execute_run(spec: RunSpec, index: int = 0,
 
 # -- the warm pool -------------------------------------------------------------
 
-def _warm_worker() -> None:
-    """Worker initializer: run once per spawned worker, before any chunk.
-
-    Pre-imports the full simulation stack (engine, DSM, runtime,
-    collectives, workload registry) and touches numpy so the first real
-    chunk a worker executes pays simulation cost only — no import or
-    allocator cold-start inside a timed sweep.
-    """
-    import repro.apps  # noqa: F401  (workload registry -> engine/dsm/network)
-    import repro.collectives  # noqa: F401
-    import repro.runtime  # noqa: F401
-
-    np.dot(np.zeros(4), np.zeros(4))  # prime numpy's dispatch caches
-
-
-def _atexit_shutdown() -> None:
-    shutdown_pool()
-
-
 def _get_pool(workers: int) -> ProcessPoolExecutor:
     """The warm pool, creating (or growing) it if needed.
 
     Sized ``max(workers, default_jobs())`` so the common CLI pattern —
     ``set_default_jobs(N)`` then many sweeps — provisions once up front.
-    A pool that is already at least as large as the request is a *warm
-    hit* and is reused as-is; a smaller one is torn down and replaced
+    A pool that is already at least as large as the request is reused
+    as-is; a smaller one is torn down and replaced
     (``ProcessPoolExecutor`` cannot grow in place).
     """
-    global _pool, _pool_size, _atexit_registered
+    global _pool, _pool_size
     if _pool is not None:
         if _pool_size >= workers:
-            _m_warm_hits.inc()
             return _pool
         shutdown_pool()
     size = max(workers, default_jobs())
-    pool = ProcessPoolExecutor(max_workers=size, initializer=_warm_worker)
-    _pool, _pool_size = pool, size
-    _m_spawns.inc()
-    _m_workers.inc(size)
-    _m_size.set(size)
-    if not _atexit_registered:
-        atexit.register(_atexit_shutdown)
-        _atexit_registered = True
-    return pool
+    _pool, _pool_size = ProcessPoolExecutor(max_workers=size), size
+    return _pool
 
 
 def pool_size() -> int:
     """Provisioned worker count of the live warm pool (0 when cold)."""
     return _pool_size if _pool is not None else 0
-
-
-def pool_metrics() -> Dict[str, Any]:
-    """Flat snapshot of the executor's ``harness.pool.*`` metrics."""
-    return POOL_METRICS.snapshot()
 
 
 def shutdown_pool(cancel_pending: bool = False) -> None:
@@ -344,17 +265,12 @@ def shutdown_pool(cancel_pending: bool = False) -> None:
     """
     global _pool, _pool_size
     pool, _pool, _pool_size = _pool, None, 0
-    if pool is None:
-        return
-    _m_shutdowns.inc()
-    _m_size.set(0)
-    try:
+    if pool is not None:
         pool.shutdown(wait=True, cancel_futures=cancel_pending)
-    except TypeError:  # pragma: no cover — Python < 3.9
-        pool.shutdown(wait=True)
 
 
-# -- chunked dispatch ----------------------------------------------------------
+atexit.register(shutdown_pool)
+
 
 def _chunksize(points: int, workers: int) -> int:
     """Points per chunk: ~``_CHUNKS_PER_WORKER`` chunks per worker.
@@ -366,109 +282,16 @@ def _chunksize(points: int, workers: int) -> int:
     return max(1, -(-points // (workers * _CHUNKS_PER_WORKER)))
 
 
-def _encode_chunk(start: int, specs: Sequence[RunSpec],
-                  on_error: str) -> Tuple[str, List[Any], List[Tuple]]:
-    """Pack a contiguous run of specs for one pool submission.
-
-    ``SimParams`` and workload configs repeat heavily across a sweep
-    (eight points typically share one workload object and four params
-    values), so each distinct object lands once in a shared table and
-    points reference it by index — the chunk pickles the shared objects
-    once, not once per point.
-    """
-    shared: List[Any] = []
-
-    def share(obj: Any) -> int:
-        for i, seen in enumerate(shared):
-            if seen is obj:
-                return i
-            try:
-                if type(seen) is type(obj) and seen == obj:
-                    return i
-            except Exception:
-                pass  # exotic __eq__ (e.g. array-valued): identity only
-        shared.append(obj)
-        return len(shared) - 1
-
-    points = [(start + i, spec.app, share(spec.params), spec.interface,
-               share(spec.workload), spec.seed, spec.meta)
-              for i, spec in enumerate(specs)]
-    return on_error, shared, points
-
-
-def _run_chunk(payload: Tuple[str, List[Any], List[Tuple]]
-               ) -> Tuple[List[Tuple[int, Any]], float]:
-    """Pool-worker body: execute one chunk, in chunk order.
-
-    Each point is rebuilt into a :class:`RunSpec` and executed through
-    :func:`execute_run` with its *global* sweep index, so RNG seeding is
-    identical to the ``--jobs 1`` path.  Returns the indexed results
-    plus the chunk's busy time, from which the parent derives per-point
-    dispatch overhead.
-    """
-    on_error, shared, points = payload
-    t0 = time.perf_counter()
-    out = []
-    for index, app, params_i, interface, workload_i, seed, meta in points:
-        spec = RunSpec(app, shared[params_i], interface,
-                       workload=shared[workload_i], seed=seed, meta=meta)
-        out.append((index, execute_run(spec, index, on_error=on_error)))
-    return out, time.perf_counter() - t0
-
-
-def _dispatch_chunked(specs: Sequence[RunSpec], workers: int,
-                      on_error: str, chunksize: Optional[int]) -> List[Any]:
-    """Fan the specs over the warm pool; return results in spec order.
-
-    Chunks complete out of order (``as_completed``), and each result is
-    slotted back by its global index — so a fast worker never waits on a
-    slow chunk submitted earlier, yet callers observe pure spec order.
-    Any exception escaping a chunk (a worker raising an *untyped* error,
-    or the pool breaking outright) tears the pool down before
-    propagating: no orphan workers, and the next ``run_map`` cold-starts
-    a fresh pool.
-    """
-    n = len(specs)
-    size = chunksize if chunksize is not None else _chunksize(n, workers)
-    if size < 1:
-        raise ValueError(f"chunksize={size} must be >= 1")
-    pool = _get_pool(workers)
-    results: List[Any] = [None] * n
-    submitted: Dict[Future, Tuple[float, int]] = {}
-    for begin in range(0, n, size):
-        chunk = _encode_chunk(begin, specs[begin:begin + size], on_error)
-        fut = pool.submit(_run_chunk, chunk)
-        submitted[fut] = (time.perf_counter(), len(chunk[2]))
-    _m_chunks.inc(len(submitted))
-    _m_points.inc(n)
-    try:
-        for fut in as_completed(submitted):
-            out, busy_s = fut.result()
-            wall_s = time.perf_counter() - submitted[fut][0]
-            per_point_ns = max(0.0, wall_s - busy_s) * 1e9 / len(out)
-            for index, stats in out:
-                _m_overhead.observe(per_point_ns)
-                results[index] = stats
-    except BaseException:
-        shutdown_pool(cancel_pending=True)
-        raise
-    return results
-
-
 def run_map(specs: Sequence[RunSpec], jobs: Optional[int] = None,
-            record: bool = True, on_error: str = "raise",
-            chunksize: Optional[int] = None) -> List[Any]:
+            record: bool = True, on_error: str = "raise") -> List[Any]:
     """Run every spec; return their :class:`RunStats` in spec order.
 
     ``jobs`` is the worker-process count (None → :func:`default_jobs`;
-    1 → run in-process, no pool).  ``jobs > 1`` dispatches chunks of
-    specs onto the shared **warm pool** (created on first use, reused by
-    every later call — see the module docstring), clamped to
-    :func:`effective_cores` so over-subscribing a small machine can
-    never run slower than serial (``REPRO_POOL_FORCE=1`` disables the
-    clamp); ``chunksize`` overrides
-    the points-per-chunk heuristic (:func:`_chunksize`).  With
-    ``record=True`` each run is recorded into
+    1 → run in-process, no pool).  ``jobs > 1`` maps the specs over the
+    shared **warm pool** (created on first use, reused by every later
+    call — see the module docstring), clamped to :func:`effective_cores`
+    so over-subscribing a small machine can never run slower than
+    serial.  With ``record=True`` each run is recorded into
     :data:`~repro.harness.export.GLOBAL_METRICS_LOG` — in the parent, in
     spec order, with the run's ``digest`` attached — so ``--metrics``
     exports are byte-identical at any jobs setting.
@@ -476,7 +299,9 @@ def run_map(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     ``on_error="record"`` returns a :class:`RunFailure` in the failed
     run's slot (typed errors only) instead of letting one dying worker
     abort the whole sweep; failures are skipped by the metrics-log
-    recording since they produced no metrics.
+    recording since they produced no metrics.  Any other exception
+    tears the pool down before it propagates, and the next call
+    cold-starts a fresh one.
     """
     specs = list(specs)
     if on_error not in ("raise", "record"):
@@ -488,19 +313,23 @@ def run_map(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     if not specs:
         return []
 
-    workers = min(jobs, len(specs))
-    if workers > 1 and not _force_pool():
-        # CPU-aware worker budget: two workers on one core is strictly a
-        # loss (pure dispatch tax, zero parallelism), so ``--jobs 2`` on
-        # a 1-core box runs in-process — never slower than serial —
-        # while any multi-core machine gets the full requested fan-out.
-        workers = min(workers, effective_cores())
+    # CPU-aware worker budget: two workers on one core is strictly a
+    # loss (pure dispatch tax, zero parallelism), so ``--jobs 2`` on a
+    # 1-core box runs in-process — never slower than serial — while any
+    # multi-core machine gets the full requested fan-out.
+    workers = min(jobs, len(specs), effective_cores())
     if workers <= 1:
         results = [execute_run(spec, i, on_error=on_error)
                    for i, spec in enumerate(specs)]
-        _m_inline.inc(len(specs))
     else:
-        results = _dispatch_chunked(specs, workers, on_error, chunksize)
+        pool = _get_pool(workers)
+        try:
+            results = list(pool.map(
+                execute_run, specs, range(len(specs)), repeat(on_error),
+                chunksize=_chunksize(len(specs), workers)))
+        except BaseException:
+            shutdown_pool(cancel_pending=True)
+            raise
 
     if record:
         from .export import GLOBAL_METRICS_LOG
@@ -512,23 +341,3 @@ def run_map(specs: Sequence[RunSpec], jobs: Optional[int] = None,
                 spec.app, spec.interface, spec.params.num_processors,
                 stats.metrics, digest=stats.digest(), **dict(spec.meta))
     return results
-
-
-def merge_run_metrics(runs: Iterable[RunStats],
-                      into: Optional[MetricsRegistry] = None,
-                      prefix: str = "") -> MetricsRegistry:
-    """Fold every run's metric tree into one registry.
-
-    Each run's flat snapshot is rebuilt into a registry
-    (:func:`repro.obs.registry_from_snapshot`, using the run's
-    ``metric_kinds``) and merged through the standard dotted-hierarchy
-    merge: counters sum, gauges max, histograms add bucket-wise.  This
-    is how a parallel sweep gets its cluster-wide totals despite every
-    run having executed in a different process.
-    """
-    merged = into if into is not None else MetricsRegistry()
-    for stats in runs:
-        merged.merge(registry_from_snapshot(stats.metrics,
-                                            stats.metric_kinds),
-                     prefix=prefix)
-    return merged

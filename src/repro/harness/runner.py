@@ -373,6 +373,12 @@ def run_experiment(exp_id: str, scale: Scale = None,
     return EXPERIMENTS[exp_id](scale or active_scale(), base_params)
 
 
+#: The runner's options, as its unknown-option message lists them.
+_OPTIONS = ("--full", "--jobs N", "--metrics DIR", "--results DIR",
+            "--svg DIR", "--csv DIR", "--fault-plan SPEC", "--topology SPEC",
+            "--deadline-ns NS", "--heartbeat-ns NS", "-h/--help")
+
+
 def _take_option(argv: List[str], name: str) -> Optional[str]:
     if name in argv:
         i = argv.index(name)
@@ -470,6 +476,11 @@ def main(argv: List[str] = None) -> int:
         print(__doc__)
         print("experiments:", " ".join(sorted(EXPERIMENTS)))
         return 0 if argv else 2
+    options = [a for a in argv if a.startswith("-")]
+    if options:
+        print(f"unknown option {options[0]} (options: {', '.join(_OPTIONS)})",
+              file=sys.stderr)
+        return 2
     ids = sorted(EXPERIMENTS) if argv == ["all"] else argv
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:

@@ -1,4 +1,4 @@
-"""Host memory-system models: caches, bus, DRAM, MMU.
+"""Host memory-system models: caches, bus, MMU.
 
 The constraints of Section 1 are embedded here: the board reaches host
 memory only through :class:`MemoryBus` DMA, there are no custom cache
@@ -24,7 +24,6 @@ from .cache import (
     CacheLevel,
     ReferenceCache,
 )
-from .dram import MainMemory
 from .mmu import BoardTLB, HostMMU, TranslationError
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "CacheHierarchy",
     "CacheLevel",
     "HostMMU",
-    "MainMemory",
     "MemoryBus",
     "ReferenceCache",
     "Snooper",

@@ -34,7 +34,6 @@ from .metrics import (
     MetricsRegistry,
     MetricsScope,
     private_scope,
-    registry_from_snapshot,
 )
 from .spans import SpanHandle, SpanTracer
 
@@ -54,6 +53,5 @@ __all__ = [
     "node_ids",
     "per_node_rows",
     "private_scope",
-    "registry_from_snapshot",
     "snapshot_to_json",
 ]

@@ -11,14 +11,11 @@ node 7 without knowing where it was mounted.
 Three metric kinds:
 
 * :class:`Counter` — a monotonically non-decreasing count (hits, packets,
-  evictions).  Counters aggregate by *summing*.
+  evictions).
 * :class:`Gauge` — a point-in-time level (queue depth, occupancy) with a
-  built-in high-water-mark helper (:meth:`Gauge.track_max`).  Gauges
-  aggregate by *max*, which is the only merge that preserves a
-  high-water-mark's meaning.
+  built-in high-water-mark helper (:meth:`Gauge.track_max`).
 * :class:`Histogram` — a fixed-bucket distribution (latencies).  Buckets
-  are upper bounds chosen at registration; histograms aggregate
-  bucket-wise and refuse to merge across different bucket layouts.
+  are upper bounds chosen at registration.
 
 Counters and gauges may be *function-sourced* (``fn=...``): the value is
 pulled from the component's own attribute at read time, so instrumenting
@@ -47,7 +44,8 @@ DEFAULT_LATENCY_BUCKETS_NS: Tuple[float, ...] = (
 
 
 class MetricError(ValueError):
-    """Registration or aggregation misuse of the metrics registry."""
+    """Misuse of the metrics registry: a bad name, a kind conflict, or a
+    write to a function-sourced metric."""
 
 
 class Counter:
@@ -86,15 +84,9 @@ class Counter:
             raise MetricError(f"counter {self.name!r} is function-sourced")
         raise MetricError(f"counter {self.name!r} decremented by {by}")
 
-    def merge_from(self, other: "Counter") -> None:
-        """Aggregate: counters sum."""
-        if self._fn is not None:
-            raise MetricError(f"cannot merge into function-sourced {self.name!r}")
-        self._value += other.value
-
 
 class Gauge:
-    """A point-in-time level; aggregates by max (high-water semantics)."""
+    """A point-in-time level, or a high-water mark (:meth:`track_max`)."""
 
     __slots__ = ("name", "_value", "_fn")
     kind = "gauge"
@@ -121,12 +113,6 @@ class Gauge:
             raise MetricError(f"gauge {self.name!r} is function-sourced")
         if value > self._value:
             self._value = value
-
-    def merge_from(self, other: "Gauge") -> None:
-        """Aggregate: gauges max (preserves high-water marks)."""
-        if self._fn is not None:
-            raise MetricError(f"cannot merge into function-sourced {self.name!r}")
-        self._value = max(self._value, other.value)
 
 
 class Histogram:
@@ -165,36 +151,6 @@ class Histogram:
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.sum += value
-
-    @property
-    def mean(self) -> float:
-        """Mean of all observations (0.0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the bucket holding
-        the ``q``-th observation (the last finite bound for overflow)."""
-        if not 0.0 <= q <= 1.0:
-            raise MetricError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for bound, c in zip(self.bounds, self.counts):
-            seen += c
-            if seen >= rank:
-                return bound
-        return self.bounds[-1]
-
-    def merge_from(self, other: "Histogram") -> None:
-        """Aggregate bucket-wise; bucket layouts must match."""
-        if other.bounds != self.bounds:
-            raise MetricError(
-                f"histogram {self.name!r}: incompatible bucket layouts")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.sum += other.sum
 
 
 Metric = Any  # Counter | Gauge | Histogram (kept loose for 3.8 compat)
@@ -250,14 +206,6 @@ class MetricsRegistry:
         """The metric registered under ``name``, or None."""
         return self._metrics.get(name)
 
-    def kinds(self) -> Dict[str, str]:
-        """``{dotted name: kind}`` for every registered metric.  Stored next
-        to a snapshot, this is what lets
-        :func:`registry_from_snapshot` rebuild a mergeable registry long
-        after the live one is gone — e.g. in the parallel sweep executor,
-        where worker processes ship snapshots back to the parent."""
-        return {name: m.kind for name, m in self._metrics.items()}
-
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
@@ -282,35 +230,6 @@ class MetricsRegistry:
         """
         return {name: self._metrics[name].value
                 for name in sorted(self._metrics)}
-
-    def as_tree(self) -> Dict[str, Any]:
-        """The snapshot nested by dotted-name segment (for display)."""
-        tree: Dict[str, Any] = {}
-        for name, value in self.snapshot().items():
-            node = tree
-            parts = name.split(".")
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-            node[parts[-1]] = value
-        return tree
-
-    # -- aggregation -------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
-        """Fold ``other`` into this registry, optionally under ``prefix``.
-
-        This is the dotted-hierarchy merge used to aggregate per-node
-        registries into a cluster view, or per-run registries into a
-        sweep total: counters sum, gauges max, histograms add bucket-wise.
-        Kind conflicts raise :class:`MetricError`.
-        """
-        for name, metric in other._metrics.items():
-            full = _join(prefix, name)
-            if metric.kind == "counter":
-                self.counter(full).merge_from(metric)
-            elif metric.kind == "gauge":
-                self.gauge(full).merge_from(metric)
-            else:
-                self.histogram(full, metric.bounds).merge_from(metric)
 
 
 class MetricsScope:
@@ -357,39 +276,3 @@ def private_scope() -> MetricsScope:
     falls back to when no cluster registry was threaded through, so
     instrumentation code never branches on "is observability on"."""
     return MetricsRegistry().scope("")
-
-
-def registry_from_snapshot(snapshot: Dict[str, Any],
-                           kinds: Dict[str, str]) -> MetricsRegistry:
-    """Rebuild a *stored-value* registry from a flat snapshot.
-
-    ``snapshot`` is what :meth:`MetricsRegistry.snapshot` returned;
-    ``kinds`` is the matching :meth:`MetricsRegistry.kinds` map (a name
-    missing from it defaults to ``counter``).  Function-sourced metrics
-    come back as plain stored values frozen at snapshot time, which is
-    exactly what cross-process aggregation needs: the rebuilt registry
-    feeds :meth:`MetricsRegistry.merge`, so per-run trees from pool
-    workers fold into one sweep-wide tree with the normal semantics
-    (counters sum, gauges max, histograms add bucket-wise).
-    """
-    registry = MetricsRegistry()
-    for name, value in snapshot.items():
-        kind = kinds.get(name, "counter")
-        if kind == "histogram":
-            if not isinstance(value, dict):
-                raise MetricError(
-                    f"{name!r}: histogram snapshot value must be a dict")
-            buckets = value.get("buckets", {})
-            bounds = tuple(sorted(float(b) for b in buckets if b != "+inf"))
-            hist = registry.histogram(name, bounds)
-            for i, b in enumerate(hist.bounds):
-                hist.counts[i] = int(buckets.get(f"{b:g}", 0))
-            hist.counts[-1] = int(buckets.get("+inf", 0))
-            hist.count = int(value.get("count", 0))
-            hist.sum = float(value.get("sum", 0.0))
-        elif kind == "gauge":
-            registry.gauge(name).set(float(value))
-        else:
-            counter = registry.counter(name)
-            counter._value = float(value)
-    return registry

@@ -231,7 +231,6 @@ class Cluster:
         stats.counters = self.counters
         stats.per_processor = [n.account for n in self.nodes]
         stats.metrics = self.metrics.snapshot()
-        stats.metric_kinds = self.metrics.kinds()
         return stats
 
     def _schedule_crashes(self, procs) -> None:

@@ -20,7 +20,6 @@ from ..memory import (
     BoardTLB,
     CacheHierarchy,
     HostMMU,
-    MainMemory,
     MemoryBus,
     lines_in_range,
 )
@@ -72,7 +71,6 @@ class Node:
         )
         self.bus = MemoryBus(sim, params, node_id,
                              metrics=self.metrics.scope("bus"), spans=spans)
-        self.memory = MainMemory(params, node_id)
         self._lines_per_page = params.lines_per_page
         self.mmu = HostMMU(params.page_size_bytes)
         self.tlb = BoardTLB(self.mmu)
@@ -207,8 +205,8 @@ class Node:
     def _write_back(self, first_line: int, n: int,
                     pages: Optional[Tuple[int]]) -> float:
         """Flush the dirty copies of lines ``first_line ..
-        first_line+n-1`` to memory, record the write-backs and show them
-        to the bus snoopers; returns the bus time.  ``pages`` is the one
+        first_line+n-1`` to memory and show the write-backs to the bus
+        snoopers; returns the bus time.  ``pages`` is the one
         page the range lies in, or None when it spans several: the bus
         then reduces the flushed lines to their distinct pages."""
         flushed = self.cache.flush_range(first_line, n)
@@ -221,7 +219,6 @@ class Node:
             self.params.bus_acquisition_cycles
             + self.params.bus_cycles_per_word * words
         )
-        self.memory.record_writebacks(int(flushed.size))
         self.bus.cpu_write_traffic(flushed, pages)
         return cost
 
@@ -277,17 +274,15 @@ class Node:
         return None
 
     def cache_access(self, lines: np.ndarray, is_write: bool) -> float:
-        """Run a CPU burst through the cache hierarchy, record its fills
-        and write-backs and show the write-backs to the bus snoopers;
-        returns the CPU stall time.  Not a generator, like
-        :meth:`_write_back`; the caller yields the time and accounts it.
-        Write-backs from replacements come in no guaranteed order and
-        may span several pages, so the bus reduces them to pages itself."""
+        """Run a CPU burst through the cache hierarchy and show its
+        write-backs to the bus snoopers; returns the CPU stall time.  Not
+        a generator, like :meth:`_write_back`; the caller yields the time
+        and accounts it.  Write-backs from replacements come in no
+        guaranteed order and may span several pages, so the bus reduces
+        them to pages itself."""
         cost = self.cache.access(lines, is_write)
         if cost.writeback_lines.size:
-            self.memory.record_writebacks(int(cost.writeback_lines.size))
             self.bus.cpu_write_traffic(cost.writeback_lines)
-        self.memory.record_fills(cost.memory_accesses)
         return self.params.cpu_cycles_ns(cost.cpu_cycles)
 
     # ---------------------------------------------------------------- HostHooks --

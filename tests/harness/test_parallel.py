@@ -1,4 +1,4 @@
-"""The parallel sweep executor: determinism, ordering, metric merging,
+"""The parallel sweep executor: determinism, ordering, the core clamp,
 and the warm-pool lifecycle (spawn-once reuse, chunked dispatch,
 no-orphan teardown)."""
 
@@ -13,22 +13,21 @@ from repro.harness import (
     RunSpec,
     default_jobs,
     execute_run,
-    merge_run_metrics,
-    pool_metrics,
+    parallel,
     pool_size,
     run_map,
     set_default_jobs,
     shutdown_pool,
 )
-from repro.harness.parallel import _chunksize, _encode_chunk
+from repro.harness.parallel import _chunksize
 from repro.params import SimParams
 
 
 @pytest.fixture(autouse=True)
-def _force_pool(monkeypatch):
+def _four_cores(monkeypatch):
     """Exercise the real pool even on a 1-core host — the cpu-aware
     clamp would otherwise route jobs>1 inline (docs/parallel_runs.md)."""
-    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    monkeypatch.setattr(parallel, "effective_cores", lambda: 4)
 
 
 def specs_grid(procs=(1, 2), ifaces=("cni", "standard")):
@@ -45,11 +44,11 @@ def test_jobs_1_and_jobs_n_digests_identical():
     are bit-identical between the in-process path and a process pool."""
     specs = specs_grid()
     serial = run_map(specs, jobs=1, record=False)
-    parallel = run_map(specs, jobs=4, record=False)
-    assert [s.digest() for s in serial] == [s.digest() for s in parallel]
+    pooled = run_map(specs, jobs=4, record=False)
+    assert [s.digest() for s in serial] == [s.digest() for s in pooled]
     # The digest covers only the outcome; metric snapshots must survive
     # the worker round trip too.
-    assert [s.metrics for s in serial] == [s.metrics for s in parallel]
+    assert [s.metrics for s in serial] == [s.metrics for s in pooled]
 
 
 def test_results_preserve_spec_order():
@@ -130,46 +129,21 @@ def test_run_map_meta_lands_in_log():
         GLOBAL_METRICS_LOG.clear()
 
 
-# -- metric-tree merging -------------------------------------------------------
+# -- the core clamp ------------------------------------------------------------
 
-def test_merge_run_metrics_counters_sum_gauges_max():
-    runs = run_map(specs_grid(procs=(1, 2), ifaces=("cni",)), record=False)
-    merged = merge_run_metrics(runs)
-    events = merged.get("engine.events_processed")
-    assert events.kind == "counter"
-    assert events.value == sum(r.metrics["engine.events_processed"]
-                               for r in runs)
-    hwm = merged.get("engine.event_queue_hwm")
-    assert hwm.kind == "gauge"
-    assert hwm.value == max(r.metrics["engine.event_queue_hwm"]
-                            for r in runs)
-
-
-def test_merge_run_metrics_histograms_add_bucketwise():
-    runs = run_map(specs_grid(procs=(2, 2), ifaces=("cni",)), record=False)
-    merged = merge_run_metrics(runs)
-    hist = merged.get("spans.dma_ns")
-    assert hist.kind == "histogram"
-    assert hist.count == sum(r.metrics["spans.dma_ns"]["count"]
-                             for r in runs)
-    assert hist.sum == pytest.approx(sum(r.metrics["spans.dma_ns"]["sum"]
-                                         for r in runs))
-
-
-def test_merge_into_existing_registry_with_prefix():
-    from repro.obs import MetricsRegistry
-
-    runs = run_map(specs_grid(procs=(2,), ifaces=("cni",)), record=False)
-    target = MetricsRegistry()
-    merge_run_metrics(runs, into=target, prefix="sweep")
-    assert "sweep.engine.events_processed" in target
+def test_one_usable_core_runs_in_process(monkeypatch):
+    """With one usable core, jobs=4 runs in-process: no pool starts, and
+    the digests are the jobs=1 digests."""
+    monkeypatch.setattr(parallel, "effective_cores", lambda: 1)
+    shutdown_pool()
+    specs = specs_grid()
+    serial = run_map(specs, jobs=1, record=False)
+    clamped = run_map(specs, jobs=4, record=False)
+    assert pool_size() == 0
+    assert [r.digest() for r in clamped] == [r.digest() for r in serial]
 
 
 # -- warm-pool lifecycle -------------------------------------------------------
-
-def _pool_stat(name):
-    return pool_metrics()[f"harness.pool.{name}"]
-
 
 def test_warm_pool_reused_across_run_map_calls():
     """Consecutive run_map calls share one pool (a single cold start)
@@ -177,41 +151,30 @@ def test_warm_pool_reused_across_run_map_calls():
     shutdown_pool()
     specs = specs_grid()
     baseline = [s.digest() for s in run_map(specs, jobs=1, record=False)]
-    spawns0 = _pool_stat("spawns")
     try:
         first = run_map(specs, jobs=2, record=False)
+        pool = parallel._pool
         second = run_map(specs, jobs=2, record=False)
         assert [s.digest() for s in first] == baseline
         assert [s.digest() for s in second] == baseline
-        assert _pool_stat("spawns") == spawns0 + 1
+        assert pool is not None and parallel._pool is pool
         assert pool_size() >= 2
     finally:
         shutdown_pool()
     assert pool_size() == 0
 
 
-def test_pool_reuse_counts_warm_hits():
-    shutdown_pool()
-    specs = specs_grid(procs=(1, 2), ifaces=("cni",))
-    try:
-        run_map(specs, jobs=2, record=False)       # cold start
-        warm0 = _pool_stat("warm_hits")
-        run_map(specs, jobs=2, record=False)       # warm hit
-        assert _pool_stat("warm_hits") == warm0 + 1
-    finally:
-        shutdown_pool()
-
-
 def test_chunked_dispatch_preserves_spec_and_log_order():
-    """chunksize=1 maximizes out-of-order completion; results and the
-    parent-side metrics-log recording must still land in spec order."""
+    """Three points on two workers go one per chunk, so chunks can
+    finish out of order; results and the parent-side metrics-log
+    recording must still land in spec order."""
     specs = specs_grid(procs=(4, 1, 2), ifaces=("cni",))
     GLOBAL_METRICS_LOG.clear()
     serial = run_map(specs, jobs=1)
     serial_digests = [e["digest"] for e in GLOBAL_METRICS_LOG.entries]
     GLOBAL_METRICS_LOG.clear()
     try:
-        chunked = run_map(specs, jobs=2, chunksize=1)
+        chunked = run_map(specs, jobs=2)
         assert [len(r.per_processor) for r in chunked] == [4, 1, 2]
         assert [r.digest() for r in chunked] == \
             [r.digest() for r in serial]
@@ -222,42 +185,11 @@ def test_chunked_dispatch_preserves_spec_and_log_order():
         shutdown_pool()
 
 
-def test_any_chunksize_is_digest_identical():
-    specs = specs_grid()
-    baseline = [s.digest() for s in run_map(specs, jobs=1, record=False)]
-    try:
-        for cs in (1, 3, len(specs)):
-            runs = run_map(specs, jobs=2, record=False, chunksize=cs)
-            assert [r.digest() for r in runs] == baseline, f"chunksize={cs}"
-    finally:
-        shutdown_pool()
-
-
-def test_bad_chunksize_rejected():
-    with pytest.raises(ValueError):
-        run_map(specs_grid(), jobs=2, record=False, chunksize=0)
-
-
 def test_chunksize_heuristic_targets_two_chunks_per_worker():
     assert _chunksize(8, 2) == 2
     assert _chunksize(8, 4) == 1
     assert _chunksize(1, 8) == 1
     assert _chunksize(100, 4) == 13
-
-
-def test_chunk_encoding_pickles_shared_objects_once():
-    wl = JacobiConfig(n=32, iterations=2)
-    params = SimParams().replace(num_processors=2)
-    specs = [RunSpec("jacobi", params, iface, wl)
-             for iface in ("cni", "standard")]
-    _, shared, points = _encode_chunk(0, specs, "raise")
-    assert len(shared) == 2  # one params + one workload, not four objects
-    assert [p[0] for p in points] == [0, 1]  # global indices preserved
-    # value-equal but distinct params objects dedupe too
-    specs2 = [RunSpec("jacobi", SimParams().replace(num_processors=2),
-                      "cni", wl) for _ in range(3)]
-    _, shared2, _ = _encode_chunk(4, specs2, "raise")
-    assert len(shared2) == 2
 
 
 def test_untyped_error_tears_pool_down_without_orphans():
@@ -267,21 +199,22 @@ def test_untyped_error_tears_pool_down_without_orphans():
     shutdown_pool()
     good = specs_grid(procs=(1,), ifaces=("cni",))[0]
     bomb = RunSpec("no_such_app", SimParams(), "cni", None)
-    spawns0 = _pool_stat("spawns")
-    with pytest.raises(ValueError, match="unknown app"):
-        run_map([good, bomb, good], jobs=2, record=False, chunksize=1)
-    assert pool_size() == 0
     try:
+        run_map([good, good], jobs=2, record=False)
+        broken = parallel._pool
+        with pytest.raises(ValueError, match="unknown app"):
+            run_map([good, bomb, good], jobs=2, record=False)
+        assert pool_size() == 0
         runs = run_map([good, good], jobs=2, record=False)
         assert runs[0].digest() == runs[1].digest()
-        assert _pool_stat("spawns") == spawns0 + 2  # broken pool + fresh one
+        assert pool_size() >= 2 and parallel._pool is not broken
     finally:
         shutdown_pool()
 
 
 def test_on_error_record_deterministic_through_the_pool():
     """Typed failures stay deterministic RunFailure slots in spec order
-    at any jobs/chunksize (the chaos campaign checks the same contract
+    through the pool (the chaos campaign checks the same contract
     at scale under -m chaos)."""
     from repro.faults import FaultPlan, NodeCrash
 
@@ -298,8 +231,7 @@ def test_on_error_record_deterministic_through_the_pool():
     ]
     serial = run_map(specs, jobs=1, record=False, on_error="record")
     try:
-        pooled = run_map(specs, jobs=2, record=False, on_error="record",
-                         chunksize=1)
+        pooled = run_map(specs, jobs=2, record=False, on_error="record")
         assert [r.digest() for r in serial] == [r.digest() for r in pooled]
         assert [isinstance(r, RunFailure) for r in serial] == \
             [isinstance(r, RunFailure) for r in pooled]

@@ -31,6 +31,17 @@ def test_unknown_experiment_id_exits_nonzero(capsys):
     assert "fig2" in err  # the message lists the valid choices
 
 
+def test_unknown_option_is_reported_as_an_option(capsys, tmp_path):
+    """A mistyped flag is named as an unknown option, with the runner's
+    options listed, and no experiment runs."""
+    assert main(["fig2", "--job", "2", "--results", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown option --job " in err
+    assert "--jobs N" in err and "--topology SPEC" in err
+    assert "experiment ids" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_deadline_and_heartbeat_exit_nonzero(capsys):
     assert main(["--deadline-ns", "soon", "fig2"]) == 1
     assert "--deadline-ns" in capsys.readouterr().err

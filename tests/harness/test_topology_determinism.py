@@ -6,15 +6,15 @@ banyan, a fat-tree or a torus must produce bit-identical
 import pytest
 
 from repro.apps import CollBenchConfig, JacobiConfig
-from repro.harness import RunSpec, run_map
+from repro.harness import RunSpec, parallel, pool_size, run_map, shutdown_pool
 from repro.params import SimParams
 
 
 @pytest.fixture(autouse=True)
-def _force_pool(monkeypatch):
+def _four_cores(monkeypatch):
     """Exercise the real pool even on a 1-core host — the cpu-aware
     clamp would otherwise route jobs>1 inline (docs/parallel_runs.md)."""
-    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    monkeypatch.setattr(parallel, "effective_cores", lambda: 4)
 
 
 def topo_specs(topology, nprocs):
@@ -40,18 +40,22 @@ def topo_specs(topology, nprocs):
 def test_jobs_1_and_jobs_2_digests_identical(topology, nprocs):
     specs = topo_specs(topology, nprocs)
     serial = run_map(specs, jobs=1, record=False)
-    parallel = run_map(specs, jobs=2, record=False)
-    assert [s.digest() for s in serial] == [s.digest() for s in parallel]
-    assert [s.metrics for s in serial] == [s.metrics for s in parallel]
+    pooled = run_map(specs, jobs=2, record=False)
+    assert [s.digest() for s in serial] == [s.digest() for s in pooled]
+    assert [s.metrics for s in serial] == [s.metrics for s in pooled]
 
 
 def test_net_metrics_survive_the_pool_round_trip():
-    """Workers ship RunStats back as JSON; the fabric counters must
-    arrive intact, not just the digest."""
-    spec = topo_specs("torus:2x2", 4)[-1]
-    stats = run_map([spec], jobs=2, record=False)[0]
-    assert stats.metrics["net.crossings"] > 0
-    assert stats.metrics["net.link_hops"] >= stats.metrics["net.crossings"]
+    """Workers pickle RunStats back to the parent; the fabric counters
+    must arrive intact, not just the digest.  Two specs, so that the
+    pool runs them (one spec runs in-process)."""
+    shutdown_pool()
+    runs = run_map(topo_specs("torus:2x2", 4)[1:], jobs=2, record=False)
+    assert pool_size() >= 2
+    for stats in runs:
+        assert stats.metrics["net.crossings"] > 0
+        assert stats.metrics["net.link_hops"] >= \
+            stats.metrics["net.crossings"]
 
 
 def test_topologies_are_distinct_machines():

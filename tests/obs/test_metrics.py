@@ -1,5 +1,5 @@
 """Unit tests for the metrics registry: counters, gauges, histograms,
-scopes, probes and the dotted-hierarchy merge."""
+scopes and probes."""
 
 import json
 
@@ -82,18 +82,6 @@ def test_histogram_buckets_and_overflow():
     assert snap["buckets"] == {"10": 2, "100": 1, "1000": 0, "+inf": 1}
 
 
-def test_histogram_mean_and_quantile():
-    h = MetricsRegistry().histogram("lat", buckets=(10, 100, 1000))
-    assert h.mean == 0.0 and h.quantile(0.5) == 0.0
-    for v in (1, 2, 3, 500):
-        h.observe(v)
-    assert h.mean == pytest.approx(126.5)
-    assert h.quantile(0.5) == 10       # bucket upper bound
-    assert h.quantile(1.0) == 1000
-    with pytest.raises(MetricError):
-        h.quantile(1.5)
-
-
 def test_histogram_rejects_bad_buckets():
     r = MetricsRegistry()
     with pytest.raises(MetricError):
@@ -148,15 +136,6 @@ def test_snapshot_is_plain_json_safe_data():
     json.dumps(snap)  # must not raise
 
 
-def test_as_tree_nests_by_segment():
-    r = MetricsRegistry()
-    r.counter("node0.nic.hits").inc(3)
-    r.gauge("engine.qlen").set(2)
-    tree = r.as_tree()
-    assert tree["node0"]["nic"]["hits"] == 3
-    assert tree["engine"]["qlen"] == 2
-
-
 # -- scopes --------------------------------------------------------------------
 
 def test_scope_prefixes_and_nests():
@@ -186,54 +165,3 @@ def test_private_scope_isolates_components():
     b.counter("hits").inc(5)
     assert a.registry.snapshot() == {"hits": 1}
     assert b.registry.snapshot() == {"hits": 5}
-
-
-# -- merge (cross-node / cross-run aggregation) --------------------------------
-
-def test_merge_sums_counters_maxes_gauges_adds_histograms():
-    a, b, total = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
-    for reg, hits, hwm, lat in ((a, 3, 5, 20), (b, 4, 9, 200)):
-        reg.counter("hits").inc(hits)
-        reg.gauge("hwm").set(hwm)
-        reg.histogram("lat", buckets=(100, 1000)).observe(lat)
-    total.merge(a)
-    total.merge(b)
-    snap = total.snapshot()
-    assert snap["hits"] == 7
-    assert snap["hwm"] == 9
-    assert snap["lat"]["count"] == 2
-    assert snap["lat"]["buckets"] == {"100": 1, "1000": 1, "+inf": 0}
-
-
-def test_merge_under_prefix_builds_hierarchy():
-    total = MetricsRegistry()
-    for i in range(3):
-        node = MetricsRegistry()
-        node.counter("nic.hits").inc(i + 1)
-        total.merge(node, prefix=f"node{i}")
-    assert total.snapshot() == {
-        "node0.nic.hits": 1, "node1.nic.hits": 2, "node2.nic.hits": 3}
-
-
-def test_merge_kind_conflict_raises():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("x")
-    b.gauge("x").set(1)
-    with pytest.raises(MetricError):
-        a.merge(b)
-
-
-def test_merge_incompatible_histogram_buckets_raises():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.histogram("lat", buckets=(10,))
-    b.histogram("lat", buckets=(20,))
-    with pytest.raises(MetricError):
-        a.merge(b)
-
-
-def test_merge_into_function_sourced_raises():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("x", fn=lambda: 1)
-    b.counter("x").inc()
-    with pytest.raises(MetricError):
-        a.merge(b)

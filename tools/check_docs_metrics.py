@@ -5,10 +5,9 @@ Extracts every backticked dotted metric name between the
 ``<!-- metric-catalog:start -->`` / ``<!-- metric-catalog:end -->``
 markers in docs/observability.md, docs/runtime.md and docs/network.md
 (the ``runtime.*`` and ``net.*`` scopes are cataloged next to their
-subsystems), smoke-runs the simulator (a CNI cluster, a standard
-cluster, two messaging microbenchmarks, a two-point parallel dispatch,
-and one run per fabric topology — the union exercises every
-subsystem), and fails if
+subsystems), smoke-runs the simulator in-process (a CNI cluster, a
+standard cluster, two messaging microbenchmarks and one run per fabric
+topology — the union exercises every subsystem), and fails if
 
 * any documented name was never registered (stale docs), or
 * any registered name is missing from the catalog (undocumented
@@ -74,7 +73,6 @@ def registered_names() -> Set[str]:
     """Union of metric names a smoke-run of the simulator registers."""
     from repro.apps import JacobiConfig, PingPongConfig, run_jacobi, \
         run_pingpong
-    from repro.harness import RunSpec, pool_metrics, run_map, shutdown_pool
     from repro.harness.experiments import one_way_latency_ns
     from repro.harness.export import GLOBAL_METRICS_LOG
     from repro.params import SimParams
@@ -95,25 +93,9 @@ def registered_names() -> Set[str]:
     one_way_latency_ns(1024, "cni", SimParams())
     names.update(GLOBAL_METRICS_LOG.entries[-1]["metrics"])
     GLOBAL_METRICS_LOG.clear()
-    # One two-point parallel dispatch so the executor's harness.pool.*
-    # lifecycle metrics are exercised, not merely registered at import
-    # (REPRO_POOL_FORCE bypasses the cpu-aware clamp on 1-core boxes).
-    tiny = JacobiConfig(n=16, iterations=1)
-    forced_before = os.environ.get("REPRO_POOL_FORCE")
-    os.environ["REPRO_POOL_FORCE"] = "1"
-    try:
-        run_map([RunSpec("jacobi", SimParams().replace(num_processors=1),
-                         "cni", tiny) for _ in range(2)],
-                jobs=2, record=False)
-    finally:
-        shutdown_pool()
-        if forced_before is None:
-            del os.environ["REPRO_POOL_FORCE"]
-        else:
-            os.environ["REPRO_POOL_FORCE"] = forced_before
-    names.update(pool_metrics())
     # One run per multi-hop fabric so the net.* scope is exercised on
     # every topology family (the runs above cover the default banyan).
+    tiny = JacobiConfig(n=16, iterations=1)
     for topology, nprocs in (("fattree:k=4", 4), ("torus:2x2:adaptive", 4)):
         stats, _ = run_jacobi(
             SimParams().replace(num_processors=nprocs, topology=topology),

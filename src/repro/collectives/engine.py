@@ -55,6 +55,9 @@ __all__ = ["OPS", "CollectiveEngine"]
 #: Operations the engine implements (and the per-op latency metrics).
 OPS = ("barrier", "allreduce", "reduce", "broadcast", "multicast")
 
+# handle_packet's keys, bound once: no enum call or member read per packet.
+_ARRIVE, _RELEASE = CollMsgType.COLL_ARRIVE, CollMsgType.COLL_RELEASE
+
 @dataclass
 class _Episode:
     """Root-side state of one in-flight collective."""
@@ -302,13 +305,14 @@ class CollectiveEngine:
             self._m_host_intr.inc()
         yield self.node.protocol_step_ns(
             on_board, p.ni_aih_protocol_cycles, p.host_protocol_cycles)
-        mt = CollMsgType(packet.handler_key)
-        if mt is CollMsgType.COLL_ARRIVE:
+        key = packet.handler_key
+        if key == _ARRIVE:
             self._arrive_logic(packet.payload)
-        elif mt is CollMsgType.COLL_RELEASE:
+        elif key == _RELEASE:
             self._release_logic(packet.payload)
-        else:  # pragma: no cover - CollMsgType() above already raises
-            raise SimulationError(f"unhandled collective message {mt!r}")
+        else:  # CollMsgType() raises the ValueError of an unknown key
+            raise SimulationError(
+                f"unhandled collective message {CollMsgType(key)!r}")
         return None
 
     # ------------------------------------------------------------- helpers --

@@ -55,6 +55,7 @@ class CNIInterface(NetworkInterface):
                                           metrics=m.scope("mcache"))
         self.pathfinder = Pathfinder(metrics=m.scope("pathfinder"))
         self.handlers = HandlerRegistry(params, metrics=m.scope("aih"))
+        self._dispatch_ns = self.handlers.dispatch_time_ns()
         self.channel_manager = ChannelManager(sim)
         #: per-cell mode: packet_id -> classification of its first cell
         self._frag_targets = {}
@@ -159,10 +160,6 @@ class CNIInterface(NetworkInterface):
         Returns True when any host-memory DMA was needed — i.e. the
         message was *not* found on the board.
         """
-        if packet.src_vaddr is None or packet.payload_bytes <= PIO_THRESHOLD_BYTES:
-            # Immediate data rides in the descriptor (PIO) or the packet
-            # was built by board-resident protocol code: on-board source.
-            return False
         page_size = self.params.page_size_bytes
         first = packet.src_vaddr // page_size
         last = (packet.src_vaddr + packet.payload_bytes - 1) // page_size
@@ -232,19 +229,15 @@ class CNIInterface(NetworkInterface):
             self.counters.inc("nic_classify_misses")
             return
         kind, key = target
-        if kind == AIH_TARGET:
-            yield from self._run_protocol(packet)
-        else:
+        if kind != AIH_TARGET:
             yield from self._deliver_data(packet, key)
-        return None
-
-    def _run_protocol(self, packet: Packet) -> Generator:
-        """Protocol packet: AIH on the board, or host fallback (ablation)."""
+            return
+        # Protocol packet: AIH on the board, or host fallback (ablation).
         if self.protocol_sink is None:
             self.packets_dropped += 1
             return
         if self.params.use_aih:
-            yield self.handlers.dispatch_time_ns()
+            yield self._dispatch_ns
             # resolve (and count) the control transfer; the handler logic
             # itself is the owning engine, charged on the NI clock inside.
             self.handlers.dispatch(packet.handler_key)

@@ -22,7 +22,7 @@ the runtime node provides):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Protocol
+from typing import Any, Callable, Generator, Optional, Protocol, Sequence
 
 from ..engine import Counters, Mailbox, Simulator
 from ..memory import MemoryBus
@@ -54,6 +54,11 @@ ProtocolSink = Callable[[Packet], Generator]
 #: comparability.
 PIO_THRESHOLD_BYTES = 64
 
+# Bound once: a member read off its enum class is a descriptor call.
+_DATA, _DSM_PROTOCOL, _DSM_PAGE, _ACK, _HEARTBEAT = (
+    PacketKind.DATA, PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE,
+    PacketKind.ACK, PacketKind.HEARTBEAT)
+
 
 class NetworkInterface:
     """Base class: transmit/receive processors and SAR."""
@@ -80,6 +85,9 @@ class NetworkInterface:
         self.segmenter = Segmenter(params)
         self.reassembler = Reassembler(params)
         self.tx_queue: Mailbox = Mailbox(sim, f"nic{node_id}-tx")
+        #: Fixed NI-processor work per packet (header build or parse,
+        #: queue manipulation), charged on each side of the wire.
+        self._packet_ns = params.ni_cycles_ns(params.ni_packet_overhead_cycles)
         self.protocol_sink: Optional[ProtocolSink] = None
         self.packets_sent = 0
         self.packets_received = 0
@@ -151,8 +159,11 @@ class NetworkInterface:
 
     # -- transmit processor ----------------------------------------------------------
     def _transmit_loop(self) -> Generator:
+        tx = self.tx_queue
         while True:
-            item = yield from self.tx_queue.get()
+            found, item = tx.try_get()
+            if not found:
+                item = yield from tx.get()
             if isinstance(item, TransmitDescriptor):
                 packet = self._packet_from_descriptor(item)
                 yield from self._transmit_one(packet)
@@ -162,16 +173,14 @@ class NetworkInterface:
                 yield from self._transmit_one(item)
 
     def _packet_from_descriptor(self, desc: TransmitDescriptor) -> Packet:
-        if desc.kind is not None:
-            kind = PacketKind(desc.kind)
-        elif desc.handler_key:
-            kind = (
-                PacketKind.DSM_PAGE
-                if desc.vaddr is not None
-                else PacketKind.DSM_PROTOCOL
-            )
-        else:
-            kind = PacketKind.DATA
+        kind = desc.kind
+        if kind is None:
+            if desc.handler_key:
+                kind = _DSM_PAGE if desc.vaddr is not None else _DSM_PROTOCOL
+            else:
+                kind = _DATA
+        elif kind.__class__ is not PacketKind:
+            kind = PacketKind(kind)
         return Packet(
             kind=kind,
             src_node=self.node_id,
@@ -187,17 +196,21 @@ class NetworkInterface:
 
     def _transmit_one(self, packet: Packet) -> Generator:
         """Common transmit path; data staging is the subclass hook."""
-        # Fixed per-packet work on the NI processor (header build, queue
-        # manipulation).
-        yield self.params.ni_cycles_ns(self.params.ni_packet_overhead_cycles)
-        # Stage the payload into board memory (DMA unless cached).  A
-        # reliable retransmission re-enters here with the same packet
-        # object, so an unmodified buffer hits the Message Cache.
-        staged_from_host = yield from self._stage_payload(packet)
-        if packet.kind not in (PacketKind.ACK, PacketKind.HEARTBEAT):
+        yield self._packet_ns
+        # Stage the payload into board memory (DMA unless cached), unless
+        # it rides in the descriptor (PIO) or board-resident protocol
+        # code built the packet.  A reliable retransmission re-enters
+        # here with the same packet object, so an unmodified buffer hits
+        # the Message Cache.
+        staged_from_host = False
+        if (packet.src_vaddr is not None
+                and packet.payload_bytes > PIO_THRESHOLD_BYTES):
+            staged_from_host = yield from self._stage_payload(packet)
+        kind = packet.kind
+        if kind is not _ACK and kind is not _HEARTBEAT:
             # NI-internal acks and heartbeats stay out of the paper's
             # hit-ratio metric.
-            self._count_transmit(bool(staged_from_host))
+            self._count_transmit(staged_from_host)
         # Segmentation: per-cell work on the NI processor.
         if self.params.per_cell_transport and not self.params.unrestricted_cell_size:
             cells = self.segmenter.segment(packet)
@@ -213,13 +226,14 @@ class NetworkInterface:
 
     def _note_sent(self, packet: Packet) -> None:
         """Count a departure and hand it to the reliable transport."""
-        if packet.kind not in (PacketKind.ACK, PacketKind.HEARTBEAT):
+        kind = packet.kind
+        if kind is not _ACK and kind is not _HEARTBEAT:
             self.packets_sent += 1
             self.counters.inc("nic_packets_sent")
         self.reliab.on_transmit(packet)
 
     def _stage_payload(self, packet: Packet) -> Generator:
-        """Move the outgoing payload from host memory to the board.
+        """Move an outgoing payload from host memory to the board.
 
         The baseline always DMAs; the CNI consults the Message Cache.
         Returns True when a host-memory DMA was needed.
@@ -240,59 +254,59 @@ class NetworkInterface:
     def _receive_loop(self) -> Generator:
         rx = self.network.rx_queues[self.node_id]
         while True:
-            train = yield from rx.get()
-            if isinstance(train, tuple):
-                yield from self._receive_cell(*train)
-                continue
-            # Reassembly: per-cell work on the NI processor.
-            yield self.reassembler.sar_time_ns(train.n_cells)
-            yield self.params.ni_cycles_ns(self.params.ni_packet_overhead_cycles)
-            packet = self.reassembler.accept_train(train)
+            found, item = rx.try_get()
+            if not found:
+                item = yield from rx.get()
+            if item.__class__ is tuple:
+                # Per-cell transport: reassemble one fragment at a time.
+                # The classification hook lets the CNI drive its
+                # PATHFINDER fragment table exactly as the hardware does;
+                # the baseline just reassembles.
+                cell, packet = item
+                yield self.reassembler.sar_time_ns(1)
+                extra = self._on_fragment(cell, packet)
+                if extra:
+                    yield extra
+                packet = self.reassembler.accept_cell(cell, packet,
+                                                      now=self.sim.now)
+                if packet is None and not cell.eop:
+                    continue
+                # Complete, or lost to an AAL5 integrity failure at
+                # end-of-packet.
+                self._end_fragmented(cell)
+                if packet is not None:
+                    yield self._packet_ns
+            else:
+                # Reassembly: per-cell work on the NI processor.
+                yield self.reassembler.sar_time_ns(item.n_cells)
+                yield self._packet_ns
+                packet = self.reassembler.accept_train(item)
             if packet is None:
                 self.packets_dropped += 1
                 self.counters.inc("nic_packets_dropped")
                 continue
-            yield from self._accept_packet(packet)
+            for p in self._accept_packet(packet):
+                self.packets_received += 1
+                self.counters.inc("nic_packets_received")
+                self.payload_bytes_received += p.payload_bytes
+                yield from self._dispatch_receive(p)
 
-    def _receive_cell(self, cell, packet: Packet) -> Generator:
-        """Per-cell transport: reassemble one fragment at a time.
-
-        The classification hook lets the CNI drive its PATHFINDER
-        fragment table exactly as the hardware does; the baseline just
-        reassembles.
-        """
-        yield self.reassembler.sar_time_ns(1)
-        extra = self._on_fragment(cell, packet)
-        if extra:
-            yield extra
-        done = self.reassembler.accept_cell(cell, packet, now=self.sim.now)
-        if done is None:
-            if cell.eop:
-                # AAL5 integrity failure at end-of-packet: whole packet lost
-                self._end_fragmented(cell)
-                self.packets_dropped += 1
-                self.counters.inc("nic_packets_dropped")
-            return None
-        self._end_fragmented(cell)
-        yield self.params.ni_cycles_ns(self.params.ni_packet_overhead_cycles)
-        yield from self._accept_packet(done)
-        return None
-
-    def _accept_packet(self, packet: Packet) -> Generator:
+    def _accept_packet(self, packet: Packet) -> Sequence[Packet]:
         """Reliability layer between reassembly and dispatch: consume
         acks and heartbeats, ack tracked packets, suppress duplicates,
-        resequence."""
-        if packet.kind is PacketKind.HEARTBEAT:
+        resequence.  Returns the packets ready to dispatch, in order."""
+        kind = packet.kind
+        if kind is _HEARTBEAT:
             # Liveness cells die on the board, like acks.
             self.detector.on_heartbeat(packet.src_node)
-            return
+            return ()
         if self.detector.enabled:
             # Any arrival proves the sender alive; the guard keeps the
             # detector-off hot path at one attribute test.
             self.detector.note_alive(packet.src_node)
-        if packet.kind is PacketKind.ACK:
+        if kind is _ACK:
             self.reliab.on_ack(packet)
-            return
+            return ()
         if self.reliab.tracks(packet) or packet.rel_seq is not None:
             # Ack every arrival — including duplicates, whose earlier
             # ack is exactly what may have been lost.
@@ -300,12 +314,7 @@ class NetworkInterface:
         ready, accepted = self.reliab.on_receive(packet)
         if not accepted:
             self._discard_receive(packet)
-        for p in ready:
-            self.packets_received += 1
-            self.counters.inc("nic_packets_received")
-            self.payload_bytes_received += p.payload_bytes
-            yield from self._dispatch_receive(p)
-        return None
+        return ready
 
     def _discard_receive(self, packet: Packet) -> None:
         """Teardown hook for a duplicate-suppressed packet (subclasses

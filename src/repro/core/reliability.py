@@ -37,6 +37,8 @@ from ..params import SimParams
 
 __all__ = ["DeliveryFailed", "ReliableTransport"]
 
+_ACK = PacketKind.ACK  # bound once, as in repro.core.nic_base
+
 
 class DeliveryFailed(RuntimeError):
     """A packet exhausted its retry budget without an acknowledgement.
@@ -122,7 +124,7 @@ class ReliableTransport:
     def tracks(self, packet: Packet) -> bool:
         """Whether this packet participates in the reliable protocol."""
         return (self.enabled and not self.dead and packet.reliable
-                and packet.kind is not PacketKind.ACK)
+                and packet.kind is not _ACK)
 
     def set_failure_sink(self, sink) -> None:
         """Attach the budget-exhaustion hook (see ``_failure_sink``)."""

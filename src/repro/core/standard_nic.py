@@ -37,6 +37,9 @@ from ..params import SimParams
 from .adc import TransmitDescriptor
 from .nic_base import PIO_THRESHOLD_BYTES, HostHooks, NetworkInterface
 
+_PROTOCOL_KINDS = frozenset((PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE,
+                             PacketKind.COLLECTIVE, PacketKind.RUNTIME))
+
 
 class StandardInterface(NetworkInterface):
     """Interrupt-driven, kernel-mediated baseline NIC."""
@@ -75,8 +78,6 @@ class StandardInterface(NetworkInterface):
     # -- transmit staging -----------------------------------------------------------
     def _stage_payload(self, packet: Packet) -> Generator:
         """No Message Cache: buffer sends always DMA from host memory."""
-        if packet.src_vaddr is None or packet.payload_bytes <= PIO_THRESHOLD_BYTES:
-            return False
         yield from self.bus.dma(packet.payload_bytes)
         return True
 
@@ -107,8 +108,7 @@ class StandardInterface(NetworkInterface):
         self.hooks.steal_host_time(self.params.interrupt_latency_ns + host_ns)
         yield host_ns
 
-        if packet.kind in (PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE,
-                           PacketKind.COLLECTIVE, PacketKind.RUNTIME):
+        if packet.kind in _PROTOCOL_KINDS:
             if self.protocol_sink is None:
                 self.packets_dropped += 1
                 return

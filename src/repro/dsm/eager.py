@@ -26,6 +26,9 @@ from .interval import Interval, WriteNotice
 from .messages import InvAck, Invalidate, MsgType
 from .protocol import DsmEngine
 
+# handle_packet's keys, bound once: no enum call or member read per packet.
+_INVALIDATE, _INV_ACK = MsgType.INVALIDATE, MsgType.INV_ACK
+
 
 class EagerDsmEngine(DsmEngine):
     """Eager-RC variant of the protocol engine.
@@ -97,9 +100,9 @@ class EagerDsmEngine(DsmEngine):
 
     # -- new message handlers ------------------------------------------------
     def handle_packet(self, packet: Packet, on_board: bool) -> Generator:
-        mt = MsgType(packet.handler_key)
+        key = packet.handler_key
         p = self.params
-        if mt == MsgType.INVALIDATE:
+        if key == _INVALIDATE:
             yield self.node.protocol_step_ns(
                 on_board, p.ni_aih_protocol_cycles, p.host_protocol_cycles)
             body = packet.payload
@@ -107,7 +110,7 @@ class EagerDsmEngine(DsmEngine):
             ack = InvAck(acker=self.me, releaser=body.releaser, seq=body.seq)
             self._send(body.releaser, MsgType.INV_ACK, ack, ack.wire_bytes)
             return None
-        if mt == MsgType.INV_ACK:
+        if key == _INV_ACK:
             yield self.node.protocol_step_ns(
                 on_board, p.ni_aih_protocol_cycles * 0.25,
                 p.host_protocol_cycles * 0.25)

@@ -61,6 +61,12 @@ from .vector_clock import VectorClock
 #: Forwarding-chase sanity bound (a correct run never gets close).
 MAX_PAGE_REQ_HOPS_FACTOR = 4
 
+# handle_packet's keys, bound once: no enum call or member read per packet.
+(_LOCK_REQ, _LOCK_FORWARD, _LOCK_GRANT, _PAGE_REQ, _PAGE_REPLY, _DIFF_REQ,
+ _DIFF_REPLY) = (MsgType.LOCK_REQ, MsgType.LOCK_FORWARD, MsgType.LOCK_GRANT,
+                 MsgType.PAGE_REQ, MsgType.PAGE_REPLY, MsgType.DIFF_REQ,
+                 MsgType.DIFF_REPLY)
+
 
 class DsmEngine:
     """LRC protocol state and behaviour for one node."""
@@ -467,25 +473,26 @@ class DsmEngine:
         p = self.params
         yield self.node.protocol_step_ns(
             on_board, p.ni_aih_protocol_cycles, p.host_protocol_cycles)
-        mt = MsgType(packet.handler_key)
+        key = packet.handler_key
         body = packet.payload
-        if mt == MsgType.LOCK_REQ:
+        if key == _LOCK_REQ:
             self._lock_req_logic(body)
-        elif mt == MsgType.LOCK_FORWARD:
+        elif key == _LOCK_FORWARD:
             self._lock_forward_logic(body)
-        elif mt == MsgType.LOCK_GRANT:
+        elif key == _LOCK_GRANT:
             self._apply_intervals(body.intervals)
             self._finish_local_acquire(body.lock_id)
-        elif mt == MsgType.PAGE_REQ:
+        elif key == _PAGE_REQ:
             self._page_req_logic(body)
-        elif mt == MsgType.PAGE_REPLY:
+        elif key == _PAGE_REPLY:
             yield from self._install_page(packet, body, on_board)
-        elif mt == MsgType.DIFF_REQ:
+        elif key == _DIFF_REQ:
             yield from self._diff_req_logic(body, on_board)
-        elif mt == MsgType.DIFF_REPLY:
+        elif key == _DIFF_REPLY:
             yield from self._install_diffs(packet, body)
-        else:  # pragma: no cover - MsgType() above would have raised
-            raise SimulationError(f"unknown protocol message {mt}")
+        else:  # MsgType() raises the ValueError of an unknown key
+            raise SimulationError(
+                f"unknown protocol message {MsgType(key)}")
         return None
 
     # lock handlers -----------------------------------------------------------

@@ -84,15 +84,6 @@ class Resource:
         else:
             self._busy = False
 
-    def held(self, duration_ns: float) -> Generator:
-        """Coroutine: acquire, hold for ``duration_ns``, release."""
-        yield from self.acquire()
-        try:
-            yield duration_ns
-        finally:
-            self.release()
-        return None
-
 
 class Mailbox:
     """An unbounded FIFO message channel between simulated agents.

@@ -149,7 +149,9 @@ class Process:
         self.finished = False
         self.killed = False
         self.result: Any = None
-        self._done_event = Event(sim)
+        # Built at the first join: most processes (every train's fabric
+        # walk) are never joined.
+        self._done_event: Optional[Event] = None
         # What the next spawn or event wake sends into the generator;
         # the dispatch loop takes it (and clears it) at the wake.
         self._value: Any = None
@@ -161,8 +163,15 @@ class Process:
 
     @property
     def done_event(self) -> Event:
-        """Event triggered (with the return value) when the process ends."""
-        return self._done_event
+        """Event triggered (with the return value, ``None`` after a kill)
+        when the process ends; built at the first read."""
+        ev = self._done_event
+        if ev is None:
+            ev = self._done_event = Event(self.sim)
+            if self.finished:
+                ev.triggered = True
+                ev.value = self.result
+        return ev
 
     # -- kernel interface ----------------------------------------------------
     def _finish(self, result: Any) -> None:
@@ -172,7 +181,8 @@ class Process:
             return
         self.finished = True
         self.result = result
-        self._done_event.trigger(result)
+        if self._done_event is not None:
+            self._done_event.trigger(result)
 
     def _dispatch(self, yielded: Any) -> None:
         """Route a yield the dispatch loop does not take inline: a
@@ -180,7 +190,7 @@ class Process:
         process has no heap entry when this runs."""
         sim = self.sim
         if isinstance(yielded, Process):
-            yielded = yielded._done_event
+            yielded = yielded.done_event
         if isinstance(yielded, Event):
             if yielded.triggered:
                 self._value = yielded.value
@@ -233,7 +243,8 @@ class Process:
                     heap[i] = (entry[0], 0, entry[2], handle)
                 break
         self._gen.close()
-        self._done_event.trigger(None)
+        if self._done_event is not None:
+            self._done_event.trigger(None)
 
 
 class Simulator:

@@ -391,7 +391,18 @@ def _take_option(argv: List[str], name: str) -> Optional[str]:
 
 
 def main(argv: List[str] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.  Its ``--jobs`` default holds for this call only:
+    the caller's is restored on every path out."""
+    from .parallel import default_jobs, set_default_jobs
+
+    previous = default_jobs()
+    try:
+        return _cli(argv)
+    finally:
+        set_default_jobs(previous)
+
+
+def _cli(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     full = "--full" in argv
     argv = [a for a in argv if a != "--full"]

@@ -49,6 +49,7 @@ class MemoryBus:
         self.params = params
         self.node_id = node_id
         self._resource = Resource(sim, f"bus{node_id}")
+        self._span_source = f"bus{node_id}"
         self._snoopers: List[Snooper] = []
         self._lines_per_page = params.lines_per_page
         self.spans = spans
@@ -120,11 +121,16 @@ class MemoryBus:
         if self.spans is not None:
             # Span covers queueing + transfer: the DMA latency a master
             # actually experiences, not just the wire time.
-            handle = self.spans.begin(f"bus{self.node_id}", "dma", nbytes)
-            yield from self._resource.held(self.dma_transfer_ns(nbytes))
+            handle = self.spans.begin(self._span_source, "dma", nbytes)
+        res = self._resource
+        if not res.try_acquire():
+            yield from res.acquire()
+        try:
+            yield self.params.dma_time_ns(nbytes)
+        finally:
+            res.release()
+        if self.spans is not None:
             self.spans.end(handle, detail=nbytes)
-        else:
-            yield from self._resource.held(self.dma_transfer_ns(nbytes))
         return None
 
     @property

@@ -288,13 +288,17 @@ class CacheLevel:
         Returns the lines actually written back (bus/snoop traffic), in
         ascending order.
         """
-        last = first + n
         lines = None
         for sets in self._range_sets(first, n):
             tags = self.tags[sets]
             dirty = self.dirty[sets]
-            target = tags >= first
-            target &= tags < last
+            if n < self.nsets:
+                # Each set holds one range line: its occupant is in the
+                # range exactly when it is that line.
+                target = tags == np.arange(first, first + tags.size)
+                first += tags.size
+            else:
+                target = (tags >= first) & (tags < first + n)
             target &= dirty
             dirty[target] = False
             got = tags[target]
@@ -458,3 +462,19 @@ class ReferenceCache:
         self.tags[s] = line
         self.dirty[s] = is_write
         return False, evicted
+
+    def clean_range(self, first: int, n: int) -> List[int]:
+        """Write back the dirty resident lines of ``first .. first+n-1``,
+        which stay resident clean; returns them in ascending order."""
+        written = sorted(line for s, line in self.tags.items()
+                         if first <= line < first + n and self.dirty.get(s))
+        for line in written:
+            self.dirty[line % self.nsets] = False
+        return written
+
+    def drop_range(self, first: int, n: int) -> None:
+        """Invalidate the resident lines of ``first .. first+n-1``."""
+        for s in [s for s, line in self.tags.items()
+                  if first <= line < first + n]:
+            del self.tags[s]
+            self.dirty.pop(s, None)

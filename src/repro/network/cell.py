@@ -105,15 +105,19 @@ class Packet:
     packets.  (Carried in the AAL5 user-to-user field on real hardware;
     the 16-byte classification header is unchanged.)"""
 
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self):
         if self.payload_bytes < 0:
             raise ValueError("negative payload size")
-        for name in ("src_node", "dst_node", "channel_id", "handler_key"):
-            v = getattr(self, name)
-            if not 0 <= v <= 0xFFFF:
-                raise ValueError(f"{name}={v} does not fit the 16-bit header field")
+        if not (0 <= self.src_node <= 0xFFFF and 0 <= self.dst_node <= 0xFFFF
+                and 0 <= self.channel_id <= 0xFFFF
+                and 0 <= self.handler_key <= 0xFFFF):
+            for name in ("src_node", "dst_node", "channel_id", "handler_key"):
+                v = getattr(self, name)
+                if not 0 <= v <= 0xFFFF:
+                    raise ValueError(
+                        f"{name}={v} does not fit the 16-bit header field")
 
     @property
     def flags(self) -> int:

@@ -23,15 +23,13 @@ global stack) and are safe to use from interleaved simulation processes.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional
 
 from ..engine.trace import Tracer
-from .metrics import MetricsScope
+from .metrics import Histogram, MetricsScope
 
 
-@dataclass(frozen=True)
-class SpanHandle:
+class SpanHandle(NamedTuple):
     """An open span: everything ``end()`` needs to close it."""
 
     source: str
@@ -57,6 +55,8 @@ class SpanTracer:
         self.clock = clock
         self.metrics = metrics
         self.spans_closed = 0
+        #: kind -> its histogram, looked up at the kind's first ``end()``.
+        self._histograms: Dict[str, Histogram] = {}
 
     @property
     def ring_enabled(self) -> bool:
@@ -80,7 +80,11 @@ class SpanTracer:
                 {"duration_ns": duration, "detail": detail},
             )
         if self.metrics is not None:
-            self.metrics.histogram(f"{handle.kind}_ns").observe(duration)
+            hist = self._histograms.get(handle.kind)
+            if hist is None:
+                hist = self._histograms[handle.kind] = \
+                    self.metrics.histogram(f"{handle.kind}_ns")
+            hist.observe(duration)
         self.spans_closed += 1
         return duration
 

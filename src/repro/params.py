@@ -14,6 +14,7 @@ resolved to 150 ns wire latency and ~10 us interrupt latency.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -291,22 +292,24 @@ class SimParams:
     its Message Cache, as on the standard interface."""
 
     # ------------------------------------------------------------- derived --
-    @property
+    # Cycle times are read on every timed step: each instance computes
+    # them once, outside the fields equality, hashing and replace() see.
+    @functools.cached_property
     def cpu_cycle_ns(self) -> float:
         """Duration of one CPU cycle in nanoseconds."""
         return NS_PER_SEC / self.cpu_freq_hz
 
-    @property
+    @functools.cached_property
     def bus_cycle_ns(self) -> float:
         """Duration of one bus cycle in nanoseconds."""
         return NS_PER_SEC / self.bus_freq_hz
 
-    @property
+    @functools.cached_property
     def ni_cycle_ns(self) -> float:
         """Duration of one NI-processor cycle in nanoseconds."""
         return NS_PER_SEC / self.ni_freq_hz
 
-    @property
+    @functools.cached_property
     def cell_wire_time_ns(self) -> float:
         """Serialization time of one ATM cell at the line rate."""
         return self.atm_cell_bytes * 8 * NS_PER_SEC / self.link_rate_bps

@@ -28,6 +28,9 @@ from ..obs import MetricsScope, SpanTracer, private_scope
 from ..params import SimParams
 from .errors import RuntimeTimeout
 
+# Bound once: a member read off its enum class is a descriptor call.
+_COLLECTIVE, _RUNTIME = PacketKind.COLLECTIVE, PacketKind.RUNTIME
+
 #: AIH object-code footprint of the DSM protocol (one consistency
 #: protocol resident in handler memory, per Section 3's assumption).
 DSM_HANDLER_CODE_BYTES = 48 * 1024
@@ -109,9 +112,10 @@ class Node:
         RUNTIME → messaging engine, everything else → the DSM engine).
         Returns the handler generator; *where* it runs (NI processor vs
         host CPU) is the caller's ``on_board`` platform fact."""
-        if packet.kind is PacketKind.COLLECTIVE:
+        kind = packet.kind
+        if kind is _COLLECTIVE:
             return self.coll.handle_packet(packet, on_board)
-        if packet.kind is PacketKind.RUNTIME:
+        if kind is _RUNTIME:
             return self.rt.handle_packet(packet, on_board)
         return self.engine.handle_packet(packet, on_board)
 

@@ -80,6 +80,13 @@ class RtMsgType(IntEnum):
     RDMA_WRITE_ACK = 0x66  # target -> requester: placement confirmed
 
 
+# handle_packet's keys, bound once: no enum call or member read per packet.
+(_RTS, _CTS, _RDV_DATA, _RDMA_READ_REQ, _RDMA_READ_REPLY, _RDMA_WRITE,
+ _RDMA_WRITE_ACK) = (RtMsgType.RTS, RtMsgType.CTS, RtMsgType.RDV_DATA,
+                     RtMsgType.RDMA_READ_REQ, RtMsgType.RDMA_READ_REPLY,
+                     RtMsgType.RDMA_WRITE, RtMsgType.RDMA_WRITE_ACK)
+
+
 @dataclass
 class RtsMsg:
     """Request to send: announces a rendezvous message of ``nbytes``."""
@@ -241,23 +248,24 @@ class MessagingEngine:
             self._m_host_steps.inc()
         yield self.node.protocol_step_ns(
             on_board, p.ni_aih_protocol_cycles, p.host_protocol_cycles)
-        mt = RtMsgType(packet.handler_key)
-        if mt is RtMsgType.RTS:
+        key = packet.handler_key
+        if key == _RTS:
             yield from self._on_rts(packet)
-        elif mt is RtMsgType.CTS:
+        elif key == _CTS:
             self.waits.wake(("cts", packet.payload.op_id))
-        elif mt is RtMsgType.RDV_DATA:
+        elif key == _RDV_DATA:
             yield from self._on_rdv_data(packet, on_board)
-        elif mt is RtMsgType.RDMA_READ_REQ:
+        elif key == _RDMA_READ_REQ:
             yield from self._on_read_req(packet)
-        elif mt is RtMsgType.RDMA_READ_REPLY:
+        elif key == _RDMA_READ_REPLY:
             yield from self._on_read_reply(packet)
-        elif mt is RtMsgType.RDMA_WRITE:
+        elif key == _RDMA_WRITE:
             yield from self._on_write(packet)
-        elif mt is RtMsgType.RDMA_WRITE_ACK:
+        elif key == _RDMA_WRITE_ACK:
             self.waits.wake(("wack", packet.payload.op_id))
-        else:  # pragma: no cover - RtMsgType() above already raises
-            raise SimulationError(f"unhandled runtime message {mt!r}")
+        else:  # RtMsgType() raises the ValueError of an unknown key
+            raise SimulationError(
+                f"unhandled runtime message {RtMsgType(key)!r}")
         return None
 
     def _on_rts(self, packet: Packet) -> Generator:

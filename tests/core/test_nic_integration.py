@@ -203,3 +203,17 @@ def test_completion_event_fires_after_staging():
     sim.run()
     assert len(fired) == 1
     assert fired[0] > 0
+
+
+@pytest.mark.parametrize("iface", ["cni", "standard"])
+def test_board_holds_its_fixed_costs(iface):
+    """The per-packet NI cost (and the CNI's AIH dispatch cost) each
+    board charges are the parameters' own, computed at construction."""
+    _sim, params, _c, nodes = build_pair(iface, ni_freq_hz=40e6,
+                                         ni_packet_overhead_cycles=75)
+    nic = nodes[0][0]
+    assert nic._packet_ns == params.ni_cycles_ns(
+        params.ni_packet_overhead_cycles) == pytest.approx(75 * 25.0)
+    if iface == "cni":
+        assert nic._dispatch_ns == params.ni_cycles_ns(
+            params.ni_handler_dispatch_cycles)

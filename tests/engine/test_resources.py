@@ -34,18 +34,6 @@ def test_resource_mutual_exclusion_and_fifo():
     assert not bus.busy
 
 
-def test_resource_held_convenience():
-    sim = Simulator()
-    r = Resource(sim, "r")
-
-    def proc():
-        yield from r.held(30.0)
-        return sim.now
-
-    assert sim.run_process(proc()) == 30.0
-    assert not r.busy
-
-
 def test_resource_try_acquire_takes_only_a_free_resource():
     sim = Simulator()
     r = Resource(sim, "r")

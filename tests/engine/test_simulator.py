@@ -123,6 +123,60 @@ def test_join_finished_process():
     assert sim.run_process(parent()) == "done"
 
 
+def test_join_running_finished_and_killed_processes():
+    """A joiner gets a running process's result when it ends, a finished
+    one's result at once, and None from a killed one, whether its done
+    event was built before or after the end."""
+    sim = Simulator()
+
+    def child(tag, delay):
+        yield delay
+        return tag
+
+    running = sim.spawn(child("running", 50.0), "running")
+    finished = sim.spawn(child("finished", 1.0), "finished")
+    killed = sim.spawn(child("killed", 1000.0), "killed")
+    killed_late = sim.spawn(child("killed-late", 1000.0), "killed-late")
+    got = []
+
+    def joiner(proc, at):
+        yield at
+        got.append((proc.name, (yield proc), sim.now))
+
+    def killer():
+        yield 20.0
+        killed.kill()
+        killed_late.kill()
+
+    sim.spawn(joiner(running, 10.0), "j1")
+    sim.spawn(joiner(finished, 10.0), "j2")
+    sim.spawn(joiner(killed, 10.0), "j3")   # waiting when the kill lands
+    sim.spawn(killer(), "killer")
+    sim.spawn(joiner(killed_late, 30.0), "j4")  # joins after the kill
+    sim.run()
+    assert sorted(got) == [("finished", "finished", 10.0),
+                           ("killed", None, 20.0),
+                           ("killed-late", None, 30.0),
+                           ("running", "running", 50.0)]
+
+
+def test_unjoined_process_builds_no_done_event():
+    sim = Simulator()
+
+    def body():
+        yield 1.0
+        return 7
+
+    proc = sim.spawn(body(), "lonely")
+    sim.run()
+    assert proc.finished and proc.result == 7
+    assert proc._done_event is None
+    # A late read still sees the end, with the result.
+    ev = proc.done_event
+    assert ev.triggered and ev.value == 7
+    assert proc.done_event is ev
+
+
 def test_yield_from_composition():
     sim = Simulator()
 

@@ -92,3 +92,24 @@ def test_metrics_help_prints_its_options_and_exits_zero(capsys, flag):
                    "--topology"):
         assert option in out
     assert "experiments:" not in out   # the subcommand's text, not the runner's
+
+
+@pytest.mark.parametrize("argv", [
+    ["no_such_experiment"],               # exits 2, after the default is set
+    ["--jobs", "2", "no_such_experiment"],
+    ["--jobs", "nope", "fig2"],           # bad --jobs, exits 1
+    ["--jobs", "0", "fig2"],
+    ["-h"],                               # usage, exits 0
+])
+def test_jobs_default_is_unchanged_after_the_call(argv, capsys):
+    """The CLI's ``--jobs`` default is its own: a caller's default (the
+    one later in-process sweeps use) reads the same afterwards."""
+    from repro.harness.parallel import default_jobs, set_default_jobs
+
+    before = default_jobs()
+    set_default_jobs(3)
+    try:
+        main(argv)
+        assert default_jobs() == 3
+    finally:
+        set_default_jobs(before)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.engine import Simulator
+from repro.engine import Simulator, Tracer
 from repro.memory import MemoryBus
+from repro.obs import MetricsRegistry, SpanTracer
 from repro.params import SimParams
 
 
@@ -36,6 +37,59 @@ def test_dma_holds_bus_and_serializes():
     assert done == [("a", pytest.approx(t)), ("b", pytest.approx(2 * t))]
     assert bus.dma_transfers == 2
     assert bus.dma_bytes == 8192
+
+
+def test_dma_queues_fifo_behind_a_busy_bus_and_spans_count_each():
+    """A DMA that finds the bus busy waits its turn, first come first
+    served; every DMA, queued or not, closes one ``dma`` span covering
+    its queueing and transfer."""
+    sim = Simulator()
+    registry = MetricsRegistry()
+    spans = SpanTracer(Tracer(enabled=False), lambda: sim.now,
+                       metrics=registry.scope("spans"))
+    bus = MemoryBus(sim, SimParams(), node_id=0, spans=spans)
+    t = bus.dma_transfer_ns(4096)
+    done = []
+
+    def master(tag, at):
+        yield at
+        yield from bus.dma(4096)
+        done.append((tag, sim.now))
+
+    sim.spawn(master("a", 0.0), "a")
+    sim.spawn(master("c", 2.0), "c")
+    sim.spawn(master("b", 1.0), "b")
+    sim.spawn(master("d", 4 * t), "d")   # finds the bus free again
+    sim.run()
+    assert done == [("a", t), ("b", 2 * t), ("c", 3 * t), ("d", 5 * t)]
+    hist = registry.snapshot()["spans.dma_ns"]
+    assert hist["count"] == 4 == spans.spans_closed
+    assert hist["sum"] == pytest.approx(t + (2 * t - 1) + (3 * t - 2) + t)
+    assert not bus._resource.busy
+    assert bus.utilization_ns == pytest.approx(4 * t)
+
+
+def test_killed_dma_master_releases_the_bus():
+    sim, p, bus = make_bus()
+    t = bus.dma_transfer_ns(4096)
+    done = []
+
+    def master(tag):
+        yield from bus.dma(4096)
+        done.append((tag, sim.now))
+
+    victim = sim.spawn(master("victim"), "victim")
+    sim.spawn(master("next"), "next")
+
+    def killer():
+        yield t / 2
+        victim.kill()
+
+    sim.spawn(killer(), "killer")
+    sim.run()
+    # The killed holder's finally released the bus to the waiter.
+    assert done == [("next", pytest.approx(t / 2 + t))]
+    assert not bus._resource.busy
 
 
 def test_dma_rejects_negative():

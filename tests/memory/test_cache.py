@@ -183,6 +183,46 @@ def test_burst_engine_matches_scalar_reference(script):
             assert bool(vec.dirty[s]) == ref.dirty.get(s, False)
 
 
+@st.composite
+def flush_script(draw):
+    """Steps of a burst followed by a range flush or invalidation.  Lines
+    lie below twice the set count, so a range often meets the burst's
+    dirty lines; a range starts anywhere there, so it wraps the set
+    index at will, and runs up to ``nsets`` lines as often as up to
+    ``3 * nsets``, so it falls short of a level's sets and covers them
+    all."""
+    nsets = draw(st.sampled_from([2, 4, 8, 16]))
+    top = 2 * nsets
+    step = st.tuples(burst_lines(top, 3 * nsets), st.booleans(),
+                     st.sampled_from(["clean", "drop"]),
+                     st.integers(0, top - 1),
+                     st.one_of(st.integers(1, nsets),
+                               st.integers(1, 3 * nsets)))
+    return nsets, draw(st.lists(step, min_size=1, max_size=12))
+
+
+@given(flush_script())
+@settings(max_examples=300, deadline=None)
+def test_range_flushes_match_scalar_reference(script):
+    nsets, steps = script
+    vec = CacheLevel(nsets * 32, 32, "V", track_dirty=True)
+    ref = ReferenceCache(nsets)
+    for lines, write, op, first, n in steps:
+        for ln in lines:
+            ref.access(ln, write)
+        vec.burst(np.array(lines, dtype=np.int64), is_write=write)
+        if op == "clean":
+            assert vec.clean_range(first, n).tolist() == \
+                ref.clean_range(first, n)
+        else:
+            vec.drop_range(first, n)
+            ref.drop_range(first, n)
+        assert vec.tags.tolist() == [ref.tags.get(s, -1)
+                                     for s in range(nsets)]
+        assert vec.dirty.tolist() == [ref.dirty.get(s, False)
+                                      for s in range(nsets)]
+
+
 # ------------------------------------------------------------- hierarchy ----
 
 def hierarchy(l1_lines=4, l2_lines=16):

@@ -100,3 +100,33 @@ def test_cni_params_all_on():
 def test_frozen():
     with pytest.raises(Exception):
         PAPER_PARAMS.page_size_bytes = 1  # type: ignore[misc]
+
+
+def test_replace_derives_its_own_cycle_times():
+    """Cycle times are computed once per instance: a replaced clock gives
+    the new instance the new time, and leaves the original's."""
+    p = SimParams()
+    assert p.ni_cycle_ns == pytest.approx(1e9 / 33e6)
+    fast = p.replace(ni_freq_hz=66e6, cpu_freq_hz=332e6, bus_freq_hz=50e6,
+                     link_rate_bps=1244e6)
+    assert fast.ni_cycle_ns == pytest.approx(1e9 / 66e6)
+    assert fast.cpu_cycle_ns == pytest.approx(p.cpu_cycle_ns / 2)
+    assert fast.bus_cycle_ns == pytest.approx(p.bus_cycle_ns / 2)
+    assert fast.cell_wire_time_ns == pytest.approx(p.cell_wire_time_ns / 2)
+    assert fast.ni_cycles_ns(60) == pytest.approx(60 * 1e9 / 66e6)
+    assert p.ni_cycle_ns == pytest.approx(1e9 / 33e6)
+
+
+def test_read_cycle_times_leave_equality_hash_and_pickle_alone():
+    import pickle
+
+    p = SimParams()
+    cached = (p.cpu_cycle_ns, p.bus_cycle_ns, p.ni_cycle_ns,
+              p.cell_wire_time_ns)
+    fresh = SimParams()
+    assert p == fresh and hash(p) == hash(fresh)
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and hash(back) == hash(p)
+    assert (back.cpu_cycle_ns, back.bus_cycle_ns, back.ni_cycle_ns,
+            back.cell_wire_time_ns) == cached
+    assert repr(back) == repr(fresh)

@@ -16,11 +16,19 @@ so profile output and benchmark numbers describe the same code path::
     python tools/profile.py --callers repro            # who calls into repro.*
     python tools/profile.py --dump /tmp/run.prof       # for snakeviz/pstats
     python tools/profile.py --workload allreduce-fattree --memory
+    python tools/profile.py --workload transpose-torus --sites
 
 ``--memory`` runs the workload under ``tracemalloc`` instead of cProfile
 and prints the traced peak and the top allocation sites by line, as
 live when the simulation ends and the cluster still holds everything it
 built.
+
+``--sites`` runs the workload without a profiler and counts process
+resumes by the innermost yield site each resume continues from
+(``file:function:line``; a process's first resume is at its function's
+``def`` line), with their total.  Every resume of a process is one
+event, so on a workload that schedules no plain callbacks the total is
+``engine.events``.
 
 Per-layer shares of host time come from ``bench/run.py --trace 1``.
 """
@@ -43,11 +51,13 @@ sys.path[:] = [p for p in sys.path
 sys.path.insert(0, os.path.join(_HERE, "..", "bench"))
 
 import cProfile  # noqa: E402
+import inspect  # noqa: E402
 import pstats  # noqa: E402
 import tracemalloc  # noqa: E402
 
 import workloads  # noqa: E402  (puts src/ on the path)
 
+from repro.engine import Simulator  # noqa: E402
 from repro.runtime import Cluster  # noqa: E402
 
 #: Stack depth tracemalloc records per block under ``--memory``: deep
@@ -98,6 +108,63 @@ def _memory(inputs, limit: int) -> None:
         print(f"  {size / 1e6:8.3f} MB in {blocks[where]:7,d} blocks  {where}")
 
 
+class _CountedGenerator:
+    """A spawned process body that counts each ``send`` by the yield site
+    it resumes: the innermost generator of the ``yield from`` chain."""
+
+    __slots__ = ("_gen", "_sites")
+
+    def __init__(self, gen, sites: Counter):
+        self._gen = gen
+        self._sites = sites
+
+    def send(self, value):
+        gen = self._gen
+        inner = gen.gi_yieldfrom
+        while inspect.isgenerator(inner):
+            gen, inner = inner, inner.gi_yieldfrom
+        frame = gen.gi_frame
+        if frame is None:
+            # A killed process's closed body still takes its last wake.
+            self._sites[("<closed>", "", 0)] += 1
+        else:
+            code = frame.f_code
+            self._sites[(code.co_filename, code.co_name,
+                         frame.f_lineno)] += 1
+        return self._gen.send(value)
+
+    def throw(self, *exc):
+        # A bad yield's error, thrown back within the same event.
+        return self._gen.throw(*exc)
+
+    def close(self):
+        return self._gen.close()
+
+
+def _sites(inputs, limit: int) -> None:
+    """One run with every spawned body wrapped: print resumes per yield
+    site, the top ``limit`` of them and the total."""
+    sites: Counter = Counter()
+    spawn = Simulator.spawn
+
+    def counted_spawn(self, gen, name="proc"):
+        return spawn(self, _CountedGenerator(gen, sites), name)
+
+    Simulator.spawn = counted_spawn
+    try:
+        stats, _result = inputs.run()
+    finally:
+        Simulator.spawn = spawn
+    total = sum(sites.values())
+    print(f"[profile] {total:,d} process resumes at {len(sites)} yield "
+          f"sites ({stats.metrics.get('engine.events_processed', 0):,.0f} "
+          f"events, digest {stats.digest()[:12]}); top {limit}:")
+    for (path, func, line), count in sites.most_common(limit):
+        where = os.path.relpath(path, _ROOT) if os.path.isabs(path) else path
+        print(f"  {count:9,d} {count / total:6.1%}  {where}:{func}:{line}")
+    print(f"  {total:9,d} total")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", default="jacobi-dsm",
@@ -116,6 +183,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--memory", action="store_true",
                     help="trace allocations instead of profiling: print "
                          "the peak and the top --limit sites by line")
+    ap.add_argument("--sites", action="store_true",
+                    help="count process resumes by innermost yield site "
+                         "instead of profiling: the top --limit and the "
+                         "total")
     args = ap.parse_args(argv)
 
     w = workloads.WORKLOADS[args.workload]
@@ -125,6 +196,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[profile] {w.name} ({'smoke' if args.smoke else w.spec}) "
               f"under tracemalloc")
         _memory(inputs, args.limit)
+        return 0
+    if args.sites:
+        print(f"[profile] {w.name} ({'smoke' if args.smoke else w.spec}) "
+              f"by yield site")
+        _sites(inputs, args.limit)
         return 0
     prof = cProfile.Profile()
     prof.enable()

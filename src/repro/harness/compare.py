@@ -1,65 +1,22 @@
 """Paper-vs-measured comparison: parse harness output, render EXPERIMENTS.md.
 
-Workflow (the runner writes these files itself; see ``--results``)::
+The parser reads back the text :mod:`repro.harness.report` emits, which
+the runner writes under ``--results``; the verdicts are the checks of
+:data:`repro.harness.paper.CLAIMS`::
 
     python -m repro.harness all              # -> results/quick_scale_results.txt
     REPRO_FULL=1 python -m repro.harness all # -> results/paper_scale_results.txt
     python -m repro.harness.compare results/quick_scale_results.txt \
         results/paper_scale_results.txt > EXPERIMENTS.md
-
-The parser reads back the text format :mod:`repro.harness.report` emits,
-so the comparison document is regenerable from the same artifacts a user
-produces.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
-from .paper import (
-    FIGURE_CLAIMS,
-    PAPER_FIG14_REDUCTION_AT_4KB,
-    PAPER_OVERHEAD_TABLES,
-    PAPER_TABLE5,
-    claim_for,
-)
+from .paper import CLAIMS, Result
 from .results import SeriesResult, TableResult
-
-Result = Union[SeriesResult, TableResult]
-
-#: Known, explained divergences — rendered alongside the verdicts so the
-#: document stays honest without looking broken.
-DIVERGENCE_NOTES: Dict[str, str] = {
-    "fig12": (
-        "At the paper's workload size our CNI curve has the *larger* "
-        "relative spread: the Message Cache's advantage is biggest at "
-        "small pages (many buffers, cheap migration) and collapses at "
-        "16 KB pages (a 32 KB cache holds two buffers), so the CNI's "
-        "higher peak makes its normalized sensitivity larger even "
-        "though it beats the standard interface at every page size. "
-        "The paper's claim holds in the absolute sense that CNI >= "
-        "standard throughout the sweep."
-    ),
-    "fig10": (
-        "Absolute Cholesky speedups in our reproduction peak near 1.5-1.7x "
-        "at 8 processors and fall below 1x at 32: the banded stand-in's "
-        "task graph (16 elimination branches) and the shared bag-of-tasks "
-        "serialize at high processor counts, and per-task work is small "
-        "against distributed-lock latency.  The claims the paper actually "
-        "makes — receive caching matters, and the CNI/standard gap is the "
-        "largest of the three applications (CNI ~1.6-1.8x the standard "
-        "interface throughout) — hold at every point."
-    ),
-    "fig4": (
-        "Hit ratio at 1024x1024 is capacity-limited in our model: the "
-        "boundary working set (two 8 KB rows x two grids x send+receive "
-        "sides) is ~64 KB against the 32 KB Message Cache, so ratios "
-        "sit near 70% at 8+ processors instead of the paper's 93-99%. "
-        "Figure 13 confirms the same run reaches ~97% once the cache "
-        "exceeds 128 KB."
-    ),
-}
 
 
 def parse_results_file(path: str) -> Dict[str, Result]:
@@ -92,18 +49,16 @@ def parse_results_file(path: str) -> Dict[str, Result]:
     return out
 
 
+#: Result names whose first word is not their experiment id.
+_ALIASES = {"mcache": "fig13", "latency": "fig14", "unrestricted": "table5",
+            "simulation": "table1", "bandwidth": "bandwidth"}
+
+
 def _normalize(name: str) -> str:
     head = name.split("-")[0]
     if head.startswith(("fig", "table")):
         return head
-    aliases = {
-        "mcache": "fig13",
-        "latency": "fig14",
-        "unrestricted": "table5",
-        "simulation": "table1",
-        "bandwidth": "bandwidth",
-    }
-    return aliases.get(head, name)
+    return _ALIASES.get(head, name)
 
 
 def _build_result(name: str, header: List[str],
@@ -121,86 +76,10 @@ def _build_result(name: str, header: List[str],
     return series
 
 
-# ---------------------------------------------------------------- verdicts --
-
-def _spread(ys: List[float]) -> float:
-    return (max(ys) - min(ys)) / max(ys) if ys and max(ys) else 0.0
-
-
-def figure_verdict(exp_id: str, r: SeriesResult) -> Tuple[str, str]:
-    """(verdict, evidence) for one figure's shape claims."""
-    try:
-        if exp_id in ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8",
-                      "fig10", "fig11"):
-            cni = r.get("cni_speedup")
-            std = r.get("standard_speedup")
-            ok = all(c >= s * 0.95 for c, s in zip(cni, std))
-            ev = (f"CNI {cni[-1]:.2f}x vs standard {std[-1]:.2f}x at "
-                  f"{int(r.xs[-1])} procs")
-            if "network_cache_hit_ratio" in r.series:
-                hits = r.get("network_cache_hit_ratio")
-                ev += f"; hit ratio {hits[1]:.1f}->{hits[-1]:.1f}%"
-            return ("holds" if ok else "DIVERGES", ev)
-        if exp_id in ("fig5", "fig9", "fig12"):
-            cni = r.get("cni_speedup")
-            std = r.get("standard_speedup")
-            ok = _spread(cni) <= _spread(std) + 0.05 and all(
-                c >= s * 0.95 for c, s in zip(cni, std))
-            return ("holds" if ok else "DIVERGES",
-                    f"spread CNI {100*_spread(cni):.1f}% vs standard "
-                    f"{100*_spread(std):.1f}%")
-        if exp_id == "fig13":
-            ok = True
-            evs = []
-            for app in ("jacobi", "water", "cholesky"):
-                ys = r.get(app)
-                ok = ok and all(b >= a - 3.0 for a, b in zip(ys, ys[1:]))
-                evs.append(f"{app} {ys[0]:.0f}->{ys[-1]:.0f}%")
-            return ("holds" if ok else "DIVERGES", ", ".join(evs))
-        if exp_id == "fig14":
-            cni = r.get("cni_latency_us")
-            std = r.get("standard_latency_us")
-            red = 1 - cni[-1] / std[-1]
-            ok = all(c < s for c, s in zip(cni, std)) and 0.15 <= red <= 0.55
-            return ("holds" if ok else "DIVERGES",
-                    f"{100*red:.0f}% lower at {int(r.xs[-1])} B "
-                    f"(paper: up to {100*PAPER_FIG14_REDUCTION_AT_4KB:.0f}%)")
-    except KeyError as exc:
-        return ("n/a", f"series missing: {exc}")
-    return ("n/a", "no automated check")
-
-
-def table_verdict(exp_id: str, r: TableResult) -> Tuple[str, str]:
-    """(verdict, evidence) for one table's claims."""
-    if exp_id in PAPER_OVERHEAD_TABLES:
-        cni = {row: r.cell(row, "time_cni_cycles") for row in r.rows}
-        std = {row: r.cell(row, "time_standard_cycles") for row in r.rows}
-        ok = (cni["synch_delay"] <= std["synch_delay"]
-              and cni["total"] < std["total"])
-        paper = PAPER_OVERHEAD_TABLES[exp_id]
-        p_gain = 1 - paper["total"]["cni"] / paper["total"]["standard"]
-        m_gain = 1 - cni["total"] / std["total"]
-        return ("holds" if ok else "DIVERGES",
-                f"CNI total {100*m_gain:.1f}% lower "
-                f"(paper: {100*p_gain:.1f}%)")
-    if exp_id == "table5":
-        evs = []
-        ok = True
-        for app, paper_pct in PAPER_TABLE5.items():
-            if app in r.rows:
-                got = r.cell(app, "pct_improvement")
-                ok = ok and got > 0.5
-                evs.append(f"{app} {got:.1f}% (paper {paper_pct:.2f}%)")
-        return ("holds" if ok else "DIVERGES", ", ".join(evs))
-    return ("n/a", "reference values not tabulated")
-
-
 # ---------------------------------------------------------------- renderer --
 
-def render_experiments_md(
-    quick: Dict[str, Result],
-    paper: Optional[Dict[str, Result]] = None,
-) -> str:
+def render_experiments_md(quick: Dict[str, Result],
+                          paper: Optional[Dict[str, Result]] = None) -> str:
     """Build the EXPERIMENTS.md document."""
     paper = paper or {}
     out: List[str] = []
@@ -214,42 +93,18 @@ def render_experiments_md(
         "counts are not comparable across simulators;\nclaims are about "
         "orderings, trends and relative gaps — see DESIGN.md.\n"
     )
-    ids = [c.exp_id for c in FIGURE_CLAIMS] + ["table2", "table3", "table4",
-                                               "table5"]
-    for exp_id in ids:
-        claim = claim_for(exp_id)
-        out.append(f"\n## {exp_id}\n")
-        if claim is not None:
-            out.append(f"**Paper:** {claim.paper_says}\n")
-        elif exp_id in PAPER_OVERHEAD_TABLES:
-            p = PAPER_OVERHEAD_TABLES[exp_id]
-            out.append(
-                "**Paper (10^9 cycles, 8 procs):** "
-                + "; ".join(
-                    f"{row} {p[row]['cni']/1e9:g}/{p[row]['standard']/1e9:g}"
-                    f" (CNI/std)"
-                    for row in ("synch_overhead", "synch_delay",
-                                "computation", "total")
-                ) + "\n"
-            )
-        elif exp_id == "table5":
-            out.append(
-                "**Paper (% improvement, unrestricted cell size):** "
-                + ", ".join(f"{k} {v}%" for k, v in PAPER_TABLE5.items())
-                + "\n"
-            )
+    for claim in CLAIMS.values():
+        out.append(f"\n## {claim.exp_id}\n")
+        out.append(f"**Paper:** {claim.paper_says}\n")
         for scale_name, results in (("quick", quick), ("paper", paper)):
-            r = results.get(exp_id)
-            if r is None:
+            if claim.exp_id not in results:
                 out.append(f"- *{scale_name} scale*: (not measured)")
                 continue
-            if isinstance(r, SeriesResult):
-                verdict, ev = figure_verdict(exp_id, r)
-            else:
-                verdict, ev = table_verdict(exp_id, r)
-            out.append(f"- *{scale_name} scale*: **{verdict}** — {ev}")
-        if exp_id in DIVERGENCE_NOTES:
-            out.append("\n*Note:* " + DIVERGENCE_NOTES[exp_id])
+            verdict = claim.verdict(results, scale_name)
+            out.append(f"- *{scale_name} scale*: **{verdict.status}** — "
+                       f"{verdict.evidence}")
+        if claim.note:
+            out.append("\n*Note:* " + claim.note)
     out.append(
         "\n## Raw data\n\n"
         "The per-point numbers behind every verdict are in "

@@ -3,7 +3,7 @@
 Every function takes explicit workload parameters whose defaults are the
 *paper's* configuration; the benchmark suite passes scaled-down values so
 a full regeneration stays laptop-sized (set ``REPRO_FULL=1`` to run the
-paper-sized sweeps — see benchmarks/README note in EXPERIMENTS.md).
+paper-sized sweeps; EXPERIMENTS.md records the verdicts at both scales).
 
 Speedups are computed the way the paper computes them: execution time on
 one processor of the *same* cluster type divided by execution time on P

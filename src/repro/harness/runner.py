@@ -6,7 +6,8 @@ Every table and figure of the paper has an id here (``fig2`` ... ``fig14``,
 * ``quick`` — shrunken workloads with the same structure (default; this
   is what the paper-shape suite under ``benchmarks/`` runs);
 * ``paper`` — the paper's workload sizes and processor counts (set
-  ``REPRO_FULL=1`` or pass ``--full``; hours of simulation).
+  ``REPRO_FULL=1``; the 17 figure and table experiments took 2 min 37 s
+  at ``--jobs 2`` on a 2-vCPU host).
 
 Usage::
 
@@ -374,7 +375,7 @@ def run_experiment(exp_id: str, scale: Scale = None,
 
 
 #: The runner's options, as its unknown-option message lists them.
-_OPTIONS = ("--full", "--jobs N", "--metrics DIR", "--results DIR",
+_OPTIONS = ("--jobs N", "--metrics DIR", "--results DIR",
             "--svg DIR", "--csv DIR", "--fault-plan SPEC", "--topology SPEC",
             "--deadline-ns NS", "--heartbeat-ns NS", "-h/--help")
 
@@ -404,8 +405,6 @@ def main(argv: List[str] = None) -> int:
 
 def _cli(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    full = "--full" in argv
-    argv = [a for a in argv if a != "--full"]
     svg_dir = _take_option(argv, "--svg")
     csv_dir = _take_option(argv, "--csv")
     metrics_dir = _take_option(argv, "--metrics")
@@ -474,7 +473,7 @@ def _cli(argv: Optional[List[str]]) -> int:
             return 1
         print(f"fabric topology: {spec.canonical()} "
               f"({spec.capacity} attachment points)")
-    scale = PAPER if (full or os.environ.get("REPRO_FULL") == "1") else QUICK
+    scale = active_scale()
     if argv[:1] == ["metrics"]:
         from .metrics_cli import metrics_main
 

@@ -376,10 +376,9 @@ class SimParams:
         return max(1, -(-total // self.atm_payload_bytes))
 
     def replace(self, **changes) -> "SimParams":
-        """Return a copy with ``changes`` applied (validated)."""
-        new = dataclasses.replace(self, **changes)
-        new.validate()
-        return new
+        """Return a copy with ``changes`` applied, validated once by
+        ``__post_init__``."""
+        return dataclasses.replace(self, **changes)
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on inconsistent parameter sets."""

@@ -40,6 +40,10 @@ def test_unknown_option_is_reported_as_an_option(capsys, tmp_path):
     assert "--jobs N" in err and "--topology SPEC" in err
     assert "experiment ids" not in err
     assert list(tmp_path.iterdir()) == []
+    # The paper scale is chosen by REPRO_FULL=1 alone.
+    assert main(["fig2", "--full", "--results", str(tmp_path)]) == 2
+    assert "unknown option --full " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_deadline_and_heartbeat_exit_nonzero(capsys):

@@ -75,6 +75,20 @@ def test_replace_validates():
         PAPER_PARAMS.replace(cpu_freq_hz=0)
 
 
+def test_replace_validates_once(monkeypatch):
+    """``dataclasses.replace`` runs ``__post_init__``, which validates;
+    ``replace`` adds no second pass, and a bad value still raises."""
+    calls = []
+    check = SimParams.validate
+    monkeypatch.setattr(SimParams, "validate",
+                        lambda self: calls.append(self) or check(self))
+    p = PAPER_PARAMS.replace(num_processors=4)
+    assert calls == [p]
+    with pytest.raises(ValueError):
+        PAPER_PARAMS.replace(num_processors=0)
+    assert len(calls) == 2
+
+
 def test_message_cache_zero_is_allowed():
     # ablation: no message cache at all
     p = PAPER_PARAMS.replace(message_cache_bytes=0)

@@ -50,12 +50,6 @@ class BandedSPD:
         if self.block_size is not None and self.block_size < 1:
             raise ValueError("block_size must be positive")
 
-    def same_block(self, i: int, j: int) -> bool:
-        """Whether rows/columns ``i`` and ``j`` may be coupled."""
-        if self.block_size is None:
-            return True
-        return i // self.block_size == j // self.block_size
-
     @property
     def stored_entries(self) -> int:
         """Nonzero budget (lower triangle + diagonal)."""

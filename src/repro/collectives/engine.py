@@ -22,7 +22,7 @@ prices it:
 * on the standard interface, and on a CNI with AIH ablated away (whose
   board has already charged the host its interrupt and kernel bounce),
   the step runs on the host: ``host_protocol_cycles`` of stolen time,
-  counted in ``coll.host_steps`` and ``coll.host_interrupts``.
+  counted in ``coll.host_steps``.
 
 Consistency protocols attach to barriers through the optional
 ``consistency`` hook object (duck-typed; see docs/collectives.md):
@@ -104,7 +104,6 @@ class CollectiveEngine:
         self._m_bytes = scope.counter("bytes_sent")
         self._m_nic_steps = scope.counter("nic_steps")
         self._m_host_steps = scope.counter("host_steps")
-        self._m_host_intr = scope.counter("host_interrupts")
         self._m_timeouts = scope.counter("timeouts")
         self._op_ns = {op: scope.histogram(f"{op}_ns") for op in OPS}
 
@@ -302,7 +301,6 @@ class CollectiveEngine:
             self._m_nic_steps.inc()
         else:
             self._m_host_steps.inc()
-            self._m_host_intr.inc()
         yield self.node.protocol_step_ns(
             on_board, p.ni_aih_protocol_cycles, p.host_protocol_cycles)
         key = packet.handler_key

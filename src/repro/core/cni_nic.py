@@ -57,8 +57,6 @@ class CNIInterface(NetworkInterface):
         self.handlers = HandlerRegistry(params, metrics=m.scope("aih"))
         self._dispatch_ns = self.handlers.dispatch_time_ns()
         self.channel_manager = ChannelManager(sim)
-        #: per-cell mode: packet_id -> classification of its first cell
-        self._frag_targets = {}
         super().__init__(sim, params, node_id, network, bus, counters, hooks,
                          metrics=m)
         adc = m.scope("adc")
@@ -188,42 +186,10 @@ class CNIInterface(NetworkInterface):
         if not staged_from_host:
             self.counters.inc("mc_transmit_hits")
 
-    # -- per-cell fragment handling (per_cell_transport mode) ----------------
-    def _on_fragment(self, cell, packet: Packet) -> float:
-        """PATHFINDER fragment routing (Section 2.1: 'the ability to
-        handle fragmented packets').  The first cell carries the header
-        and is classified; the result is remembered in the fragment
-        table so later cells route without a header."""
-        if packet.kind is PacketKind.ACK:
-            # Transport-internal: consumed by the NI before demux, so it
-            # never enters the PATHFINDER fragment table.
-            return 0.0
-        if cell.seq == 0:
-            target = self.pathfinder.classify(packet.header_bytes())
-            self._frag_targets[packet.packet_id] = target
-            if target is not None:
-                self.pathfinder.note_fragmented_packet(
-                    cell.vci, packet.packet_id, target)
-            return self.params.pathfinder_classify_ns
-        self.pathfinder.classify_fragment(cell.vci, packet.packet_id)
-        return 0.0
-
-    def _end_fragmented(self, cell) -> None:
-        self.pathfinder.end_of_packet(cell.vci, cell.packet_id)
-
-    def _discard_receive(self, packet: Packet) -> None:
-        """A duplicate never reaches dispatch; drop its staged
-        classification so the fragment-target map cannot leak."""
-        self._frag_targets.pop(packet.packet_id, None)
-
     # -- receive dispatch ---------------------------------------------------------------
     def _dispatch_receive(self, packet: Packet) -> Generator:
-        if packet.packet_id in self._frag_targets:
-            # per-cell mode: the first fragment already classified
-            target = self._frag_targets.pop(packet.packet_id)
-        else:
-            yield self.params.pathfinder_classify_ns
-            target = self.pathfinder.classify(packet.header_bytes())
+        yield self.params.pathfinder_classify_ns
+        target = self.pathfinder.classify(packet.header_bytes())
         if target is None:
             self.packets_dropped += 1
             self.counters.inc("nic_classify_misses")

@@ -26,7 +26,7 @@ from typing import Any, Callable, Generator, Optional, Protocol, Sequence
 
 from ..engine import Counters, Mailbox, Simulator
 from ..memory import MemoryBus
-from ..network import CellTrain, Network, Packet, PacketKind, Reassembler, Segmenter
+from ..network import Network, Packet, PacketKind, Segmenter
 from ..obs import MetricsScope, private_scope
 from ..params import SimParams
 from .adc import ReceiveDescriptor, TransmitDescriptor
@@ -83,7 +83,6 @@ class NetworkInterface:
         self.hooks = hooks
         self.metrics = metrics if metrics is not None else private_scope()
         self.segmenter = Segmenter(params)
-        self.reassembler = Reassembler(params)
         self.tx_queue: Mailbox = Mailbox(sim, f"nic{node_id}-tx")
         #: Fixed NI-processor work per packet (header build or parse,
         #: queue manipulation), charged on each side of the wire.
@@ -212,16 +211,10 @@ class NetworkInterface:
             # hit-ratio metric.
             self._count_transmit(staged_from_host)
         # Segmentation: per-cell work on the NI processor.
-        if self.params.per_cell_transport and not self.params.unrestricted_cell_size:
-            cells = self.segmenter.segment(packet)
-            yield self.segmenter.sar_time_ns(len(cells))
-            self._note_sent(packet)
-            self.network.send_cells(cells, packet)
-        else:
-            train = self.segmenter.make_train(packet)
-            yield self.segmenter.sar_time_ns(train.n_cells)
-            self._note_sent(packet)
-            self.network.send_train(train)
+        train = self.segmenter.make_train(packet)
+        yield self.segmenter.sar_time_ns(train.n_cells)
+        self._note_sent(packet)
+        self.network.send_train(train)
         return None
 
     def _note_sent(self, packet: Packet) -> None:
@@ -254,38 +247,18 @@ class NetworkInterface:
     def _receive_loop(self) -> Generator:
         rx = self.network.rx_queues[self.node_id]
         while True:
-            found, item = rx.try_get()
+            found, train = rx.try_get()
             if not found:
-                item = yield from rx.get()
-            if item.__class__ is tuple:
-                # Per-cell transport: reassemble one fragment at a time.
-                # The classification hook lets the CNI drive its
-                # PATHFINDER fragment table exactly as the hardware does;
-                # the baseline just reassembles.
-                cell, packet = item
-                yield self.reassembler.sar_time_ns(1)
-                extra = self._on_fragment(cell, packet)
-                if extra:
-                    yield extra
-                packet = self.reassembler.accept_cell(cell, packet,
-                                                      now=self.sim.now)
-                if packet is None and not cell.eop:
-                    continue
-                # Complete, or lost to an AAL5 integrity failure at
-                # end-of-packet.
-                self._end_fragmented(cell)
-                if packet is not None:
-                    yield self._packet_ns
-            else:
-                # Reassembly: per-cell work on the NI processor.
-                yield self.reassembler.sar_time_ns(item.n_cells)
-                yield self._packet_ns
-                packet = self.reassembler.accept_train(item)
-            if packet is None:
+                train = yield from rx.get()
+            # Reassembly: per-cell work on the NI processor, then the
+            # AAL5 length/CRC check, which a lost or damaged cell fails.
+            yield self.segmenter.sar_time_ns(train.n_cells)
+            yield self._packet_ns
+            if not train.intact:
                 self.packets_dropped += 1
                 self.counters.inc("nic_packets_dropped")
                 continue
-            for p in self._accept_packet(packet):
+            for p in self._accept_packet(train.packet):
                 self.packets_received += 1
                 self.counters.inc("nic_packets_received")
                 self.payload_bytes_received += p.payload_bytes
@@ -311,21 +284,8 @@ class NetworkInterface:
             # Ack every arrival — including duplicates, whose earlier
             # ack is exactly what may have been lost.
             self.board_send(self.reliab.make_ack(packet, self.node_id))
-        ready, accepted = self.reliab.on_receive(packet)
-        if not accepted:
-            self._discard_receive(packet)
-        return ready
-
-    def _discard_receive(self, packet: Packet) -> None:
-        """Teardown hook for a duplicate-suppressed packet (subclasses
-        drop any per-packet routing state they staged)."""
-
-    def _on_fragment(self, cell, packet: Packet) -> float:
-        """Per-fragment classification hook; returns extra NI time."""
-        return 0.0
-
-    def _end_fragmented(self, cell) -> None:
-        """Fragment bookkeeping teardown hook."""
+        # A suppressed duplicate comes back with nothing ready.
+        return self.reliab.on_receive(packet)[0]
 
     def _dispatch_receive(self, packet: Packet) -> Generator:
         """Demultiplex an inbound packet (the paths differ entirely)."""

@@ -7,16 +7,17 @@ is too coarse-grained to handle multiple protocol actions inside an
 application", and software classification on the NI processor suffered
 instruction-cache capacity misses on the ATOMIC interface.
 
-The implementation keeps the two properties the paper leans on:
+The implementation keeps the property the paper leans on, flexible
+classification programmability: a pattern is a conjunction of masked
+comparisons over the packet header; patterns sharing a prefix of
+comparisons share DAG cells, which is how the hardware composes many
+patterns cheaply.
 
-* **Flexible classification programmability** — a pattern is a
-  conjunction of masked comparisons over the packet header; patterns
-  sharing a prefix of comparisons share DAG cells, which is how the
-  hardware composes many patterns cheaply.
-* **Fragment handling** — only a packet's first fragment carries the
-  header; on a first-fragment match the classifier installs a
-  ``(vci, packet_id)`` entry in a fragment table so later fragments map
-  to the same target without a header.
+The hardware also handles fragmented packets: only the first cell
+carries the header, and a fragment table routes the rest to the same
+target.  That is what lets the board classify once per packet, which is
+what the model charges (one :meth:`Pathfinder.classify` per reassembled
+packet); the table's bookkeeping is not simulated.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class _Cell:
 
 
 class Pathfinder:
-    """The classifier: programmable pattern DAG + fragment table."""
+    """The classifier: a programmable pattern DAG."""
 
     def __init__(self, max_patterns: int = 1024,
                  metrics: Optional[MetricsScope] = None):
@@ -105,7 +106,6 @@ class Pathfinder:
         self.max_patterns = max_patterns
         self._root: List[_Cell] = []  # alternative first cells
         self._patterns: Dict[int, Pattern] = {}
-        self._fragment_table: Dict[Tuple[int, int], Any] = {}
         #: Memoized DAG walks: header bytes -> winning (pattern_id,
         #: target) or None on a miss.  Valid only for the current
         #: pattern set — install/remove clear it.  Bounded so a stream
@@ -115,15 +115,12 @@ class Pathfinder:
         self._classify_cache_max = 4096
         self.classifications = 0
         self.matches = 0
-        self.fragment_hits = 0
         self.misses = 0
         m = metrics if metrics is not None else private_scope()
         m.counter("classifications", fn=lambda: self.classifications)
         m.counter("matches", fn=lambda: self.matches)
-        m.counter("fragment_hits", fn=lambda: self.fragment_hits)
         m.counter("misses", fn=lambda: self.misses)
         m.gauge("patterns_installed", fn=lambda: self.pattern_count)
-        m.gauge("fragment_table_size", fn=lambda: self.fragment_table_size)
 
     # -- programming ---------------------------------------------------------
     def install(self, pattern: Pattern) -> int:
@@ -182,7 +179,7 @@ class Pathfinder:
 
     # -- classification -------------------------------------------------------
     def classify(self, header: bytes) -> Optional[Any]:
-        """Classify a first fragment / whole packet by its header.
+        """Classify a packet by its header.
 
         Returns the target of the first installed pattern that matches,
         or None (packet dropped / kicked to the slow path).
@@ -226,25 +223,3 @@ class Pathfinder:
             return None
         self.matches += 1
         return best[1]
-
-    def note_fragmented_packet(self, vci: int, packet_id: int, target: Any) -> None:
-        """Record a classified first fragment so later fragments route."""
-        self._fragment_table[(vci, packet_id)] = target
-
-    def classify_fragment(self, vci: int, packet_id: int) -> Optional[Any]:
-        """Route a non-first fragment via the fragment table."""
-        target = self._fragment_table.get((vci, packet_id))
-        if target is not None:
-            self.fragment_hits += 1
-        else:
-            self.misses += 1
-        return target
-
-    def end_of_packet(self, vci: int, packet_id: int) -> None:
-        """Retire a fragment-table entry once the packet completes."""
-        self._fragment_table.pop((vci, packet_id), None)
-
-    @property
-    def fragment_table_size(self) -> int:
-        """Live fragment-table entries."""
-        return len(self._fragment_table)

@@ -9,8 +9,7 @@ Invariants checked:
 
 * **Quiescence** (optional): no leaked waiters in any engine's wait
   table (DSM, collective and messaging) and no parked release left
-  unclaimed, no unpublished writes, no locks still held, no partially
-  reassembled packets.
+  unclaimed, no unpublished writes, no locks still held.
 * **Vector-clock sanity**: a node's own component equals its interval
   count; nobody knows a *future* interval of another node (vc[p] on any
   node never exceeds p's own component).
@@ -128,10 +127,6 @@ def check_cluster(cluster, quiescent: bool = True) -> List[Violation]:
                 out.append(Violation(
                     eng.me, "locks-held-at-exit",
                     f"{eng.local_locks.held_locks()}"))
-            if node.nic.reassembler.pending_packets():
-                out.append(Violation(
-                    eng.me, "partial-reassembly",
-                    f"{node.nic.reassembler.pending_packets()} packets"))
     return out
 
 

@@ -22,7 +22,6 @@ from typing import Generator, List
 
 from ..engine import SimulationError
 from ..network import Packet
-from .interval import Interval, WriteNotice
 from .messages import InvAck, Invalidate, MsgType
 from .protocol import DsmEngine
 
@@ -44,41 +43,20 @@ class EagerDsmEngine(DsmEngine):
         The releaser blocks until every peer has acknowledged — the cost
         lazy RC exists to avoid.
         """
-        if not self.collector:
-            return None
-        seq = self.vc.tick(self.me)
-        page_bytes = self.collector.drain()
-        notices = []
-        node = self.node
-        for page, nbytes in sorted(page_bytes.items()):
-            notices.append(WriteNotice(page, self.me, seq, nbytes))
-            self.diff_store[(page, seq)] = nbytes
-            flush_ns = node.write_back_page(page)
-            yield flush_ns
-            node.account_overhead(flush_ns)
-        interval = Interval(self.me, seq, tuple(notices))
-        self.ilog.record(interval)
-        self.pages.end_interval_downgrade()
-        cost = self.params.cpu_cycles_ns(
-            self.params.notice_create_cycles * len(notices)
-        )
-        yield cost
-        self.node.account_overhead(cost)
-        self.node.counters.inc("dsm_intervals", 1)
-        self.node.counters.inc("dsm_notices_created", len(notices))
-
+        interval = yield from super().end_interval()
         peers = [p for p in range(self.nprocs) if p != self.me]
-        if not peers:
-            return None
-        key = ("inv", seq)
+        if interval is None or not peers:
+            return interval
+        key = ("inv", interval.seq)
         event = self.waits.register(key, replies=len(peers))
-        msg = Invalidate(releaser=self.me, seq=seq, intervals=[interval])
+        msg = Invalidate(releaser=self.me, seq=interval.seq,
+                         intervals=[interval])
         self.node.counters.inc("dsm_eager_invalidations", len(peers))
         for p in peers:
             yield from self._app_send(p, MsgType.INVALIDATE, msg,
                                       msg.wire_bytes)
         yield from self._wait(key, event, "dsm invalidate round")
-        return None
+        return interval
 
     # -- piggybacking disabled: everyone is already current ---------------
     def _grant_lock(self, lock_id: int, requester: int,

@@ -226,7 +226,8 @@ class DsmEngine:
         written pages' dirty cache lines (the write-back-cache consistency
         requirement of Section 2.2 — this is also what keeps the Message
         Cache copies of those pages consistent, via snooping), downgrades
-        the twinned pages, and logs the interval.
+        the twinned pages, and logs the interval.  Returns the closed
+        :class:`Interval`, or None when nothing was written.
         """
         if not self.collector:
             return None
@@ -240,7 +241,8 @@ class DsmEngine:
             flush_ns = node.write_back_page(page)
             yield flush_ns
             node.account_overhead(flush_ns)
-        self.ilog.record(Interval(self.me, seq, tuple(notices)))
+        interval = Interval(self.me, seq, tuple(notices))
+        self.ilog.record(interval)
         self.pages.end_interval_downgrade()
         cost = self.params.cpu_cycles_ns(
             self.params.notice_create_cycles * len(notices)
@@ -249,7 +251,7 @@ class DsmEngine:
         self.node.account_overhead(cost)
         self.node.counters.inc("dsm_intervals", 1)
         self.node.counters.inc("dsm_notices_created", len(notices))
-        return None
+        return interval
 
     # ------------------------------------------------------------ app-side: pages --
     def page_accessible(self, page: int, for_write: bool) -> bool:

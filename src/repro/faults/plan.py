@@ -314,38 +314,6 @@ class ActiveFaultPlan:
             self.cells_corrupted[p.dst_node] += corrupted
         return lost, corrupted
 
-    def cell_fate(self, cell, packet, now: float) -> str:
-        """Fate of one cell in per-cell transport: ``"ok"``, ``"drop"``
-        or ``"corrupt"``."""
-        if self.node_dead(packet.src_node, now) \
-                or self.node_dead(packet.dst_node, now):
-            self.cells_dropped[packet.dst_node] += 1
-            return "drop"
-        fate = "ok"
-        for idx, s in enumerate(self.schedules):
-            if isinstance(s, LinkDown):
-                if s.src == packet.src_node and s.dst == packet.dst_node \
-                        and s.from_ns <= now < s.to_ns:
-                    fate = "drop"
-            elif isinstance(s, (CellLoss, CellCorrupt)):
-                if not self._matches(s, packet.src_node, packet.dst_node, now):
-                    continue
-                hit = False
-                if s.nth is not None:
-                    hit = self._count_nth(idx, s.nth, 1) > 0
-                if not hit and s.rate > 0.0:
-                    hit = self.rng.random() < s.rate
-                if hit:
-                    if isinstance(s, CellLoss):
-                        fate = "drop"
-                    elif fate == "ok":
-                        fate = "corrupt"
-        if fate == "drop":
-            self.cells_dropped[packet.dst_node] += 1
-        elif fate == "corrupt":
-            self.cells_corrupted[packet.dst_node] += 1
-        return fate
-
 
 # ------------------------------------------------------------- CLI parser --
 

@@ -11,7 +11,7 @@ write target back into the virtual buffer it belongs to.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 
 class TranslationError(KeyError):
@@ -60,10 +60,6 @@ class HostMMU:
     def translate_p2v(self, frame: int) -> Optional[int]:
         """Physical frame -> virtual page; None if unmapped."""
         return self._p2v.get(frame)
-
-    def mapped_vpages(self) -> Iterator[int]:
-        """Iterate currently mapped virtual pages."""
-        return iter(self._v2p)
 
     def __len__(self) -> int:
         return len(self._v2p)

@@ -14,7 +14,6 @@ banyan switch.
 from .cell import (
     FLAG_CACHEABLE,
     HEADER_BYTES,
-    AtmCell,
     CellTrain,
     Packet,
     PacketKind,
@@ -28,13 +27,12 @@ from .fabrics import (
     TorusTopology,
     build_topology,
 )
-from .fragmentation import Reassembler, ReassemblyStats, Segmenter
+from .fragmentation import Segmenter
 from .spec import TopologyError, TopologySpec, parse_topology
 from .switch import BanyanFabric
 from .topology import Network
 
 __all__ = [
-    "AtmCell",
     "BanyanFabric",
     "BanyanTopology",
     "CellTrain",
@@ -45,8 +43,6 @@ __all__ = [
     "Network",
     "Packet",
     "PacketKind",
-    "Reassembler",
-    "ReassemblyStats",
     "Segmenter",
     "Topology",
     "TopologyError",

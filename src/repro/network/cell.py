@@ -1,9 +1,9 @@
-"""Packets and ATM cells.
+"""Packets and ATM cell trains.
 
 A :class:`Packet` is what the NICs exchange: a small fixed-layout binary
 header (what the PATHFINDER classifies on) plus an arbitrary payload
-descriptor.  On the wire a packet becomes AAL5-framed ATM cells
-(:mod:`repro.network.fragmentation`).
+descriptor.  On the wire a packet becomes a train of AAL5-framed ATM
+cells (:mod:`repro.network.fragmentation`).
 
 The header layout is deliberately concrete — 16 bytes, big-endian — so
 that the PATHFINDER works on real byte patterns rather than on Python
@@ -167,36 +167,14 @@ def parse_header(header: bytes) -> dict:
 
 
 @dataclass
-class AtmCell:
-    """One 53-byte ATM cell (5-byte header + 48-byte payload).
-
-    ``eop`` marks the AAL5 end-of-packet cell (the bit real AAL5 carries
-    in the PTI field); the reassembler uses it to delimit packets.
-    """
-
-    vci: int
-    packet_id: int
-    seq: int
-    eop: bool
-    payload_len: int
-    corrupt: bool = False
-    """Failure injection: payload damaged in transit.  The cell still
-    arrives (and costs SAR work) but the packet fails its AAL5 CRC at
-    end-of-packet."""
-
-    def __post_init__(self):
-        if not 0 <= self.payload_len:
-            raise ValueError("negative cell payload")
-
-
-@dataclass
 class CellTrain:
     """A batched representation of one packet's cells in flight.
 
     The network simulates a packet's cells as a unit (exact cell count,
-    pipelined timing) to keep event counts tractable; tests that need
-    individual cells expand a train with
-    :meth:`repro.network.fragmentation.Segmenter.segment`.
+    pipelined timing) to keep event counts tractable.  AAL5 has no
+    per-cell sequence numbers: a lost or damaged cell fails the length
+    or CRC check at end-of-packet, so the receiving NIC drops the whole
+    packet unless the train is :attr:`intact`.
     """
 
     packet: Packet

@@ -5,25 +5,24 @@ large transfer pays per-cell segmentation and reassembly work on the
 33 MHz NI processor.  This module makes that cost explicit and provides
 the "mythical networking technology ... with unlimited cell size" as the
 ``unrestricted_cell_size`` parameter (one cell per packet, no SAR
-overhead beyond the fixed per-packet work).
+overhead beyond the fixed per-packet work).  Reassembly costs the same
+per-cell work as segmentation, so both sides of the wire price it with
+:meth:`Segmenter.sar_time_ns`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from ..params import SimParams
-from .cell import AtmCell, CellTrain, Packet
+from .cell import CellTrain, Packet
 
 
 class Segmenter:
-    """Turns packets into cells (or cell trains) and prices the work."""
+    """Turns packets into cell trains and prices the SAR work."""
 
     def __init__(self, params: SimParams):
         self.params = params
-        self.packets_segmented = 0
-        self.cells_produced = 0
         #: wire_bytes -> cell count.  Packet sizes cluster tightly (page
         #: transfers, diffs, a handful of control sizes), so the
         #: arithmetic in ``cells_for_packet`` is paid once per distinct
@@ -44,36 +43,7 @@ class Segmenter:
 
     def make_train(self, packet: Packet) -> CellTrain:
         """Batched segmentation: the form the simulated network carries."""
-        n = self.cell_count(packet)
-        self.packets_segmented += 1
-        self.cells_produced += n
-        return CellTrain(packet, n)
-
-    def segment(self, packet: Packet) -> List[AtmCell]:
-        """Full per-cell expansion (tests, failure injection).
-
-        The payload of the last cell carries the AAL5 trailer; cell
-        payload lengths account for header + payload + trailer exactly.
-        """
-        total = packet.wire_bytes + self.params.aal5_trailer_bytes
-        per = self.params.atm_payload_bytes
-        if self.params.unrestricted_cell_size:
-            return [AtmCell(vci=packet.channel_id, packet_id=packet.packet_id,
-                            seq=0, eop=True, payload_len=total)]
-        cells = []
-        n = max(1, -(-total // per))
-        for i in range(n):
-            this = min(per, total - i * per)
-            cells.append(
-                AtmCell(
-                    vci=packet.channel_id,
-                    packet_id=packet.packet_id,
-                    seq=i,
-                    eop=(i == n - 1),
-                    payload_len=this,
-                )
-            )
-        return cells
+        return CellTrain(packet, self.cell_count(packet))
 
     def sar_time_ns(self, n_cells: int) -> float:
         """NI-processor time to segment (or reassemble) ``n_cells``.
@@ -81,128 +51,6 @@ class Segmenter:
         With unrestricted cells the per-cell loop collapses to a single
         iteration, which is exactly how Table 5's improvement arises.
         """
-        t = self._sar_ns_cache.get(n_cells)
-        if t is None:
-            t = self.params.ni_cycles_ns(
-                self.params.ni_cell_sar_cycles * n_cells)
-            self._sar_ns_cache[n_cells] = t
-        return t
-
-
-@dataclass
-class ReassemblyStats:
-    """Counters for the receive-side SAR."""
-
-    packets_ok: int = 0
-    packets_dropped: int = 0
-    cells_consumed: int = 0
-    partials_evicted: int = 0
-    """Incomplete packets abandoned (stale-partial timeout, capacity
-    eviction or explicit abort); each is also a ``packets_dropped``."""
-
-
-class Reassembler:
-    """Receive-side AAL5 reassembly with integrity checking.
-
-    Two input forms mirror the segmenter: a :class:`CellTrain` (fast
-    path: intact unless cells were marked lost or corrupted) and a raw
-    cell list (tests / loss / reordering).  AAL5 has no per-cell
-    sequence numbers — a length/CRC mismatch at end-of-packet drops the
-    whole packet, which is what we model.
-
-    A partial packet whose end-of-packet cell never arrives (its tail
-    was dropped in transit) would otherwise sit in the reassembly map
-    forever; passing ``now`` to :meth:`accept_cell` ages such partials
-    out after ``params.reassembly_timeout_ns``, and ``max_partials``
-    bounds the map against pathological interleaving.
-    """
-
-    def __init__(self, params: SimParams, max_partials: int = 256):
-        self.params = params
-        self.max_partials = max_partials
-        self.stats = ReassemblyStats()
-        #: n_cells -> SAR nanoseconds (see Segmenter._sar_ns_cache).
-        self._sar_ns_cache: Dict[int, float] = {}
-        self._partial: Dict[Tuple[int, int], List[AtmCell]] = {}
-        #: last cell-arrival time per partial (same keys as _partial)
-        self._last_cell_ns: Dict[Tuple[int, int], float] = {}
-
-    def accept_train(self, train: CellTrain) -> Optional[Packet]:
-        """Reassemble a batched train; None unless it arrived intact."""
-        self.stats.cells_consumed += train.n_cells - train.lost_cells
-        if not train.intact:
-            self.stats.packets_dropped += 1
-            return None
-        self.stats.packets_ok += 1
-        return train.packet
-
-    def accept_cell(self, cell: AtmCell, packet: Packet,
-                    now: Optional[float] = None) -> Optional[Packet]:
-        """Feed one cell; returns the packet when it completes.
-
-        ``packet`` is the simulation-side object the cells refer to (the
-        model does not serialize payload bytes into cells); identity is
-        checked via ``packet_id``.  ``now`` (simulated time) enables
-        stale-partial eviction; callers without a clock may omit it.
-        """
-        key = (cell.vci, cell.packet_id)
-        if key not in self._partial and len(self._partial) >= self.max_partials:
-            self._evict(next(iter(self._partial)))
-        self._partial.setdefault(key, []).append(cell)
-        self.stats.cells_consumed += 1
-        if now is not None:
-            self._last_cell_ns[key] = now
-            self._evict_stale(now)
-        if not cell.eop:
-            return None
-        cells = self._partial.pop(key)
-        self._last_cell_ns.pop(key, None)
-        expected = self.params.cells_for_packet(packet.wire_bytes)
-        seqs = [c.seq for c in cells]
-        if len(cells) != expected or sorted(seqs) != list(range(expected)):
-            # AAL5 length/CRC failure: drop the packet.
-            self.stats.packets_dropped += 1
-            return None
-        if seqs != sorted(seqs):
-            # ATM VCs preserve order; reordering means the fabric is
-            # broken — drop and count, don't crash the simulation.
-            self.stats.packets_dropped += 1
-            return None
-        if any(c.corrupt for c in cells):
-            # Every cell present, but a payload was damaged in transit:
-            # the AAL5 CRC over the reassembled packet fails.
-            self.stats.packets_dropped += 1
-            return None
-        self.stats.packets_ok += 1
-        return packet
-
-    def abort(self, vci: int, packet_id: int) -> bool:
-        """Explicitly abandon a partial packet; True if one existed."""
-        key = (vci, packet_id)
-        if key not in self._partial:
-            return False
-        self._evict(key)
-        return True
-
-    def _evict(self, key: Tuple[int, int]) -> None:
-        del self._partial[key]
-        self._last_cell_ns.pop(key, None)
-        self.stats.packets_dropped += 1
-        self.stats.partials_evicted += 1
-
-    def _evict_stale(self, now: float) -> None:
-        deadline = now - self.params.reassembly_timeout_ns
-        stale = [key for key, last in self._last_cell_ns.items()
-                 if last < deadline]
-        for key in stale:
-            self._evict(key)
-
-    def pending_packets(self) -> int:
-        """Packets with cells buffered but no end-of-packet yet."""
-        return len(self._partial)
-
-    def sar_time_ns(self, n_cells: int) -> float:
-        """NI-processor time for reassembly of ``n_cells``."""
         t = self._sar_ns_cache.get(n_cells)
         if t is None:
             t = self.params.ni_cycles_ns(

@@ -18,7 +18,7 @@ fabric shares (:mod:`repro.network.fabrics`): the banyan's path is one
 crossing onto the destination's output port, and multi-hop fabrics walk
 several hops (per-link rates, FIFO output queueing, input-port
 head-of-line blocking).  The two host wires stay here, in the one
-transfer body that both the train path and per-cell transport run.
+transfer body every train runs.
 
 The sending NIC's transmit processor is itself a serial simulated
 process, which provides source-side serialization of back-to-back sends
@@ -27,12 +27,11 @@ from one node (DESIGN.md documents this approximation).
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List
 
 from ..engine import Mailbox, Simulator
 from ..params import SimParams
-from .cell import AtmCell, CellTrain, Packet
+from .cell import CellTrain, Packet
 from .fabrics import Topology, build_topology
 
 
@@ -51,7 +50,6 @@ class Network:
             Mailbox(sim, f"rx{i}") for i in range(params.num_processors)
         ]
         self.trains_delivered = 0
-        self.cells_delivered = 0
         #: Runtime fault evaluator (repro.faults); None on a clean fabric.
         self.active_faults = (
             params.fault_plan.activate(params.num_processors)
@@ -87,26 +85,10 @@ class Network:
         """Launch a train asynchronously (fire-and-forget from the NIC)."""
         self.sim.spawn(self._transfer(train), f"xfer-{train.packet.packet_id}")
 
-    def send_cells(self, cells: Sequence[AtmCell], packet: Packet) -> None:
-        """Per-cell transport: launch a packet's cells individually.
-
-        Fabric timing matches the train path (the cells pipeline through
-        together); delivery hands each cell to the destination NIC as its
-        own event, which is what lets the receiving PATHFINDER route
-        fragments through its fragment table.
-        """
-        cells = list(cells)
-        self.sim.spawn(
-            self._transfer(CellTrain(packet, len(cells)), cells),
-            f"xfer-cells-{packet.packet_id}",
-        )
-
-    def _transfer(self, train: CellTrain,
-                  cells: Optional[List[AtmCell]] = None) -> Generator:
+    def _transfer(self, train: CellTrain) -> Generator:
         """The one transfer body: host wire, fabric walk, host wire and
         the arrival-side fault delays.  Delivery puts the train, damaged
-        or not; with ``cells``, it puts each surviving cell as its own
-        ``(cell, packet)`` item instead."""
+        or not; the receiving NIC's integrity check drops a damaged one."""
         p = train.packet
         if p.dst_node == p.src_node:
             raise ValueError("loopback traffic never enters the fabric")
@@ -118,26 +100,12 @@ class Network:
         faults = self.active_faults
         if faults is not None:
             yield from self._fault_delays(faults, p)
-        rx = self.rx_queues[p.dst_node]
-        if cells is None:
-            if faults is not None:
-                lost, corrupted = faults.train_faults(train, self.sim.now)
-                if lost or corrupted:
-                    train = CellTrain(p, train.n_cells,
-                                      lost_cells=min(lost, train.n_cells),
-                                      corrupted_cells=corrupted)
-            self.trains_delivered += 1
-            rx.put(train)
-            return None
-        for cell in cells:
-            if faults is not None:
-                fate = faults.cell_fate(cell, p, self.sim.now)
-                if fate == "drop":
-                    continue
-                if fate == "corrupt":
-                    cell = dataclasses.replace(cell, corrupt=True)
-            self.cells_delivered += 1
-            rx.put((cell, p))
+            lost, corrupted = faults.train_faults(train, self.sim.now)
+            if lost or corrupted:
+                train = CellTrain(p, train.n_cells, lost_cells=lost,
+                                  corrupted_cells=corrupted)
+        self.trains_delivered += 1
+        self.rx_queues[p.dst_node].put(train)
         return None
 
     def transfer_and_wait(self, train: CellTrain) -> Generator:
@@ -157,5 +125,4 @@ class Network:
         """Register the ``net.*`` catalog (docs/network.md) on ``scope``:
         delivery totals here plus the fabric's congestion counters."""
         scope.counter("trains_delivered", fn=lambda: self.trains_delivered)
-        scope.counter("cells_delivered", fn=lambda: self.cells_delivered)
         self.topology.register_metrics(scope)

@@ -97,13 +97,6 @@ class SimParams:
     """Table 5's "mythical" ATM with unlimited cell size: one cell per
     packet, no segmentation-and-reassembly overhead."""
 
-    per_cell_transport: bool = False
-    """Simulate every ATM cell as its own event instead of batching a
-    packet's cells into a train.  Exercises the PATHFINDER's fragment
-    table exactly as the hardware does (classify the first cell, route
-    the rest by table) at the price of ~86x the event count per page —
-    meant for microbenchmarks and fidelity tests, not full sweeps."""
-
     # ------------------------------------------------------------ interrupts
     interrupt_latency_ns: float = 10_000.0
     """Host interrupt delivery + handler entry/exit cost.  Table 1's OCR
@@ -247,11 +240,6 @@ class SimParams:
     handshake and stream page-sized chunks into a receiver-allocated
     landing buffer (rendezvous).  The MPICH2-over-InfiniBand design
     point; 0 forces every ``MessagingService.send`` to rendezvous."""
-
-    reassembly_timeout_ns: float = 5_000_000.0
-    """Receive-side SAR eviction: a partial packet whose cells stop
-    arriving for this long is aborted and counted as dropped (the
-    reassembly-map leak fix; per-cell transport mode)."""
 
     fault_plan: Optional[Any] = None
     """A :class:`repro.faults.FaultPlan` applied by the fabric, or None
@@ -409,9 +397,8 @@ class SimParams:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("reliab_timeout_ns", "reassembly_timeout_ns"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.reliab_timeout_ns <= 0:
+            raise ValueError("reliab_timeout_ns must be positive")
         if self.rendezvous_threshold < 0:
             raise ValueError("rendezvous_threshold must be >= 0")
         if self.reliab_backoff < 1.0:

@@ -269,8 +269,3 @@ class Cluster:
                 node.nic.detector.stop()
 
         self.sim.spawn(_watch(), "detector-watch")
-
-    # -------------------------------------------------------------- reporting --
-    def message_cache_hit_ratio(self) -> float:
-        """Cluster-wide network cache hit ratio (Section 3's metric)."""
-        return self.counters.ratio("mc_transmit_hits", "mc_transmit_lookups")

@@ -181,7 +181,6 @@ def test_nic_engine_runs_collectives_without_host_steps():
     stats = cluster.run(barrier_kernel())
     agg = aggregate_nodes(stats.metrics)
     assert agg["coll.host_steps"] == 0
-    assert agg["coll.host_interrupts"] == 0
     assert agg["coll.nic_steps"] > 0
     assert agg["nic.aih.dispatches"] > 0
     assert agg["coll.ops_completed"] == 4 * 8  # 4 nodes x (4+4) ops
@@ -193,9 +192,8 @@ def test_host_engine_takes_host_steps_on_standard_interface():
     agg = aggregate_nodes(stats.metrics)
     assert agg["coll.nic_steps"] == 0
     assert agg["coll.host_steps"] > 0
-    assert agg["coll.host_interrupts"] > 0
     # the standard NIC interrupted the host for every protocol packet
-    assert agg["nic.rx.host_interrupts"] >= agg["coll.host_interrupts"]
+    assert agg["nic.rx.host_interrupts"] >= agg["coll.host_steps"]
 
 
 def test_host_engine_on_cni_bounces_to_host():
@@ -238,12 +236,11 @@ def test_engine_resolution_follows_platform():
         board, host = agg["coll.nic_steps"], agg["coll.host_steps"]
         dispatches = agg.get("nic.aih.dispatches", 0)
         if platform.id == "nic-cni":
-            assert host == 0 and agg["coll.host_interrupts"] == 0
+            assert host == 0
             assert dispatches == board
             steps.append(board)
         else:
             assert board == 0 and dispatches == 0
-            assert agg["coll.host_interrupts"] == host
             steps.append(host)
     assert steps[0] > 0 and steps == [steps[0]] * 3
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import CNIInterface, StandardInterface, TransmitDescriptor
 from repro.engine import Category, Counters, Simulator
-from repro.faults import CellLoss, FaultPlan
+from repro.faults import CellCorrupt, CellLoss, FaultPlan
 from repro.memory import BoardTLB, HostMMU, MemoryBus
 from repro.network import Network, Packet, PacketKind
 from repro.params import SimParams, standard_interface_params
@@ -127,15 +127,25 @@ def test_unclassified_packet_dropped():
     assert counters["nic_classify_misses"] == 1
 
 
-def test_cell_loss_drops_packet_in_nic():
-    # the 32-byte packet is one cell, and the plan drops every 0->1 cell
-    plan = FaultPlan(schedules=(CellLoss(nth=1, src=0, dst=1),))
-    sim, params, counters, nodes = build_pair("cni", fault_plan=plan)
-    nic0, nic1 = nodes[0][0], nodes[1][0]
+@pytest.mark.parametrize("iface", ["cni", "standard"])
+@pytest.mark.parametrize("fault", [CellLoss, CellCorrupt])
+def test_cell_loss_drops_packet_in_nic(iface, fault):
+    # The 32-byte payload is two cells (32 B + the 16-byte header + the
+    # 8-byte AAL5 trailer = 56 B), and the plan hits every 0->1 cell.
+    # A lost cell and a damaged one both fail the integrity check at
+    # end-of-packet, so the receiver drops the whole packet.
+    plan = FaultPlan(schedules=(fault(nth=1, src=0, dst=1),))
+    sim, params, counters, nodes = build_pair(iface, fault_plan=plan)
+    nic0, nic1, host1 = nodes[0][0], nodes[1][0], nodes[1][1]
     send_data(sim, nic0, 1, 32)
     sim.run()
     assert nic1.packets_dropped == 1
-    assert nic1.reassembler.stats.packets_dropped == 1
+    assert counters["nic_packets_dropped"] == 1
+    assert host1.delivered == []
+    net = nic1.network
+    hits = (net.fault_cells_dropped(1) if fault is CellLoss
+            else net.fault_cells_corrupted(1))
+    assert hits == 2
 
 
 def test_standard_receive_always_interrupts():

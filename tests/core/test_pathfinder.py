@@ -131,20 +131,6 @@ def test_pattern_memory_exhaustion():
         pf.install(Pattern(elements=(elem(6, 2, 3),), target=3))
 
 
-def test_fragment_table_flow():
-    pf = Pathfinder()
-    pf.install(Pattern(elements=(elem(6, 2, 5),), target="chan5"))
-    target = pf.classify(header(chan=5))
-    pf.note_fragmented_packet(vci=5, packet_id=77, target=target)
-    assert pf.fragment_table_size == 1
-    assert pf.classify_fragment(5, 77) == "chan5"
-    assert pf.classify_fragment(5, 78) is None
-    pf.end_of_packet(5, 77)
-    assert pf.fragment_table_size == 0
-    assert pf.classify_fragment(5, 77) is None
-    assert pf.fragment_hits == 1
-
-
 @st.composite
 def patterns_and_headers(draw):
     n_patterns = draw(st.integers(1, 6))

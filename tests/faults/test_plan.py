@@ -10,7 +10,7 @@ from repro.faults import (
     NicStall,
     parse_fault_plan,
 )
-from repro.network import CellTrain, Packet, PacketKind, Segmenter
+from repro.network import CellTrain, Packet, PacketKind
 from repro.params import SimParams
 
 
@@ -136,15 +136,15 @@ def test_nic_stall_window():
     assert active.stall_ns(0, now=200.0) == 0.0
 
 
-def test_cell_fate_drop_and_corrupt():
-    plan = FaultPlan(schedules=(CellLoss(nth=2), CellCorrupt(nth=3)))
+def test_cell_hit_by_loss_and_corruption_counts_as_lost():
+    # Both schedules hit every cell; a lost cell cannot also arrive
+    # damaged, so the corruption count is clamped to the cells that
+    # arrived (none).
+    plan = FaultPlan(schedules=(CellLoss(rate=1.0), CellCorrupt(rate=1.0)))
     active = plan.activate(2)
-    seg = Segmenter(SimParams())
-    p = packet()
-    fates = [active.cell_fate(c, p, now=0.0) for c in seg.segment(p)[:12]]
-    assert "drop" in fates and "corrupt" in fates
-    # a cell hit by both schedules is dropped, not corrupted
-    assert fates.count("drop") == 6
+    assert active.train_faults(train(n_cells=10), now=0.0) == (10, 0)
+    assert active.cells_dropped[1] == 10
+    assert active.cells_corrupted[1] == 0
 
 
 # -- CLI grammar --------------------------------------------------------------

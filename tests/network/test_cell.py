@@ -1,4 +1,4 @@
-"""Unit + property tests for packets, headers and cells."""
+"""Unit + property tests for packets, headers and cell trains."""
 
 import pytest
 from hypothesis import given
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.network import (
     FLAG_CACHEABLE,
     HEADER_BYTES,
-    AtmCell,
     CellTrain,
     Packet,
     PacketKind,
@@ -93,8 +92,3 @@ def test_cell_train_validation():
     t = CellTrain(p, 2, lost_cells=1)
     assert not t.intact
     assert CellTrain(p, 2).intact
-
-
-def test_atm_cell_validation():
-    with pytest.raises(ValueError):
-        AtmCell(vci=1, packet_id=1, seq=0, eop=True, payload_len=-1)

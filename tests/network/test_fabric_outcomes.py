@@ -4,8 +4,8 @@ Each case pins a small run's ``RunStats.digest()`` and the fabric's
 congestion counters, so a change to the timed fabric walk that moves a
 single event shows up here: the DOR and the minimal-adaptive torus (the
 adaptive path picks each hop from live queue state), the fat-tree and
-the paper's banyan switch, on the train path and under per-cell
-transport with cell loss.
+the paper's banyan switch, clean and under cell loss (the lossy run
+retransmits once).
 """
 
 import pytest
@@ -51,14 +51,13 @@ CASES = [
         id="transpose-banyan16"),
     pytest.param(
         "pingpong", fabric(
-            "banyan:8", nprocs=2, per_cell_transport=True,
-            reliable_transport=True,
+            "banyan:8", nprocs=2, reliable_transport=True,
             fault_plan=parse_fault_plan("seed=3;cell_loss(rate=0.002)")),
         PingPongConfig(rounds=4, message_bytes=6000),
-        "d9928ffd91fe65e6aa0eb1f96313e83fc839deabe2d535917cc74b463ce38b1a",
-        {"net.cells_delivered": 1109, "net.crossings": 69,
+        "8043ccc533a08deb8ba4826aebdf14d82c8756193756fc32b21d951495dd6334",
+        {"net.trains_delivered": 69, "net.crossings": 69,
          "net.link_waits": 9, "net.hol_blocks": 0},
-        id="pingpong-banyan8-per-cell-lossy"),
+        id="pingpong-banyan8-lossy"),
 ]
 
 

@@ -1,10 +1,10 @@
-"""Unit + property tests for AAL5 segmentation and reassembly."""
+"""Unit + property tests for AAL5 segmentation: cell counts and SAR time."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import CellTrain, Packet, PacketKind, Reassembler, Segmenter
+from repro.network import Packet, PacketKind, Segmenter
 from repro.params import SimParams
 
 
@@ -21,21 +21,10 @@ def test_cell_count_page():
     assert seg.cell_count(packet(4096)) == 86
 
 
-def test_segment_cell_payloads_sum():
-    params = SimParams()
-    seg = Segmenter(params)
-    p = packet(1000)
-    cells = seg.segment(p)
-    assert sum(c.payload_len for c in cells) == p.wire_bytes + 8
-    assert cells[-1].eop and not any(c.eop for c in cells[:-1])
-    assert [c.seq for c in cells] == list(range(len(cells)))
-    assert all(c.vci == 7 for c in cells)
-
-
 def test_unrestricted_single_cell():
     seg = Segmenter(SimParams().replace(unrestricted_cell_size=True))
-    cells = seg.segment(packet(10 ** 6))
-    assert len(cells) == 1 and cells[0].eop
+    train = seg.make_train(packet(10 ** 6))
+    assert train.n_cells == 1 and train.intact
 
 
 def test_sar_time_scales_with_cells():
@@ -44,156 +33,6 @@ def test_sar_time_scales_with_cells():
     one = seg.sar_time_ns(1)
     assert seg.sar_time_ns(86) == pytest.approx(86 * one)
     assert one == pytest.approx(params.ni_cycles_ns(params.ni_cell_sar_cycles))
-
-
-def test_train_reassembly_ok():
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params)
-    p = packet(4096)
-    out = rea.accept_train(seg.make_train(p))
-    assert out is p
-    assert rea.stats.packets_ok == 1
-    assert rea.stats.cells_consumed == 86
-
-
-def test_train_with_loss_dropped():
-    params = SimParams()
-    rea = Reassembler(params)
-    p = packet(4096)
-    out = rea.accept_train(CellTrain(p, 86, lost_cells=1))
-    assert out is None
-    assert rea.stats.packets_dropped == 1
-
-
-def test_cell_by_cell_reassembly():
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params)
-    p = packet(500)
-    cells = seg.segment(p)
-    for c in cells[:-1]:
-        assert rea.accept_cell(c, p) is None
-    assert rea.accept_cell(cells[-1], p) is p
-    assert rea.pending_packets() == 0
-
-
-def test_cell_loss_detected_at_eop():
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params)
-    p = packet(500)
-    cells = seg.segment(p)
-    assert len(cells) > 2
-    for c in cells[1:-1]:  # drop cell 0
-        rea.accept_cell(c, p)
-    assert rea.accept_cell(cells[-1], p) is None
-    assert rea.stats.packets_dropped == 1
-
-
-def test_reordered_cells_dropped():
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params)
-    p = packet(200)
-    cells = seg.segment(p)
-    assert len(cells) >= 3
-    order = [cells[1], cells[0]] + cells[2:]
-    result = None
-    for c in order:
-        result = rea.accept_cell(c, p)
-    assert result is None
-    assert rea.stats.packets_dropped == 1
-
-
-def test_interleaved_packets_reassemble_independently():
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params)
-    p1, p2 = packet(200), packet(200)
-    c1, c2 = seg.segment(p1), seg.segment(p2)
-    got = []
-    for a, b in zip(c1, c2):
-        for c, p in ((a, p1), (b, p2)):
-            r = rea.accept_cell(c, p)
-            if r is not None:
-                got.append(r)
-    assert got == [p1, p2]
-
-
-def test_stale_partial_evicted_after_timeout():
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params)
-    p1, p2 = packet(500), packet(500)
-    # p1's tail is lost in transit: its head sits in the reassembly map.
-    rea.accept_cell(seg.segment(p1)[0], p1, now=0.0)
-    assert rea.pending_packets() == 1
-    # Much later, p2 flows through cleanly and ages the stale partial out.
-    late = params.reassembly_timeout_ns + 1.0
-    for c in seg.segment(p2):
-        out = rea.accept_cell(c, p2, now=late)
-    assert out is p2
-    assert rea.pending_packets() == 0
-    assert rea.stats.partials_evicted == 1
-    assert rea.stats.packets_dropped == 1
-
-
-def test_capacity_eviction_drops_oldest_partial():
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params, max_partials=2)
-    packets = [packet(500) for _ in range(3)]
-    for p in packets:
-        rea.accept_cell(seg.segment(p)[0], p)  # three open partials
-    assert rea.pending_packets() == 2
-    assert rea.stats.partials_evicted == 1
-    # the survivors are the two newest; the oldest can no longer complete
-    for c in seg.segment(packets[2])[1:]:
-        out = rea.accept_cell(c, packets[2])
-    assert out is packets[2]
-
-
-def test_abort_discards_partial():
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params)
-    p = packet(500)
-    cells = seg.segment(p)
-    rea.accept_cell(cells[0], p)
-    assert rea.abort(p.channel_id, p.packet_id)
-    assert not rea.abort(p.channel_id, p.packet_id)  # already gone
-    assert rea.pending_packets() == 0
-    assert rea.stats.partials_evicted == 1
-
-
-def test_corrupt_cell_fails_crc_at_eop():
-    import dataclasses
-
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params)
-    p = packet(500)
-    cells = seg.segment(p)
-    cells[1] = dataclasses.replace(cells[1], corrupt=True)
-    result = None
-    for c in cells:
-        result = rea.accept_cell(c, p)
-    assert result is None
-    assert rea.stats.packets_dropped == 1
-
-
-def test_corrupt_train_dropped():
-    params = SimParams()
-    rea = Reassembler(params)
-    out = rea.accept_train(CellTrain(packet(4096), 86, corrupted_cells=1))
-    assert out is None
-    assert rea.stats.packets_dropped == 1
-
-
-@given(size=st.integers(0, 20000))
-@settings(max_examples=60, deadline=None)
-def test_segment_reassemble_roundtrip_property(size):
-    params = SimParams()
-    seg, rea = Segmenter(params), Reassembler(params)
-    p = packet(size)
-    cells = seg.segment(p)
-    assert len(cells) == seg.cell_count(p)
-    result = None
-    for c in cells:
-        result = rea.accept_cell(c, p)
-    assert result is p
 
 
 @given(size=st.integers(0, 20000))

@@ -124,5 +124,5 @@ def test_default_fabric_registers_net_metrics():
     net_keys = {k for k in stats.metrics if k.startswith("net.")}
     assert {"net.trains_delivered", "net.crossings", "net.hol_blocks",
             "net.link_waits", "net.link_hops", "net.adaptive_detours",
-            "net.max_link_queue", "net.cells_delivered"} == net_keys
+            "net.max_link_queue"} == net_keys
     assert stats.metrics["net.crossings"] > 0

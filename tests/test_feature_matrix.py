@@ -1,9 +1,9 @@
-"""Cross-feature matrix: every fabric x interface x protocol x
-transport combo runs every application correctly at a small scale.
+"""Cross-feature matrix: every fabric x interface x protocol combo
+runs every application correctly at a small scale.
 
 This is the net that catches interactions no single-feature test sees
-(e.g. eager RC over per-cell transport on the standard interface, or
-lock traffic reordered by an adaptive torus).
+(e.g. eager RC over a fat-tree on the standard interface, or lock
+traffic reordered by an adaptive torus).
 """
 
 import numpy as np
@@ -25,32 +25,30 @@ from repro.apps.water import POS, VEL
 from repro.params import SimParams
 
 COMBOS = [
-    ("cni", "lazy", False),
-    ("cni", "eager", False),
-    ("cni", "lazy", True),
-    ("standard", "lazy", False),
-    ("standard", "eager", False),
-    ("standard", "lazy", True),
+    ("cni", "lazy"),
+    ("cni", "eager"),
+    ("standard", "lazy"),
+    ("standard", "eager"),
 ]
 
 #: One fabric of each family; the first is the default topology, whose
 #: cases keep their fabric-free ids.
 FABRICS = ("banyan:32", "fattree:k=4", "torus:2x2:adaptive")
 
+#: Every id ends in "-False", the value of the column that once chose
+#: the transport, so each case keeps the id it has always had.
 MATRIX = [
     pytest.param(
         fabric, *combo,
         id="-".join(([] if fabric == FABRICS[0] else [fabric])
-                    + [str(c) for c in combo]))
+                    + list(combo) + ["False"]))
     for fabric in FABRICS
     for combo in COMBOS
 ]
 
 
-def params(fabric, per_cell):
-    return SimParams().replace(
-        num_processors=3, per_cell_transport=per_cell, topology=fabric
-    )
+def params(fabric):
+    return SimParams().replace(num_processors=3, topology=fabric)
 
 
 def run_with_protocol(runner, p, iface, proto, cfg):
@@ -89,21 +87,21 @@ def run_with_protocol(runner, p, iface, proto, cfg):
     return stats, sh.bands.data.copy(), cluster
 
 
-@pytest.mark.parametrize("fabric,iface,proto,per_cell", MATRIX)
-def test_jacobi_matrix(fabric, iface, proto, per_cell):
+@pytest.mark.parametrize("fabric,iface,proto", MATRIX)
+def test_jacobi_matrix(fabric, iface, proto):
     cfg = JacobiConfig(n=24, iterations=2)
     stats, grid, cluster = run_with_protocol(
-        run_jacobi, params(fabric, per_cell), iface, proto, cfg)
+        run_jacobi, params(fabric), iface, proto, cfg)
     assert np.allclose(grid, jacobi_reference(cfg))
     from repro.dsm import assert_healthy
     assert_healthy(cluster)
 
 
-@pytest.mark.parametrize("fabric,iface,proto,per_cell", MATRIX)
-def test_water_matrix(fabric, iface, proto, per_cell):
+@pytest.mark.parametrize("fabric,iface,proto", MATRIX)
+def test_water_matrix(fabric, iface, proto):
     cfg = WaterConfig(n_molecules=9, steps=1)
     stats, recs, cluster = run_with_protocol(
-        run_water, params(fabric, per_cell), iface, proto, cfg)
+        run_water, params(fabric), iface, proto, cfg)
     ref = water_reference(cfg)
     assert np.allclose(recs[:, POS], ref[:, POS])
     assert np.allclose(recs[:, VEL], ref[:, VEL])
@@ -111,12 +109,12 @@ def test_water_matrix(fabric, iface, proto, per_cell):
     assert_healthy(cluster)
 
 
-@pytest.mark.parametrize("fabric,iface,proto,per_cell", MATRIX)
-def test_cholesky_matrix(fabric, iface, proto, per_cell):
+@pytest.mark.parametrize("fabric,iface,proto", MATRIX)
+def test_cholesky_matrix(fabric, iface, proto):
     m = synthetic_fem_spd(32, 5, seed=11)
     cfg = CholeskyConfig(matrix=m, supernode=4)
     stats, bands, cluster = run_with_protocol(
-        run_cholesky, params(fabric, per_cell), iface, proto, cfg)
+        run_cholesky, params(fabric), iface, proto, cfg)
     assert np.allclose(bands, band_cholesky_reference(m))
     from repro.dsm import assert_healthy
     assert_healthy(cluster)

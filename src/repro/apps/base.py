@@ -48,7 +48,17 @@ class SharedArray:
         selection that is contiguous in C order collapses to one run,
         otherwise one run per row of the leading selected dimension.
         """
-        view = self.data[key]
+        data = self.data
+        if type(key) is int and data.ndim == 1:
+            # One element of a vector (the scalar tables' every access):
+            # its run by arithmetic, without building a numpy scalar.
+            n = data.shape[0]
+            if -n <= key < n:
+                if key < 0:
+                    key += n
+                return [(self.base_vaddr + key * self.itemsize,
+                         self.itemsize)]
+        view = data[key]
         if view.size == 0:
             return []
         if isinstance(view, np.ndarray) and view.ndim > 0:

@@ -285,7 +285,7 @@ class NetworkInterface:
             # ack is exactly what may have been lost.
             self.board_send(self.reliab.make_ack(packet, self.node_id))
         # A suppressed duplicate comes back with nothing ready.
-        return self.reliab.on_receive(packet)[0]
+        return self.reliab.on_receive(packet)
 
     def _dispatch_receive(self, packet: Packet) -> Generator:
         """Demultiplex an inbound packet (the paths differ entirely)."""

@@ -58,14 +58,16 @@ class DeliveryFailed(RuntimeError):
         )
 
 
-@dataclass
 class _PendingSend:
     """Sender-side state of one unacknowledged packet."""
 
-    packet: Packet
-    attempts: int = 1
-    timer: Optional[object] = None  # EventHandle of the armed timeout
-    acked: bool = False
+    __slots__ = ("packet", "attempts", "timer", "acked")
+
+    def __init__(self, packet: Packet):
+        self.packet = packet
+        self.attempts = 1
+        self.timer: Optional[object] = None  # EventHandle of the armed timeout
+        self.acked = False
 
 
 @dataclass
@@ -119,6 +121,11 @@ class ReliableTransport:
         self._pending: Dict[Tuple[int, int, int], _PendingSend] = {}
         #: receive streams keyed (src_node, channel_id)
         self._streams: Dict[Tuple[int, int], _RxStream] = {}
+        #: timeout armed for each attempt count, 1-based: attempt ``a``
+        #: waits ``reliab_timeout_ns * reliab_backoff ** (a - 1)``.
+        self._timeouts: List[float] = [
+            params.reliab_timeout_ns * params.reliab_backoff ** (a - 1)
+            for a in range(1, params.reliab_max_attempts + 1)]
 
     # -- predicates -----------------------------------------------------------
     def tracks(self, packet: Packet) -> bool:
@@ -151,14 +158,16 @@ class ReliableTransport:
         """Called by the NIC for every packet leaving the transmit
         processor; assigns a sequence number and arms the timer on the
         first transmission, re-arms it on retransmissions."""
-        if not self.tracks(packet):
+        # tracks(), inline: every packet the board sends passes here.
+        if not (self.enabled and not self.dead and packet.reliable
+                and packet.kind is not _ACK):
             return
         conn = (packet.dst_node, packet.channel_id)
         if packet.rel_seq is None:
             seq = self._next_seq.get(conn, 0)
             self._next_seq[conn] = seq + 1
             packet.rel_seq = seq
-            entry = _PendingSend(packet=packet)
+            entry = _PendingSend(packet)
             self._pending[conn + (seq,)] = entry
             self._g_outstanding.track_max(len(self._pending))
         else:
@@ -169,9 +178,7 @@ class ReliableTransport:
         self._arm_timer(entry)
 
     def _arm_timer(self, entry: _PendingSend) -> None:
-        timeout = (self.params.reliab_timeout_ns
-                   * self.params.reliab_backoff ** (entry.attempts - 1))
-        entry.timer = self.sim.schedule(timeout,
+        entry.timer = self.sim.schedule(self._timeouts[entry.attempts - 1],
                                         lambda: self._on_timeout(entry))
 
     def _on_timeout(self, entry: _PendingSend) -> None:
@@ -207,15 +214,15 @@ class ReliableTransport:
             entry.timer = None
 
     # -- receiver side --------------------------------------------------------
-    def on_receive(self, packet: Packet) -> Tuple[List[Packet], bool]:
+    def on_receive(self, packet: Packet) -> List[Packet]:
         """Sequence an inbound tracked packet.
 
-        Returns ``(ready, accepted)``: the packets now deliverable in
-        order, and whether this packet was new (False for a suppressed
-        duplicate — the caller still acks it, but must discard it).
+        Returns the packets now deliverable in order: empty for a
+        suppressed duplicate (the caller still acks it) or for a packet
+        buffered ahead of a gap.
         """
         if packet.rel_seq is None or not self.enabled:
-            return [packet], True
+            return [packet]
         key = (packet.src_node, packet.channel_id)
         stream = self._streams.get(key)
         if stream is None:
@@ -223,7 +230,7 @@ class ReliableTransport:
         seq = packet.rel_seq
         if seq < stream.next_seq or seq in stream.buffer:
             self.dup_drops += 1
-            return [], False
+            return []
         stream.buffer[seq] = packet
         if seq != stream.next_seq:
             self.reorder_buffered += 1
@@ -231,13 +238,13 @@ class ReliableTransport:
         while stream.next_seq in stream.buffer:
             ready.append(stream.buffer.pop(stream.next_seq))
             stream.next_seq += 1
-        return ready, True
+        return ready
 
     def make_ack(self, packet: Packet, node_id: int) -> Packet:
         """Build the NI-generated acknowledgement for ``packet``."""
         self.acks_sent += 1
         return Packet(
-            kind=PacketKind.ACK,
+            kind=_ACK,
             src_node=node_id,
             dst_node=packet.src_node,
             channel_id=packet.channel_id,

@@ -209,7 +209,8 @@ class ActiveFaultPlan:
     Owned by a :class:`~repro.network.Network`; evaluated at delivery
     time (after fabric transit, before the destination rx queue).
     Damage is counted per destination node so the cluster can export
-    ``node<i>.faults.*``.
+    ``node<i>.faults.*``.  Activation sorts the schedules by kind once,
+    so each train walks only the kinds that can touch it.
     """
 
     def __init__(self, schedules: Tuple[Schedule, ...], seed: int,
@@ -222,21 +223,35 @@ class ActiveFaultPlan:
         self._positions: Dict[int, int] = {}
         #: node -> earliest NodeCrash time (crash-stop: no rejoin)
         self._crash_at: Dict[int, float] = {}
-        for s in schedules:
-            if isinstance(s, NodeCrash):
+        # Cell rules keep their schedule order (the order of their RNG
+        # draws) and index (their ``nth`` position).
+        cell_rules = []
+        link_downs = []
+        stalls = []
+        slows = []
+        for idx, s in enumerate(self.schedules):
+            if isinstance(s, (CellLoss, CellCorrupt)):
+                cell_rules.append((idx, s.src, s.dst, s.from_ns, s.to_ns,
+                                   s.nth, s.rate, isinstance(s, CellLoss)))
+            elif isinstance(s, LinkDown):
+                link_downs.append((s.src, s.dst, s.from_ns, s.to_ns))
+            elif isinstance(s, NodeCrash):
                 at = self._crash_at.get(s.node)
                 if at is None or s.at_ns < at:
                     self._crash_at[s.node] = s.at_ns
+            elif isinstance(s, NicStall):
+                stalls.append((s.node, s.from_ns, s.to_ns))
+            elif isinstance(s, NodeSlow):
+                slows.append((s.node, s.factor, s.from_ns, s.to_ns))
+        self._cell_rules = tuple(cell_rules)
+        self._link_downs = tuple(link_downs)
+        self._stalls = tuple(stalls)
+        self._slows = tuple(slows)
+        #: Whether any NicStall or NodeSlow exists: without one, no
+        #: arrival is ever delayed and the network skips the delay walk.
+        self.has_delays = bool(stalls or slows)
 
     # -- helpers --------------------------------------------------------------
-    @staticmethod
-    def _matches(s, src: int, dst: int, now: float) -> bool:
-        if s.src is not None and s.src != src:
-            return False
-        if s.dst is not None and s.dst != dst:
-            return False
-        return s.from_ns <= now < s.to_ns
-
     def _count_nth(self, idx: int, nth: int, n_cells: int) -> int:
         """Advance schedule ``idx``'s cell position by ``n_cells``;
         return how many of them land on a multiple of ``nth``."""
@@ -259,59 +274,71 @@ class ActiveFaultPlan:
         """Wire-time multiplier for traffic touching ``node`` now
         (1.0 when no :class:`NodeSlow` window is active)."""
         factor = 1.0
-        for s in self.schedules:
-            if isinstance(s, NodeSlow) and s.node == node \
-                    and s.from_ns <= now < s.to_ns:
-                factor = max(factor, s.factor)
+        for s_node, s_factor, from_ns, to_ns in self._slows:
+            if s_node == node and from_ns <= now < to_ns \
+                    and s_factor > factor:
+                factor = s_factor
         return factor
 
     def stall_ns(self, node: int, now: float) -> float:
         """Extra delivery delay for traffic arriving at ``node`` now."""
         extra = 0.0
-        for s in self.schedules:
-            if isinstance(s, NicStall) and s.node == node \
-                    and s.from_ns <= now < s.to_ns:
-                extra = max(extra, s.to_ns - now)
+        for s_node, from_ns, to_ns in self._stalls:
+            if s_node == node and from_ns <= now < to_ns \
+                    and to_ns - now > extra:
+                extra = to_ns - now
         return extra
 
     def train_faults(self, train, now: float) -> Tuple[int, int]:
         """Damage to a batched cell train delivered at ``now``.
 
         Returns ``(lost_cells, corrupted_cells)`` and updates the
-        per-destination counters.
+        per-destination counters.  The cell rules run in schedule order,
+        each drawing one number per cell from the plan's RNG; a matching
+        LinkDown then loses the whole train, whatever the rules drew.
         """
         p = train.packet
         n = train.n_cells
-        if self.node_dead(p.src_node, now) or self.node_dead(p.dst_node, now):
-            self.cells_dropped[p.dst_node] += n
+        src = p.src_node
+        dst = p.dst_node
+        if self._crash_at and (self.node_dead(src, now)
+                               or self.node_dead(dst, now)):
+            self.cells_dropped[dst] += n
             return n, 0
         lost = 0
         corrupted = 0
-        for idx, s in enumerate(self.schedules):
-            if isinstance(s, LinkDown):
-                if s.src == p.src_node and s.dst == p.dst_node \
-                        and s.from_ns <= now < s.to_ns:
-                    lost = n
-            elif isinstance(s, (CellLoss, CellCorrupt)):
-                if not self._matches(s, p.src_node, p.dst_node, now):
-                    continue
-                hits = 0
-                if s.nth is not None:
-                    hits += self._count_nth(idx, s.nth, n)
-                if s.rate > 0.0:
-                    hits += sum(1 for _ in range(n)
-                                if self.rng.random() < s.rate)
-                hits = min(hits, n)
-                if isinstance(s, CellLoss):
-                    lost += hits
-                else:
-                    corrupted += hits
-        lost = min(lost, n)
-        corrupted = min(corrupted, n - lost)
+        for (idx, r_src, r_dst, from_ns, to_ns, nth, rate,
+             is_loss) in self._cell_rules:
+            if (r_src is not None and r_src != src
+                    or r_dst is not None and r_dst != dst
+                    or not from_ns <= now < to_ns):
+                continue
+            hits = 0
+            if nth is not None:
+                hits = self._count_nth(idx, nth, n)
+            if rate > 0.0:
+                draw = self.rng.random
+                for _ in range(n):
+                    if draw() < rate:
+                        hits += 1
+            if hits > n:
+                hits = n
+            if is_loss:
+                lost += hits
+            else:
+                corrupted += hits
+        for l_src, l_dst, from_ns, to_ns in self._link_downs:
+            if l_src == src and l_dst == dst and from_ns <= now < to_ns:
+                lost = n
+                break
+        if lost > n:
+            lost = n
+        if corrupted > n - lost:
+            corrupted = n - lost
         if lost:
-            self.cells_dropped[p.dst_node] += lost
+            self.cells_dropped[dst] += lost
         if corrupted:
-            self.cells_corrupted[p.dst_node] += corrupted
+            self.cells_corrupted[dst] += corrupted
         return lost, corrupted
 
 

@@ -28,6 +28,9 @@ unordered lines and ascending lines with gaps that wrap a level keep the
 grouping path.  Rule 1 reports write-backs in line order, the grouping
 path in set order; the two differ only when a burst's sets wrap, and
 callers count the lines (or reduce them to pages), never read the order.
+A one-line burst (a scalar load or store) takes neither: it probes each
+level's one set as Python scalars, which costs a small fraction of any
+burst's fixed numpy work, and reports what the burst would.
 
 Page-level operations take a line range, not a line array:
 :meth:`CacheHierarchy.flush_range` (write back, keep resident) and
@@ -358,6 +361,8 @@ class CacheHierarchy:
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         n = lines.size
+        if n == 1:
+            return self._access_line(int(lines[0]), is_write)
         cost = AccessCost(accesses=n)
         if n == 0:
             return cost
@@ -421,6 +426,47 @@ class CacheHierarchy:
         self.stats_memory += cost.memory_accesses
         self.stats_writebacks += int(cost.writeback_lines.size)
         return cost
+
+    def _access_line(self, line: int, is_write: bool) -> AccessCost:
+        """:meth:`access` of a one-line burst, probed scalar by scalar:
+        the same cost, state and stats as the vector path, without its
+        fixed numpy work.  An L1 hit leaves the L2 alone but for the
+        write's dirty mark; an L1 miss fills the L1 and probes the L2,
+        whose miss writes back a dirty occupant and fills the set."""
+        l1_tags = self.l1.tags
+        s1 = line & (self.l1.nsets - 1)
+        l2 = self.l2
+        s2 = line & (l2.nsets - 1)
+        l2_tags = l2.tags
+        evicted = np.empty(0, dtype=np.int64)
+        if l1_tags[s1] == line:
+            l1_hits, l2_hits, memory = 1, 0, 0
+            cycles = self.l1_cycles
+            if is_write and l2_tags[s2] == line:
+                l2.dirty[s2] = True
+        else:
+            l1_tags[s1] = line
+            l1_hits = 0
+            occupant = int(l2_tags[s2])
+            if occupant == line:
+                l2_hits, memory = 1, 0
+                cycles = self.l1_cycles + self.l2_cycles
+                if is_write:
+                    l2.dirty[s2] = True
+            else:
+                l2_hits, memory = 0, 1
+                cycles = self.l1_cycles + self.l2_cycles + self.memory_cycles
+                dirty = l2.dirty
+                if occupant >= 0 and dirty[s2]:
+                    evicted = np.array([occupant], dtype=np.int64)
+                l2_tags[s2] = line
+                dirty[s2] = is_write
+        self.stats_l1_hits += l1_hits
+        self.stats_l2_hits += l2_hits
+        self.stats_memory += memory
+        self.stats_writebacks += evicted.size
+        return AccessCost(1, l1_hits, l2_hits, memory, float(cycles),
+                          evicted)
 
     def flush_range(self, first_line: int, n: int) -> np.ndarray:
         """Write back dirty copies of lines ``first_line ..

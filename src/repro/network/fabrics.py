@@ -129,6 +129,8 @@ class Topology:
         self.links: Dict[str, Link] = {}
         self._in_ports: Dict[Tuple[str, str], Resource] = {}
         self._paths: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
+        #: A train's base-rate serialization time, by wire bytes.
+        self._wire_ns: Dict[int, float] = {}
         # -- net.* counters (registered by Network.register_metrics) ----
         self.crossings = 0        # switch/router traversals
         self.link_hops = 0        # links traversed
@@ -216,7 +218,10 @@ class Topology:
         for through ``acquire()``.
         """
         switch_ns = self.params.switch_latency_ns
-        base_ns = self.params.train_wire_time_ns(wire_bytes)
+        base_ns = self._wire_ns.get(wire_bytes)
+        if base_ns is None:
+            base_ns = self._wire_ns[wire_bytes] = \
+                self.params.train_wire_time_ns(wire_bytes)
         for crosses, in_port, link in self._path(src, dst):
             if crosses:
                 yield switch_ns

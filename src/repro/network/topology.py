@@ -71,7 +71,8 @@ class Network:
         """Arrival-side fault delays: a stalled destination (NicStall)
         holds the packet, then a degraded endpoint (NodeSlow) stretches
         the transfer by the slowdown of its NI processors.  The slowdown
-        is read after the stall has elapsed."""
+        is read after the stall has elapsed.  Entered only when the plan
+        has a NicStall or NodeSlow."""
         stall = faults.stall_ns(p.dst_node, self.sim.now)
         if stall > 0:
             yield stall
@@ -99,7 +100,8 @@ class Network:
         yield self.params.wire_latency_ns
         faults = self.active_faults
         if faults is not None:
-            yield from self._fault_delays(faults, p)
+            if faults.has_delays:
+                yield from self._fault_delays(faults, p)
             lost, corrupted = faults.train_faults(train, self.sim.now)
             if lost or corrupted:
                 train = CellTrain(p, train.n_cells, lost_cells=lost,

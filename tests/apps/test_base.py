@@ -49,6 +49,25 @@ def test_scalar_index():
     assert arr.runs_for((2, 5)) == [(arr.base_vaddr + (2 * 16 + 5) * 8, 8)]
 
 
+def test_1d_int_key_runs_equal_scalar_offset():
+    # An int key on a vector takes the run by arithmetic; every index,
+    # negative ones included, names the byte _scalar_offset does.
+    for dtype in (np.float64, np.int32):
+        arr = make_array((13,), dtype=dtype)
+        for i in range(-13, 13):
+            assert arr.runs_for(i) == [
+                (arr.base_vaddr + arr._scalar_offset(i), arr.itemsize)]
+
+
+def test_1d_out_of_range_int_key_raises_index_error():
+    arr = make_array((13,))
+    for i in (13, 14, -14, 10 ** 6):
+        with pytest.raises(IndexError):
+            arr.runs_for(i)
+    with pytest.raises(IndexError):
+        make_array((0,)).runs_for(0)
+
+
 def test_1d_slice():
     arr = make_array((64,))
     assert arr.runs_for(slice(10, 20)) == [(arr.base_vaddr + 80, 80)]

@@ -46,7 +46,7 @@ def test_disabled_transport_is_passthrough():
     p = packet()
     rel.on_transmit(p)
     assert p.rel_seq is None and rel.outstanding() == 0
-    assert rel.on_receive(p) == ([p], True)
+    assert rel.on_receive(p) == [p]
 
 
 def test_transmit_assigns_per_connection_sequences():
@@ -115,29 +115,30 @@ def test_late_ack_suppresses_queued_retransmission():
 def test_in_order_delivery():
     _, _, rel = make_transport()
     a, b = packet(seq=0), packet(seq=1)
-    assert rel.on_receive(a) == ([a], True)
-    assert rel.on_receive(b) == ([b], True)
+    assert rel.on_receive(a) == [a]
+    assert rel.on_receive(b) == [b]
 
 
 def test_duplicate_suppressed_but_ackable():
     _, _, rel = make_transport()
     a = packet(seq=0)
     rel.on_receive(a)
-    ready, accepted = rel.on_receive(packet(seq=0))
-    assert ready == [] and not accepted
+    assert rel.dup_drops == 0
+    assert rel.on_receive(packet(seq=0)) == []
     assert rel.dup_drops == 1
 
 
 def test_reorder_buffered_then_drained_in_order():
     _, _, rel = make_transport()
     s2, s0, s1 = packet(seq=2), packet(seq=0), packet(seq=1)
-    assert rel.on_receive(s2) == ([], True)
-    assert rel.on_receive(s0) == ([s0], True)
-    ready, accepted = rel.on_receive(s1)
-    assert accepted and ready == [s1, s2]
+    assert rel.on_receive(s2) == []
+    assert rel.on_receive(s0) == [s0]
+    assert rel.on_receive(s1) == [s1, s2]
     assert rel.reorder_buffered == 1
+    assert rel.dup_drops == 0
     # a copy of the buffered-then-delivered seq is now a duplicate
-    assert rel.on_receive(packet(seq=2)) == ([], False)
+    assert rel.on_receive(packet(seq=2)) == []
+    assert rel.dup_drops == 1
 
 
 def test_streams_are_per_connection():
@@ -146,7 +147,7 @@ def test_streams_are_per_connection():
     b = packet(src=1, chan=3, seq=0)
     c = packet(src=0, chan=4, seq=0)
     for p in (a, b, c):
-        assert rel.on_receive(p) == ([p], True)
+        assert rel.on_receive(p) == [p]
     assert rel.dup_drops == 0
 
 
@@ -163,7 +164,7 @@ def test_receive_delivers_exactly_once_in_order(arrivals):
     # delivered sequence numbers are always 0..k-1, once each and in
     # order, where k is the longest prefix received so far; each
     # delivery is the first copy of its packet; exactly the repeats are
-    # refused and counted.
+    # refused (nothing ready) and counted.
     _, _, rel = make_transport()
     first = {conn: {} for conn in CONNECTIONS}
     delivered = {conn: [] for conn in CONNECTIONS}
@@ -174,8 +175,11 @@ def test_receive_delivers_exactly_once_in_order(arrivals):
         repeat = seq in received
         received.setdefault(seq, p)
         repeats += repeat
-        ready, accepted = rel.on_receive(p)
-        assert accepted is not repeat
+        drops = rel.dup_drops
+        ready = rel.on_receive(p)
+        assert rel.dup_drops - drops == repeat
+        if repeat:
+            assert ready == []
         for q in ready:
             delivered[(q.src_node, q.channel_id)].append(q)
         for conn in CONNECTIONS:

@@ -315,6 +315,93 @@ def test_hierarchy_cost_classification_is_exhaustive(stream):
         assert cost.l1_hits + cost.l2_hits + cost.memory_accesses == 1
 
 
+# ------------------------------------------------------ one-line access ----
+
+@st.composite
+def one_line_stream(draw):
+    """A geometry (Table 1's, or a 2-8-set L1 under a 2-8x L2) and a
+    stream of one-line reads and writes.  Each line is ``a`` L2 strides
+    plus ``b`` L1 strides plus a small offset, so the stream keeps
+    meeting its own lines in both levels' sets: L1 conflicts that hit
+    the L2, L2 conflicts that write back dirty occupants."""
+    if draw(st.booleans()):
+        p = SimParams()
+        l1_sets = p.l1_size_bytes // p.cache_line_bytes
+        l2_sets = p.l2_size_bytes // p.cache_line_bytes
+    else:
+        l1_sets = draw(st.sampled_from([2, 4, 8]))
+        l2_sets = l1_sets * draw(st.sampled_from([2, 4, 8]))
+    line = st.builds(
+        lambda a, b, c: a * l2_sets + b * l1_sets + c,
+        st.integers(0, 3), st.integers(0, min(3, l2_sets // l1_sets - 1)),
+        st.integers(0, min(3, l1_sets - 1)))
+    steps = draw(st.lists(st.tuples(line, st.booleans()), min_size=1,
+                          max_size=60))
+    return l1_sets, l2_sets, steps
+
+
+def assert_level_matches(vec, ref):
+    """A level's tags and dirty bits equal a ``ReferenceCache``'s (which
+    holds only the sets ever filled)."""
+    assert np.count_nonzero(vec.tags != -1) == len(ref.tags)
+    for s, line in ref.tags.items():
+        assert vec.tags[s] == line
+    assert np.flatnonzero(vec.dirty).tolist() == sorted(
+        s for s, d in ref.dirty.items() if d)
+
+
+@given(one_line_stream())
+@settings(max_examples=150, deadline=None)
+def test_one_line_access_matches_two_reference_levels(script):
+    # The L1 reference classifies latency only (it never sees a write);
+    # the L2 reference is probed on an L1 miss and holds the dirty bits;
+    # an L1-hit write marks a resident L2 copy dirty.
+    l1_sets, l2_sets, steps = script
+    h = CacheHierarchy(l1_sets * 32, l2_sets * 32, 32, 1, 10, 20)
+    l1, l2 = ReferenceCache(l1_sets), ReferenceCache(l2_sets)
+    totals = [0, 0, 0, 0]
+    for line, write in steps:
+        cost = h.access(np.array([line], dtype=np.int64), write)
+        l1_hit, _ = l1.access(line, False)
+        l2_hit, evicted = False, None
+        if not l1_hit:
+            l2_hit, evicted = l2.access(line, write)
+        elif write and l2.tags.get(line % l2_sets) == line:
+            l2.dirty[line % l2_sets] = True
+        memory = not (l1_hit or l2_hit)
+        assert (cost.accesses, cost.l1_hits, cost.l2_hits,
+                cost.memory_accesses) == (1, l1_hit, l2_hit, memory)
+        assert type(cost.cpu_cycles) is float
+        assert cost.cpu_cycles == 1 + 10 * (not l1_hit) + 20 * memory
+        assert cost.writeback_lines.dtype == np.int64
+        assert cost.writeback_lines.tolist() == (
+            [] if evicted is None else [evicted])
+        totals[0] += l1_hit
+        totals[1] += l2_hit
+        totals[2] += memory
+        totals[3] += evicted is not None
+        assert [h.stats_l1_hits, h.stats_l2_hits, h.stats_memory,
+                h.stats_writebacks] == totals
+        assert_level_matches(h.l1, l1)
+        assert_level_matches(h.l2, l2)
+
+
+def test_one_line_write_hit_marks_only_a_resident_l2_copy():
+    # An L1 hit whose L2 copy is gone (dropped from the L2 alone) takes
+    # no dirty mark there, as in a burst's end-of-burst marking.
+    h = hierarchy(l1_lines=4, l2_lines=16)
+    h.access(np.array([3]), is_write=False)
+    h.l2.drop_range(3, 1)
+    cost = h.access(np.array([3]), is_write=True)
+    assert (cost.l1_hits, cost.l2_hits, cost.cpu_cycles) == (1, 0, 1.0)
+    assert h.l2.tags[3] == -1 and not h.l2.dirty.any()
+    h.access(np.array([7]), is_write=False)    # L1 conflict: 3 leaves
+    h.access(np.array([3]), is_write=False)    # refill: clean
+    cost = h.access(np.array([3]), is_write=True)
+    assert cost.l1_hits == 1 and h.l2.dirty.tolist() == [
+        s == 3 for s in range(16)]
+
+
 # ------------------------------------------------- state at first touch ----
 
 def table1_hierarchy():

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Chaos campaign: every registered workload under seeded fault plans.
 
-Sweeps crash / link-down / cell-loss plans across the full workload
-registry (:data:`repro.apps.WORKLOADS`), on the paper's banyan switch
+Sweeps crash / link-down / cell-loss / corruption-and-delay plans across
+the full workload registry (:data:`repro.apps.WORKLOADS`), on the paper's banyan switch
 and on one fabric of each multi-hop family (:data:`FABRICS`), and
 asserts the crash-stop fault-tolerance contract end to end (see
 docs/reliability.md):
@@ -25,7 +25,7 @@ shows only in the snapshot hash.  Two commits that must agree give the
 same output except the ``wall:`` line: compare them with one ``diff``.
 
 Usage:
-    tools/chaos_campaign.py           # 3 fabrics x 7 workloads x 6 plans
+    tools/chaos_campaign.py           # 3 fabrics x 7 workloads x 7 plans
     tools/chaos_campaign.py --smoke   # banyan, 3 workloads x 3 plans
     tools/chaos_campaign.py --jobs 4  # parallel worker count (default 2)
 
@@ -98,7 +98,8 @@ def _workload_configs(smoke: bool) -> List[Tuple[str, Any, int]]:
 
 def _fault_plans(smoke: bool, nprocs: int) -> List[Tuple[str, Any]]:
     """``(name, FaultPlan | None)`` schedule matrix for one workload."""
-    from repro.faults import CellLoss, FaultPlan, LinkDown, NodeCrash
+    from repro.faults import (CellCorrupt, CellLoss, FaultPlan, LinkDown,
+                              NicStall, NodeCrash, NodeSlow)
 
     plans: List[Tuple[str, Any]] = [
         ("clean", None),
@@ -117,6 +118,13 @@ def _fault_plans(smoke: bool, nprocs: int) -> List[Tuple[str, Any]]:
             ("crash+loss", FaultPlan(seed=CAMPAIGN_SEED + 5, schedules=(
                 NodeCrash(node=nprocs - 1, at_ns=500_000.0),
                 CellLoss(rate=0.005)))),
+            # Corrupted cells reach the receiving NIC's integrity check,
+            # and the stall and slowdown run the arrival-delay path.
+            ("corrupt+stall", FaultPlan(seed=CAMPAIGN_SEED + 6, schedules=(
+                CellCorrupt(rate=0.002),
+                CellLoss(nth=400),
+                NicStall(node=1 % nprocs, from_ns=1e5, to_ns=3e5),
+                NodeSlow(node=0, factor=1.5, from_ns=0.0, to_ns=5e5)))),
         ]
     return plans
 

@@ -29,6 +29,10 @@ class SharedArray:
         self.itemsize = self.data.dtype.itemsize
         if not self.data.flags["C_CONTIGUOUS"]:
             raise ValueError("shared arrays must be C-contiguous")
+        #: Items spanned by one step of each dimension and by the whole
+        #: array: ``_trail[d]`` is the product of ``shape[d:]``.
+        self._trail = [int(np.prod(self.data.shape[d:], dtype=np.int64))
+                       for d in range(self.data.ndim + 1)]
 
     @property
     def base_vaddr(self) -> int:
@@ -48,16 +52,10 @@ class SharedArray:
         selection that is contiguous in C order collapses to one run,
         otherwise one run per row of the leading selected dimension.
         """
+        run = self._contiguous_run(key if type(key) is tuple else (key,))
+        if run is not None:
+            return run
         data = self.data
-        if type(key) is int and data.ndim == 1:
-            # One element of a vector (the scalar tables' every access):
-            # its run by arithmetic, without building a numpy scalar.
-            n = data.shape[0]
-            if -n <= key < n:
-                if key < 0:
-                    key += n
-                return [(self.base_vaddr + key * self.itemsize,
-                         self.itemsize)]
         view = data[key]
         if view.size == 0:
             return []
@@ -75,6 +73,40 @@ class SharedArray:
         # scalar
         offset = self._scalar_offset(key)
         return [(self.base_vaddr + offset, self.itemsize)]
+
+    def _contiguous_run(self, key: tuple) -> Optional[List[Tuple[int, int]]]:
+        """The run of a C-contiguous selection, by arithmetic on the
+        shape: in-range ``int`` s on the leading dimensions, then at most
+        one step-1 slice, then full slices.  Returns ``[]`` for an empty
+        selection, or None for any other key (numpy's path then derives
+        its runs, or raises its error)."""
+        shape = self.data.shape
+        if len(key) > len(shape):
+            return None
+        trail = self._trail
+        offset = 0
+        count = None
+        for d, item in enumerate(key):
+            n = shape[d]
+            if type(item) is int:
+                if count is not None or not -n <= item < n:
+                    return None
+                offset += (item + n if item < 0 else item) * trail[d + 1]
+            elif type(item) is slice and item.step in (None, 1):
+                start, stop, _ = item.indices(n)
+                if count is None:
+                    offset += start * trail[d + 1]
+                    count = (stop - start) * trail[d + 1]
+                elif stop - start != n:
+                    return None
+            else:
+                return None
+        if count is None:
+            count = trail[len(key)]
+        if count <= 0:
+            return []
+        return [(self.base_vaddr + offset * self.itemsize,
+                 count * self.itemsize)]
 
     def _scalar_offset(self, key: Key) -> int:
         idx = key if isinstance(key, tuple) else (key,)

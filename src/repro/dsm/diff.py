@@ -25,6 +25,15 @@ class RangeSet:
     def __init__(self) -> None:
         self._ranges: List[Tuple[int, int]] = []
 
+    @classmethod
+    def span(cls, start: int, end: int) -> "RangeSet":
+        """The set holding ``[start, end)`` alone (empty when ``end <=
+        start``)."""
+        rs = cls()
+        if end > start:
+            rs._ranges = [(start, end)]
+        return rs
+
     def add(self, start: int, length: int) -> None:
         """Include ``[start, start+length)``."""
         if length <= 0:

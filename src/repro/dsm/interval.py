@@ -128,8 +128,11 @@ class WriteCollector:
             raise ValueError(f"offset {offset} outside page")
         rs = self._pages.get(page)
         if rs is None:
-            rs = RangeSet()
-            self._pages[page] = rs
+            # The page's first record in the interval: its one range,
+            # clamped to the page.
+            self._pages[page] = RangeSet.span(
+                offset, min(offset + length, self.page_size))
+            return
         rs.add(offset, length)
         rs.clamp(self.page_size)
 

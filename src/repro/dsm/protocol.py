@@ -102,6 +102,12 @@ class DsmEngine:
         #: Served diff sizes: (page, seq) -> bytes, kept after release so
         #: concurrent writers' diff requests can be answered and priced.
         self.diff_store: Dict[Tuple[int, int], int] = {}
+        #: A fault's handler time and a page twin's copy time: the same
+        #: for every fault of the run.
+        self._fault_ns = self.params.cpu_cycles_ns(
+            self.params.page_fault_handler_cycles)
+        self._twin_ns = self.params.cpu_cycles_ns(
+            self.params.twin_cycles_per_word * self.params.words_per_page)
 
         # Page homes are finalized once allocations are known (the block
         # scheme divides the *allocated* pages among the nodes); see
@@ -266,7 +272,7 @@ class DsmEngine:
     def fault(self, page: int, for_write: bool) -> Generator:
         """Handle an access miss (run by the application thread)."""
         m = self.pages[page]
-        fault_ns = self.params.cpu_cycles_ns(self.params.page_fault_handler_cycles)
+        fault_ns = self._fault_ns
         yield fault_ns
         self.node.account_overhead(fault_ns)
         self.node.counters.inc("dsm_faults")
@@ -291,9 +297,7 @@ class DsmEngine:
         if for_write:
             m = self.pages[page]
             if m.state != PageState.WRITABLE:
-                twin_ns = self.params.cpu_cycles_ns(
-                    self.params.twin_cycles_per_word * self.params.words_per_page
-                )
+                twin_ns = self._twin_ns
                 yield twin_ns
                 self.node.account_overhead(twin_ns)
                 self.pages.make_writable(page)

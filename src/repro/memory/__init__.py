@@ -6,16 +6,7 @@ signals, and the board sees CPU stores only as snoopable bus write
 traffic.
 """
 
-from .address import (
-    AddressSpace,
-    check_power_of_two,
-    line_of,
-    lines_in_range,
-    page_base,
-    page_of,
-    pages_in_range,
-    split_range_by_page,
-)
+from .address import AddressSpace, check_power_of_two
 from .bus import MemoryBus, Snooper
 from .cache import (
     AccessCost,
@@ -39,10 +30,4 @@ __all__ = [
     "Snooper",
     "TranslationError",
     "check_power_of_two",
-    "line_of",
-    "lines_in_range",
-    "page_base",
-    "page_of",
-    "pages_in_range",
-    "split_range_by_page",
 ]

@@ -1,73 +1,17 @@
-"""Byte-address arithmetic helpers (pages, cache lines, words).
+"""Address-space layout and the power-of-two check.
 
 All addresses in the simulator are plain Python ints (byte addresses in a
-node's virtual or physical address space).  The helpers here produce the
-*vectorized* line/page index streams the cache and DSM models consume —
-per the HPC guides, hot paths hand numpy arrays around instead of looping
-per byte.
+node's virtual or physical address space); callers reduce them to lines
+and pages with integer division by the line and page sizes.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
-
-import numpy as np
 
 
 def check_power_of_two(value: int, what: str) -> None:
     """Raise ValueError unless ``value`` is a positive power of two."""
     if value <= 0 or value & (value - 1):
         raise ValueError(f"{what} must be a positive power of two, got {value}")
-
-
-def page_of(addr: int, page_size: int) -> int:
-    """Page number containing byte ``addr``."""
-    return addr // page_size
-
-
-def page_base(page: int, page_size: int) -> int:
-    """First byte address of ``page``."""
-    return page * page_size
-
-
-def line_of(addr: int, line_size: int) -> int:
-    """Cache-line number containing byte ``addr``."""
-    return addr // line_size
-
-
-def lines_in_range(start: int, nbytes: int, line_size: int) -> np.ndarray:
-    """Line numbers covering ``[start, start+nbytes)``, ascending.
-
-    Returns an empty int64 array for ``nbytes <= 0``.
-    """
-    if nbytes <= 0:
-        return np.empty(0, dtype=np.int64)
-    first = start // line_size
-    last = (start + nbytes - 1) // line_size
-    return np.arange(first, last + 1, dtype=np.int64)
-
-
-def pages_in_range(start: int, nbytes: int, page_size: int) -> np.ndarray:
-    """Page numbers covering ``[start, start+nbytes)``, ascending."""
-    return lines_in_range(start, nbytes, page_size)
-
-
-def split_range_by_page(
-    start: int, nbytes: int, page_size: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a byte range on page boundaries.
-
-    Returns ``(pages, offsets, lengths)``: for each covered page, the
-    in-page start offset and the byte count that falls in that page.
-    """
-    pages = pages_in_range(start, nbytes, page_size)
-    if pages.size == 0:
-        z = np.empty(0, dtype=np.int64)
-        return pages, z, z
-    bases = pages * page_size
-    lo = np.maximum(bases, start)
-    hi = np.minimum(bases + page_size, start + nbytes)
-    return pages, lo - bases, hi - lo
 
 
 class AddressSpace:
@@ -96,16 +40,6 @@ class AddressSpace:
     def dsm_limit(self) -> int:
         """One past the last shared byte."""
         return self.dsm_base + self.dsm_bytes
-
-    def is_shared(self, addr: int) -> bool:
-        """Whether ``addr`` falls in the DSM segment."""
-        return self.dsm_base <= addr < self.dsm_limit
-
-    def shared_page_index(self, addr: int) -> int:
-        """DSM page index (0-based within the shared segment) of ``addr``."""
-        if not self.is_shared(addr):
-            raise ValueError(f"address {addr:#x} is not in the DSM segment")
-        return (addr - self.dsm_base) // self.page_size
 
     def shared_page_addr(self, dsm_page: int) -> int:
         """Virtual base address of DSM page ``dsm_page``."""

@@ -18,19 +18,34 @@ misses, write-backs and final state.  *Rule 1, one access per set*
 lines than the level has sets touches each set at most once, so an
 access hits exactly when the entry tag is its line, and a miss evicts
 the entry occupant and nothing else.  *Rule 2, contiguous bursts* (the
-L1 step of :meth:`CacheHierarchy.access`): in ``lo, lo+1, ..., lo+n-1``
-only the first ``min(n, nsets)`` lines can meet an entry occupant, every
-later line follows a different line in its set and misses, and the last
-``min(n, nsets)`` lines become the occupants.  The L1 miss stream of
-either rule is strictly ascending and spans fewer than ``n`` lines, so
-the L2 takes rule 1 for bursts of up to its set count.  Repeated lines,
-unordered lines and ascending lines with gaps that wrap a level keep the
-grouping path.  Rule 1 reports write-backs in line order, the grouping
-path in set order; the two differ only when a burst's sets wrap, and
-callers count the lines (or reduce them to pages), never read the order.
-A one-line burst (a scalar load or store) takes neither: it probes each
-level's one set as Python scalars, which costs a small fraction of any
-burst's fixed numpy work, and reports what the burst would.
+L1 step of :meth:`CacheHierarchy.access_range`): in ``lo, lo+1, ...,
+lo+n-1`` only the first ``min(n, nsets)`` lines can meet an entry
+occupant, every later line follows a different line in its set and
+misses, and the last ``min(n, nsets)`` lines become the occupants.  The
+L1 miss stream of either rule is strictly ascending and spans fewer than
+``n`` lines, so the L2 takes rule 1 for bursts of up to its set count.
+Repeated lines, unordered lines and ascending lines with gaps that wrap
+a level keep the grouping path.  Rule 1 reports write-backs in line
+order, the grouping path in set order; the two differ only when a
+burst's sets wrap, and callers count the lines (or reduce them to
+pages), never read the order.  A one-line burst (a scalar load or
+store) takes neither: it probes each level's one set as Python scalars,
+which costs a small fraction of any burst's fixed numpy work, and
+reports what the burst would.
+
+*Contiguous bursts* are priced from their line range by
+:meth:`CacheHierarchy.access_range`, and :meth:`CacheHierarchy.access`
+hands every contiguous ascending line array to it.  Consecutive lines
+map to consecutive sets, so each level works on one slice of its sets,
+or two when the range wraps the set index: rule 2 compares the first
+``min(n, nsets)`` lines with the L1 tags of their slice and writes the
+last ``min(n, nsets)`` lines into theirs; for a burst of up to the L2's
+set count, rule 1 probes and fills the L2 on the range's own slice,
+installing misses by a masked copy.  The slices hold exactly the sets
+and tags that the line-array form gathers and scatters, in line order,
+so hits, misses, write-backs (in line order), final state and stats
+are the same.  A burst longer than the L2 keeps the line-array form at
+the L2.
 
 Page-level operations take a line range, not a line array:
 :meth:`CacheHierarchy.flush_range` (write back, keep resident) and
@@ -357,15 +372,15 @@ class CacheHierarchy:
         misses go to memory and allocate in both levels (write-allocate).
         Writes dirty the L2 copy (the write-back point).  Returns latency
         and write-back traffic; the caller charges simulated time and
-        shows ``writeback_lines`` to the bus snoopers.
+        shows ``writeback_lines`` to the bus snoopers.  A contiguous
+        ascending burst is priced by :meth:`access_range`.
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         n = lines.size
         if n == 1:
             return self._access_line(int(lines[0]), is_write)
-        cost = AccessCost(accesses=n)
         if n == 0:
-            return cost
+            return AccessCost()
 
         # The L1 tracks no dirtiness, so its tags are all a burst changes
         # there.  Each branch installs the L1's new occupants and builds
@@ -373,27 +388,109 @@ class CacheHierarchy:
         l1 = self.l1
         span = lines[-1] - lines[0]
         if (span < l1.nsets or span == n - 1) and _ascending(lines):
-            # Rules 1 and 2 (module docstring): only the first m lines
-            # can hit, the last m become the occupants, and the misses
-            # are already in program order.
-            m = min(n, l1.nsets)
-            mask = l1.nsets - 1
-            head = lines[:m]
-            head_sets = head & mask
-            hit = l1.tags[head_sets] == head
-            miss_stream = head[~hit]
-            if m < n:
-                tail = lines[n - m:]
-                l1.tags[tail & mask] = tail
-                miss_stream = np.concatenate((miss_stream, lines[m:]))
-            else:
-                l1.tags[head_sets] = head
+            if span == n - 1:
+                return self.access_range(int(lines[0]), n, is_write)
+            # Rule 1 (module docstring): each line has an L1 set to
+            # itself, and the misses are already in program order.
+            sets = lines & (l1.nsets - 1)
+            hit = l1.tags[sets] == lines
+            miss_stream = lines[~hit]
+            l1.tags[sets] = lines
         else:
             # Classify against the entry state once: the same
             # classification gives the miss stream and the new occupants.
             hit, order, sl, ss, _first = _classify_burst(l1.tags, lines)
             _commit_burst(l1.tags, sl, ss)
             miss_stream = lines[np.sort(order[~hit])]
+        return self._finish_burst(lines, miss_stream, is_write)
+
+    def access_range(self, first_line: int, n: int,
+                     is_write: bool) -> AccessCost:
+        """:meth:`access` of the contiguous burst ``first_line ..
+        first_line+n-1``, priced on set slices (module docstring,
+        "Contiguous bursts"): the same cost, write-backs, state and
+        stats, without gathering or scattering through a line array.
+        """
+        if n == 1:
+            return self._access_line(first_line, is_write)
+        if n <= 0:
+            return AccessCost()
+        lines = np.arange(first_line, first_line + n, dtype=np.int64)
+
+        # Rule 2 at the L1: only the first m lines can meet an occupant
+        # and the last m become the occupants.  ``missed`` is each
+        # line's L1 miss; every line after the m-th misses.
+        l1_tags = self.l1.tags
+        nsets = self.l1.nsets
+        m = n if n < nsets else nsets
+        missed = np.empty(n, dtype=bool)
+        s = first_line & (nsets - 1)
+        k = m if s + m <= nsets else nsets - s
+        np.not_equal(l1_tags[s:s + k], lines[:k], out=missed[:k])
+        if k < m:
+            np.not_equal(l1_tags[:m - k], lines[k:m], out=missed[k:m])
+        missed[m:] = True
+        if m < n:
+            s = (first_line + n) & (nsets - 1)
+            l1_tags[s:] = lines[n - nsets:n - s]
+            l1_tags[:s] = lines[n - s:]
+        else:
+            l1_tags[s:s + k] = lines[:k]
+            l1_tags[:m - k] = lines[k:m]
+
+        l2 = self.l2
+        nsets = l2.nsets
+        if n > nsets:
+            # Sets repeat within the burst: the L2 takes the line-array
+            # path.
+            return self._finish_burst(lines, lines[missed], is_write)
+
+        # Rule 1 at the L2: each line has a set to itself, on one slice
+        # of the sets, or two when the range wraps the set index.
+        s = first_line & (nsets - 1)
+        k = n if s + n <= nsets else nsets - s
+        streamed = int(np.count_nonzero(missed))
+        memory = 0
+        wb = None
+        for sets, at in (((slice(s, s + n), slice(0, n)),) if k == n else
+                         ((slice(s, nsets), slice(0, k)),
+                          (slice(0, n - k), slice(k, n)))):
+            tags = l2.tags[sets]
+            dirty = l2.dirty[sets]
+            mine = lines[at]
+            streamed_here = missed[at]
+            resident = tags == mine
+            miss = resident < streamed_here    # streamed, not resident
+            memory += int(np.count_nonzero(miss))
+            gone = miss & dirty
+            gone &= tags >= 0
+            wb = tags[gone] if wb is None else np.concatenate((wb, tags[gone]))
+            np.copyto(tags, mine, where=miss)
+            if is_write:
+                # The end-of-burst mark: every streamed line, and every
+                # L1 hit whose L2 copy is resident.
+                resident |= streamed_here
+                dirty |= resident
+            else:
+                dirty[miss] = False
+        l1_hits = n - streamed
+        l2_hits = streamed - memory
+        self.stats_l1_hits += l1_hits
+        self.stats_l2_hits += l2_hits
+        self.stats_memory += memory
+        self.stats_writebacks += wb.size
+        return AccessCost(
+            n, l1_hits, l2_hits, memory,
+            float(n * self.l1_cycles + streamed * self.l2_cycles
+                  + memory * self.memory_cycles),
+            wb)
+
+    def _finish_burst(self, lines: np.ndarray, miss_stream: np.ndarray,
+                      is_write: bool) -> AccessCost:
+        """Run a burst's L1 miss stream through the L2, mark written
+        lines that hit the L1, and total the cost and stats."""
+        n = lines.size
+        cost = AccessCost(accesses=n)
         cost.l1_hits = n - miss_stream.size
 
         r2 = self.l2.burst(miss_stream, is_write)

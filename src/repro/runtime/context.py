@@ -9,17 +9,48 @@ touched line and the DSM engine intercepts page faults.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Generator, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.adc import TransmitDescriptor
 from ..engine import Category
-from ..memory import lines_in_range
 from .node import Node
 
 #: A contiguous byte run inside the shared segment: (vaddr, nbytes).
 Run = Tuple[int, int]
+
+
+def run_lines_and_pages(runs: Sequence[Run], line_size: int,
+                        page_size: int) -> Tuple[np.ndarray, List[int]]:
+    """The line stream of byte runs, run after run in order, and the
+    distinct pages they cover, ascending; runs of no bytes cover
+    nothing.
+
+    Run ``i`` covers lines ``first[i] .. last[i]``; the stream is one
+    ``arange`` over all of them, shifted at each run's start by the gap
+    to that run's first line.  The pages come the same way; a set makes
+    them distinct (a few hundred at most, and ``np.unique`` would map
+    numpy's sort kernels into memory for them).
+    """
+    spans = np.fromiter(chain.from_iterable(runs), dtype=np.int64,
+                        count=2 * len(runs)).reshape(-1, 2)
+    spans = spans[spans[:, 1] > 0]
+    if not spans.size:
+        return np.empty(0, dtype=np.int64), []
+    starts = spans[:, 0]
+    lasts = starts + spans[:, 1] - 1
+
+    def stream(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        counts = last - first + 1
+        ends = np.cumsum(counts)
+        return (np.arange(ends[-1], dtype=np.int64)
+                + np.repeat(first - (ends - counts), counts))
+
+    lines = stream(starts // line_size, lasts // line_size)
+    pages = stream(starts // page_size, lasts // page_size)
+    return lines, sorted(set(pages.tolist()))
 
 
 class Context:
@@ -62,51 +93,59 @@ class Context:
         """Touch contiguous shared byte runs (the core access primitive).
 
         Ensures every covered page is accessible (faulting through the
-        DSM engine where not), simulates the cache over the exact line
-        stream, records written ranges for the write collector, and
-        charges the memory time as computation.
+        DSM engine where not, in ascending page order), records written
+        ranges for the write collector, simulates the cache over the
+        exact line stream, and charges the memory time as computation.
+        A one-run access (every access of a contiguous selection) takes
+        its pages, write records and line range by arithmetic.
         """
         line_size = self.params.cache_line_bytes
         page_size = self.params.page_size_bytes
-        # Run (vaddr, nbytes) covers pages vaddr // page_size through
-        # (vaddr + nbytes - 1) // page_size.
-        spans = {(vaddr // page_size, (vaddr + nbytes - 1) // page_size)
-                 for vaddr, nbytes in runs if nbytes > 0}
-        if not spans:
-            return None
-        lines = np.concatenate([
-            lines_in_range(vaddr, nbytes, line_size) for vaddr, nbytes in runs
-            if nbytes > 0
-        ])
+        engine = self.engine
+        segment = engine.segment
+        dsm_base = segment.asp.dsm_base
+        lines = None
+        if len(runs) == 1:
+            vaddr, nbytes = runs[0]
+            if nbytes <= 0:
+                return None
+            last = vaddr + nbytes - 1
+            vpages = range(vaddr // page_size, last // page_size + 1)
+        else:
+            lines, vpages = run_lines_and_pages(runs, line_size, page_size)
+            if not vpages:
+                return None
 
         # Page-presence check and faults, in ascending page order.
-        segment = self.engine.segment
-        dsm_base_page = segment.asp.dsm_base // page_size
-        vpages = sorted({p for lo, hi in spans for p in range(lo, hi + 1)})
+        dsm_base_page = dsm_base // page_size
         for vpage in vpages:
             page = vpage - dsm_base_page
             if not 0 <= page < segment.npages:
                 raise ValueError("shared access outside the DSM segment")
-            if not self.engine.page_accessible(page, is_write):
-                yield from self.engine.fault(page, is_write)
+            if not engine.page_accessible(page, is_write):
+                yield from engine.fault(page, is_write)
 
         # Record writes for the interval's write notices / diff sizes.
         if is_write:
-            for vaddr, nbytes in runs:
-                if nbytes <= 0:
+            record_write = engine.collector.record_write
+            for addr, size in runs:
+                if size <= 0:
                     continue
-                start = vaddr - self.engine.segment.asp.dsm_base
-                first_page = start // page_size
-                last_page = (start + nbytes - 1) // page_size
-                for p in range(first_page, last_page + 1):
+                start = addr - dsm_base
+                end = start + size
+                for p in range(start // page_size,
+                               (end - 1) // page_size + 1):
                     lo = max(start, p * page_size)
-                    hi = min(start + nbytes, (p + 1) * page_size)
-                    self.engine.collector.record_write(
-                        p, lo - p * page_size, hi - lo
-                    )
+                    record_write(p, lo - p * page_size,
+                                 min(end, (p + 1) * page_size) - lo)
 
         # Cache simulation: the exact ordered line stream.
-        ns = self.node.cache_access(lines, is_write)
+        if lines is None:
+            first = vaddr // line_size
+            ns = self.node.cache_access_range(
+                first, last // line_size - first + 1, is_write)
+        else:
+            ns = self.node.cache_access(lines, is_write)
         yield ns
         self.node.account_compute(ns)
         return None

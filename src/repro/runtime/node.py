@@ -16,13 +16,7 @@ import numpy as np
 from ..core import CNIInterface, ReceiveDescriptor, StandardInterface
 from ..engine import Category, Counters, Gate, Simulator, TimeAccount
 from ..engine.stats import negative_charge
-from ..memory import (
-    BoardTLB,
-    CacheHierarchy,
-    HostMMU,
-    MemoryBus,
-    lines_in_range,
-)
+from ..memory import BoardTLB, CacheHierarchy, HostMMU, MemoryBus
 from ..network import Network, PacketKind
 from ..obs import MetricsScope, SpanTracer, private_scope
 from ..params import SimParams
@@ -270,9 +264,10 @@ class Node:
     def cache_write_private(self, vaddr: int, nbytes: int) -> Generator:
         """Application writes to private memory (message buffers): cache
         simulation without DSM involvement."""
-        ns = self.cache_access(
-            lines_in_range(vaddr, nbytes, self.params.cache_line_bytes),
-            is_write=True)
+        line = self.params.cache_line_bytes
+        first = vaddr // line
+        n = (vaddr + nbytes - 1) // line - first + 1 if nbytes > 0 else 0
+        ns = self.cache_access_range(first, n, is_write=True)
         yield ns
         self.account_compute(ns)
         return None
@@ -285,6 +280,15 @@ class Node:
         guaranteed order and may span several pages, so the bus reduces
         them to pages itself."""
         cost = self.cache.access(lines, is_write)
+        if cost.writeback_lines.size:
+            self.bus.cpu_write_traffic(cost.writeback_lines)
+        return self.params.cpu_cycles_ns(cost.cpu_cycles)
+
+    def cache_access_range(self, first_line: int, n: int,
+                           is_write: bool) -> float:
+        """:meth:`cache_access` of the contiguous burst ``first_line ..
+        first_line+n-1``, through the cache's range entry."""
+        cost = self.cache.access_range(first_line, n, is_write)
         if cost.writeback_lines.size:
             self.bus.cpu_write_traffic(cost.writeback_lines)
         return self.params.cpu_cycles_ns(cost.cpu_cycles)

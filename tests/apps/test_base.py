@@ -152,6 +152,103 @@ def test_runs_match_numpy_oracle(selection):
     assert sum(n for _, n in got) == np.asarray(arr.data[key]).size * 8
 
 
+def numpy_view_runs(arr: SharedArray, key):
+    """Reference: ``runs_for`` as it derived every key before it took
+    contiguous selections by arithmetic: a numpy view of the key, one
+    run when the view is C-contiguous, one run per last-axis row when
+    it is not, and the scalar's offset for a scalar."""
+    data = arr.data
+    view = data[key]
+    if view.size == 0:
+        return []
+    base_ptr = data.__array_interface__["data"][0]
+    if isinstance(view, np.ndarray) and view.ndim > 0:
+        if view.base is None:
+            raise ValueError("fancy indexing copies data and has no "
+                             "address runs")
+        start = view.__array_interface__["data"][0] - base_ptr
+        if view.flags["C_CONTIGUOUS"]:
+            return [(arr.base_vaddr + start, int(view.nbytes))]
+        if view.strides[-1] != arr.itemsize:
+            raise ValueError("strided last-axis selections are not "
+                             "supported on shared arrays")
+        runs = []
+        for idx in np.ndindex(view.shape[:-1]):
+            row = view[idx]
+            runs.append((arr.base_vaddr + row.__array_interface__["data"][0]
+                         - base_ptr, int(row.nbytes)))
+        return runs
+    idx = key if isinstance(key, tuple) else (key,)
+    idx = tuple(i if i >= 0 else data.shape[d] + i for d, i in enumerate(idx))
+    return [(arr.base_vaddr
+             + int(np.ravel_multi_index(idx, data.shape)) * arr.itemsize,
+             arr.itemsize)]
+
+
+def bound(n):
+    """A slice bound: None, in range, negative or past either end."""
+    return st.one_of(st.none(), st.integers(-n - 2, n + 2))
+
+
+@st.composite
+def unit_step_keys(draw):
+    """A 1-3-D shape (a dimension may be empty) and a key of in-range
+    ``int`` s (negative ones included) and step-1 slices (empty, clipped
+    and open-ended ones included) on a prefix of its dimensions, as a
+    tuple or, for one dimension, bare."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(0, 5)) for _ in range(ndim))
+    key = []
+    for n in shape[:draw(st.integers(1, ndim))]:
+        if n and draw(st.integers(0, 2)) == 0:
+            key.append(draw(st.integers(-n, n - 1)))
+        else:
+            key.append(slice(draw(bound(n)), draw(bound(n)),
+                             draw(st.sampled_from([None, 1]))))
+    if len(key) == 1 and draw(st.booleans()):
+        return shape, key[0]
+    return shape, tuple(key)
+
+
+@given(unit_step_keys())
+@example(((4, 3), (slice(1, 3), slice(None))))          # a row block
+@example(((5, 3), (2, slice(None))))                    # one row
+@example(((4, 5, 3), (1, slice(None), slice(None))))    # one plane
+@example(((4, 5, 3), (slice(2, 3), slice(1, 4))))       # one partial row
+@settings(max_examples=400, deadline=None)
+def test_runs_for_matches_the_numpy_view_derivation(selection):
+    shape, key = selection
+    arr = make_array(shape)
+    try:
+        want = numpy_view_runs(arr, key)
+    except ValueError:
+        with pytest.raises(ValueError, match="strided last-axis"):
+            arr.runs_for(key)
+        return
+    assert arr.runs_for(key) == want
+
+
+def test_runs_for_keeps_numpy_errors():
+    arr = make_array((4, 5, 3))
+    for key in (4, -5, (1, 5), (0, slice(None), 3), (slice(None), -6),
+                (0, 0, 0, 0)):
+        with pytest.raises(IndexError):
+            arr.runs_for(key)
+    for key in ([0, 2], (0, [1, 3]), np.array([1, 2])):
+        with pytest.raises(ValueError, match="fancy indexing"):
+            arr.runs_for(key)
+    for key in ((1, slice(None), slice(0, 3, 2)),
+                (0, 0, slice(None, None, -1))):
+        with pytest.raises(ValueError, match="strided last-axis"):
+            arr.runs_for(key)
+    with pytest.raises(ValueError, match="strided last-axis"):
+        make_array((6,)).runs_for(slice(None, None, 2))
+    # A step on a leading dimension keeps its one run per row.
+    for key in (slice(None, None, 2), (0, slice(4, 0, -2)),
+                (slice(0, 4, 3), 1)):
+        assert arr.runs_for(key) == numpy_view_runs(arr, key)
+
+
 def test_read_write_move_real_data():
     params = SimParams().replace(num_processors=1, dsm_address_space_pages=16)
     cluster = Cluster(params, interface="cni")

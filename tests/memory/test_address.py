@@ -1,18 +1,8 @@
 """Unit tests for address arithmetic."""
 
-import numpy as np
 import pytest
 
-from repro.memory import (
-    AddressSpace,
-    check_power_of_two,
-    line_of,
-    lines_in_range,
-    page_base,
-    page_of,
-    pages_in_range,
-    split_range_by_page,
-)
+from repro.memory import AddressSpace, check_power_of_two
 
 
 def test_power_of_two_check():
@@ -22,71 +12,30 @@ def test_power_of_two_check():
             check_power_of_two(bad, "x")
 
 
-def test_page_and_line_of():
-    assert page_of(0, 4096) == 0
-    assert page_of(4095, 4096) == 0
-    assert page_of(4096, 4096) == 1
-    assert line_of(31, 32) == 0
-    assert line_of(32, 32) == 1
-    assert page_base(3, 4096) == 12288
-
-
-def test_lines_in_range_basic():
-    assert lines_in_range(0, 64, 32).tolist() == [0, 1]
-    assert lines_in_range(10, 1, 32).tolist() == [0]
-    assert lines_in_range(31, 2, 32).tolist() == [0, 1]
-    assert lines_in_range(0, 0, 32).size == 0
-    assert lines_in_range(0, -5, 32).size == 0
-
-
-def test_lines_in_range_unaligned_span():
-    # bytes [100, 260) with 32-byte lines: lines 3..8
-    assert lines_in_range(100, 160, 32).tolist() == [3, 4, 5, 6, 7, 8]
-
-
-def test_pages_in_range():
-    assert pages_in_range(4000, 200, 4096).tolist() == [0, 1]
-
-
-def test_split_range_by_page():
-    pages, offs, lens = split_range_by_page(4000, 200, 4096)
-    assert pages.tolist() == [0, 1]
-    assert offs.tolist() == [4000, 0]
-    assert lens.tolist() == [96, 104]
-    assert lens.sum() == 200
-
-
-def test_split_range_single_page():
-    pages, offs, lens = split_range_by_page(100, 50, 4096)
-    assert pages.tolist() == [0]
-    assert offs.tolist() == [100]
-    assert lens.tolist() == [50]
-
-
 def test_address_space_layout():
     asp = AddressSpace(page_size=4096, dsm_pages=100, private_pages=10)
+    assert asp.private_base == 0
+    assert asp.private_bytes == 10 * 4096
     assert asp.dsm_base == 10 * 4096
     assert asp.dsm_limit == 110 * 4096
-    assert not asp.is_shared(0)
-    assert asp.is_shared(asp.dsm_base)
-    assert asp.is_shared(asp.dsm_limit - 1)
-    assert not asp.is_shared(asp.dsm_limit)
 
 
 def test_address_space_page_index_roundtrip():
+    # The runtime takes a shared address's page as (addr - dsm_base) //
+    # page_size; every byte of a page maps back to it.
     asp = AddressSpace(page_size=4096, dsm_pages=100)
     for p in (0, 1, 50, 99):
         addr = asp.shared_page_addr(p)
-        assert asp.shared_page_index(addr) == p
-        assert asp.shared_page_index(addr + 4095) == p
+        assert addr == asp.dsm_base + p * 4096
+        assert (addr - asp.dsm_base) // asp.page_size == p
+        assert (addr + 4095 - asp.dsm_base) // asp.page_size == p
 
 
 def test_address_space_errors():
     asp = AddressSpace(page_size=4096, dsm_pages=4)
-    with pytest.raises(ValueError):
-        asp.shared_page_index(0)
-    with pytest.raises(ValueError):
-        asp.shared_page_addr(4)
+    for page in (-1, 4):
+        with pytest.raises(ValueError):
+            asp.shared_page_addr(page)
     with pytest.raises(ValueError):
         AddressSpace(page_size=1000, dsm_pages=4)
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.memory import CacheHierarchy, CacheLevel, ReferenceCache
@@ -485,3 +485,149 @@ def test_first_touch_behaves_as_an_eagerly_built_hierarchy(first):
     assert run_script(lazy, first) == run_script(eager, first)
     for a, b in ((lazy.l1, eager.l1), (lazy.l2, eager.l2)):
         assert (a.tags == b.tags).all() and (a.dirty == b.dirty).all()
+
+
+# ------------------------------------------------------ contiguous bursts ----
+
+def vector_access(h, lines, is_write):
+    """``CacheHierarchy.access`` of an ascending burst as it was before
+    the range entry: rule 2 at the L1 through fancy-index gathers and
+    scatters, the L1 miss stream through ``CacheLevel.burst``, then the
+    end-of-burst dirty mark of written lines resident in the L2.
+    Returns the cost fields and the write-backs."""
+    n = lines.size
+    l1 = h.l1
+    m = min(n, l1.nsets)
+    mask = l1.nsets - 1
+    head = lines[:m]
+    hit = l1.tags[head & mask] == head
+    miss_stream = head[~hit]
+    if m < n:
+        tail = lines[n - m:]
+        l1.tags[tail & mask] = tail
+        miss_stream = np.concatenate((miss_stream, lines[m:]))
+    else:
+        l1.tags[head & mask] = head
+    r2 = h.l2.burst(miss_stream, is_write)
+    if is_write:
+        sets = lines & (h.l2.nsets - 1)
+        resident = h.l2.tags[sets] == lines
+        h.l2.dirty[sets[resident]] = True
+    cycles = float(n + 10 * miss_stream.size + 20 * r2.misses)
+    return ((n, n - miss_stream.size, r2.hits, r2.misses, cycles),
+            r2.evicted_lines)
+
+
+@st.composite
+def range_script(draw):
+    """A geometry (Table 1's, or a 2-32-set L1 under a 2-8x L2) and a
+    stream of contiguous reads and writes, flushes and invalidations.
+    A range starts within an L1 of one of a few anchors, so ranges keep
+    meeting each other's lines (a write that hits the L1 on lines an
+    earlier read left clean in the L2, say); an anchor lies anywhere
+    below four L2s or just below an L2 boundary, so ranges wrap each
+    level at will.  A range's length is one line, up to twice the L1,
+    up to the L2, or just past the L2 (up to three L2s on the small
+    levels)."""
+    if draw(st.booleans()):
+        p = SimParams()
+        l1_sets = p.l1_size_bytes // p.cache_line_bytes
+        l2_sets = p.l2_size_bytes // p.cache_line_bytes
+        longest = l2_sets + 2 * l1_sets
+    else:
+        l1_sets = draw(st.sampled_from([2, 4, 8, 16, 32]))
+        l2_sets = l1_sets * draw(st.sampled_from([2, 4, 8]))
+        longest = 3 * l2_sets
+    anchor = st.one_of(
+        st.integers(l1_sets, 4 * l2_sets - 1),
+        st.builds(lambda a, b: (a + 1) * l2_sets - b,
+                  st.integers(0, 3), st.integers(1, l1_sets)))
+    anchors = draw(st.lists(anchor, min_size=1, max_size=3))
+    start = st.builds(lambda a, d: a + d, st.sampled_from(anchors),
+                      st.integers(-l1_sets, l1_sets))
+    length = st.one_of(st.just(1), st.integers(2, 2 * l1_sets),
+                       st.integers(2, l2_sets),
+                       st.integers(l2_sets, longest))
+    op = st.sampled_from(["read", "write", "write", "flush", "invalidate"])
+    steps = draw(st.lists(st.tuples(op, start, length), min_size=1,
+                          max_size=12))
+    return l1_sets, l2_sets, steps
+
+
+@given(range_script())
+# A burst longer than the L1, its last L1 occupants wrapping the sets.
+@example((4, 16, [("read", 5, 7)]))
+# A write whose lines hit the L1, their L2 copies resident and clean.
+@example((4, 16, [("read", 8, 4), ("write", 8, 4), ("flush", 0, 64)]))
+@settings(max_examples=120, deadline=None)
+def test_range_entry_matches_the_vector_burst(script):
+    l1_sets, l2_sets, steps = script
+    got, want = (CacheHierarchy(l1_sets * 32, l2_sets * 32, 32, 1, 10, 20)
+                 for _ in range(2))
+    totals = [0, 0, 0, 0]
+    for op, first, n in steps:
+        if op in ("read", "write"):
+            w = op == "write"
+            cost = got.access_range(first, n, w)
+            lines = np.arange(first, first + n, dtype=np.int64)
+            if n == 1:
+                ref = want.access(lines, w)     # the scalar one-line path
+                fields = (1, ref.l1_hits, ref.l2_hits, ref.memory_accesses,
+                          ref.cpu_cycles)
+                evicted = ref.writeback_lines
+            else:
+                fields, evicted = vector_access(want, lines, w)
+            assert (cost.accesses, cost.l1_hits, cost.l2_hits,
+                    cost.memory_accesses, cost.cpu_cycles) == fields
+            assert type(cost.cpu_cycles) is float
+            assert cost.writeback_lines.dtype == np.int64
+            assert sorted(cost.writeback_lines.tolist()) == sorted(
+                evicted.tolist())
+            for i, f in enumerate((fields[1], fields[2], fields[3],
+                                   evicted.size)):
+                totals[i] += f
+            assert [got.stats_l1_hits, got.stats_l2_hits, got.stats_memory,
+                    got.stats_writebacks] == totals
+        elif op == "flush":
+            assert (got.flush_range(first, n).tolist()
+                    == want.flush_range(first, n).tolist())
+        else:
+            got.invalidate_range(first, n)
+            want.invalidate_range(first, n)
+        for a, b in ((got.l1, want.l1), (got.l2, want.l2)):
+            assert (a.tags == b.tags).all()
+            assert (a.dirty == b.dirty).all()
+
+
+def test_range_entry_reports_write_backs_in_line_order():
+    # Lines 6, 7 and 8 (a burst that wraps an 8-set L2 after set 7)
+    # meet dirty occupants 22 and 15: the write-backs come in the
+    # burst's line order, not in the evicted lines' order.
+    h = hierarchy(l1_lines=2, l2_lines=8)
+    h.access_range(15, 1, True)
+    h.access_range(22, 1, True)
+    cost = h.access_range(6, 3, False)
+    assert cost.writeback_lines.tolist() == [22, 15]
+
+
+def test_access_sends_contiguous_bursts_to_the_range_entry(monkeypatch):
+    h = hierarchy(l1_lines=4, l2_lines=16)
+    calls = []
+    real = h.access_range
+    monkeypatch.setattr(h, "access_range",
+                        lambda *a: calls.append(a) or real(*a))
+    h.access(np.arange(5, 45), True)
+    h.access(np.array([3, 4]), False)
+    h.access(np.array([3, 5, 6]), False)       # a gap: rule 1
+    h.access(np.array([9, 8, 10]), False)      # unordered: grouped
+    assert calls == [(5, 40, True), (3, 2, False)]
+
+
+def test_range_entry_of_no_lines_costs_nothing():
+    h = hierarchy()
+    for n in (0, -3):
+        cost = h.access_range(7, n, True)
+        assert (cost.accesses, cost.cpu_cycles, cost.writeback_lines.size) \
+            == (0, 0.0, 0)
+    assert (h.stats_l1_hits, h.stats_l2_hits, h.stats_memory,
+            h.stats_writebacks) == (0, 0, 0, 0)

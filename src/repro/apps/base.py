@@ -48,9 +48,11 @@ class SharedArray:
     def runs_for(self, key: Key) -> List[Tuple[int, int]]:
         """Contiguous byte runs (vaddr, nbytes) covered by ``key``.
 
-        Supports integer and step-1 slice indexing per dimension; a
-        selection that is contiguous in C order collapses to one run,
-        otherwise one run per row of the leading selected dimension.
+        Supports integer and slice indexing per dimension; a selection
+        that is contiguous in C order collapses to one run, otherwise one
+        run per last-axis row.  A key whose numpy result is a copy (any
+        fancy index) has no runs in the segment and raises
+        ``ValueError``; an empty selection has no runs at all.
         """
         run = self._contiguous_run(key if type(key) is tuple else (key,))
         if run is not None:
@@ -60,7 +62,7 @@ class SharedArray:
         if view.size == 0:
             return []
         if isinstance(view, np.ndarray) and view.ndim > 0:
-            if view.base is None:
+            if not np.may_share_memory(view, data):
                 raise ValueError(
                     "fancy indexing copies data and has no address runs; "
                     "use basic (slice/int) indexing on shared arrays"

@@ -55,8 +55,10 @@ __all__ = ["OPS", "CollectiveEngine"]
 #: Operations the engine implements (and the per-op latency metrics).
 OPS = ("barrier", "allreduce", "reduce", "broadcast", "multicast")
 
-# handle_packet's keys, bound once: no enum call or member read per packet.
-_ARRIVE, _RELEASE = CollMsgType.COLL_ARRIVE, CollMsgType.COLL_RELEASE
+# The handler keys as plain ints and the packet kind, bound once: no enum
+# call or member read per packet or per send.
+_ARRIVE, _RELEASE = int(CollMsgType.COLL_ARRIVE), int(CollMsgType.COLL_RELEASE)
+_COLLECTIVE = PacketKind.COLLECTIVE
 
 @dataclass
 class _Episode:
@@ -151,8 +153,7 @@ class CollectiveEngine:
                 if node == self.me:
                     continue
                 msg = CollRelease(coll_id, "broadcast", seq, value, pb)
-                yield from self._app_send(
-                    node, CollMsgType.COLL_RELEASE, msg)
+                yield from self._app_send(node, _RELEASE, msg)
             result = value
         else:
             result = yield from self._wait(key, self.waits.register(key),
@@ -179,8 +180,7 @@ class CollectiveEngine:
                 if node == self.me:
                     continue
                 msg = CollRelease(coll_id, "multicast", seq, value, pb)
-                yield from self._app_send(
-                    node, CollMsgType.COLL_RELEASE, msg)
+                yield from self._app_send(node, _RELEASE, msg)
             self._finish_op("multicast", t0)
             return value
         if self.me in targets:
@@ -210,7 +210,7 @@ class CollectiveEngine:
             self.node.account_overhead(cost)
             self._arrive_logic(msg, root)
         else:
-            yield from self._app_send(root, CollMsgType.COLL_ARRIVE, msg)
+            yield from self._app_send(root, _ARRIVE, msg)
         result = None
         if event is not None:
             result = yield from self._wait(key, event, op)
@@ -334,17 +334,17 @@ class CollectiveEngine:
         self._m_ops.inc()
         self._op_ns[op].observe(self.sim.now - t0)
 
-    def _app_send(self, dst: int, msg_type: CollMsgType, body) -> Generator:
+    def _app_send(self, dst: int, key: int, body) -> Generator:
         """Send from the application thread (ADC store on the CNI, kernel
         trap on the standard interface) — mirrors DsmEngine._app_send."""
         desc = TransmitDescriptor(
             dst_node=dst,
             vaddr=None,
             length=body.wire_bytes,
-            handler_key=int(msg_type),
+            handler_key=key,
             payload=body,
             channel_id=self.node.dsm_channel_id,
-            kind=PacketKind.COLLECTIVE,
+            kind=_COLLECTIVE,
         )
         t0 = self.sim.now
         yield from self.node.nic.host_send(desc)
@@ -358,11 +358,11 @@ class CollectiveEngine:
         self._m_bytes.inc(msg.wire_bytes)
         self.node.nic.board_send(
             Packet(
-                kind=PacketKind.COLLECTIVE,
+                kind=_COLLECTIVE,
                 src_node=self.me,
                 dst_node=dst,
                 channel_id=self.node.dsm_channel_id,
-                handler_key=int(CollMsgType.COLL_RELEASE),
+                handler_key=_RELEASE,
                 payload_bytes=msg.wire_bytes,
                 payload=msg,
             )

@@ -16,7 +16,7 @@ interrupt otherwise (the hybrid scheme of Section 2.1).
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..engine import Counters, Simulator
 from ..memory import BoardTLB, MemoryBus
@@ -32,6 +32,39 @@ from .pathfinder import Pathfinder, Pattern, PatternElement
 #: Classification targets produced by the patterns we program.
 AIH_TARGET = "aih"
 CHANNEL_TARGET = "chan"
+
+
+def channel_pattern(channel_id: int) -> Pattern:
+    """The PATHFINDER pattern that demuxes a channel's DATA packets."""
+    return Pattern(
+        elements=(
+            # header byte 0: kind == DATA
+            PatternElement(offset=0, length=1, mask=0xFF,
+                           value=int(PacketKind.DATA)),
+            # header bytes 6-7: channel id
+            PatternElement(offset=6, length=2, mask=0xFFFF,
+                           value=channel_id),
+        ),
+        target=(CHANNEL_TARGET, channel_id),
+    )
+
+
+def handler_patterns(key: int, kinds: Sequence[PacketKind]
+                     ) -> List[Pattern]:
+    """The patterns that activate AIH ``key``: one per packet kind."""
+    return [
+        Pattern(
+            elements=(
+                PatternElement(offset=0, length=1, mask=0xFF,
+                               value=int(kind)),
+                # header bytes 8-9: handler key
+                PatternElement(offset=8, length=2, mask=0xFFFF,
+                               value=key),
+            ),
+            target=(AIH_TARGET, key),
+        )
+        for kind in kinds
+    ]
 
 
 class CNIInterface(NetworkInterface):
@@ -90,19 +123,7 @@ class CNIInterface(NetworkInterface):
         agreed between the connection's endpoints (the sender stamps it
         into the header; this board's PATHFINDER matches it)."""
         ch = self.channel_manager.open_channel(owner_app, channel_id=channel_id)
-        self.pathfinder.install(
-            Pattern(
-                elements=(
-                    # header byte 0: kind == DATA
-                    PatternElement(offset=0, length=1, mask=0xFF,
-                                   value=int(PacketKind.DATA)),
-                    # header bytes 6-7: channel id
-                    PatternElement(offset=6, length=2, mask=0xFFFF,
-                                   value=ch.channel_id),
-                ),
-                target=(CHANNEL_TARGET, ch.channel_id),
-            )
-        )
+        self.pathfinder.install(channel_pattern(ch.channel_id))
         return ch
 
     def install_protocol_handler(
@@ -121,19 +142,8 @@ class CNIInterface(NetworkInterface):
         cost).
         """
         swap_ns = self.handlers.install(key, fn, code_size)
-        for kind in kinds:
-            self.pathfinder.install(
-                Pattern(
-                    elements=(
-                        PatternElement(offset=0, length=1, mask=0xFF,
-                                       value=int(kind)),
-                        # header bytes 8-9: handler key
-                        PatternElement(offset=8, length=2, mask=0xFFFF,
-                                       value=key),
-                    ),
-                    target=(AIH_TARGET, key),
-                )
-            )
+        for pattern in handler_patterns(key, kinds):
+            self.pathfinder.install(pattern)
         return swap_ns
 
     # -- host send path ------------------------------------------------------------

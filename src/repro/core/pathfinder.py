@@ -106,6 +106,10 @@ class Pathfinder:
         self.max_patterns = max_patterns
         self._root: List[_Cell] = []  # alternative first cells
         self._patterns: Dict[int, Pattern] = {}
+        #: Whether the DAG and pattern table are shared with other
+        #: boards (:meth:`share`): the next install or remove copies
+        #: them first.
+        self._shared = False
         #: Memoized DAG walks: header bytes -> winning (pattern_id,
         #: target) or None on a miss.  Valid only for the current
         #: pattern set — install/remove clear it.  Bounded so a stream
@@ -131,6 +135,8 @@ class Pathfinder:
         """
         if len(self._patterns) >= self.max_patterns:
             raise RuntimeError("PATHFINDER pattern memory exhausted")
+        if self._shared:
+            self._rebuild(self._patterns.values())
         self._classify_cache.clear()
         cells = self._root
         last_index = len(pattern.elements) - 1
@@ -165,12 +171,36 @@ class Pathfinder:
         """
         if pattern_id not in self._patterns:
             raise KeyError(f"pattern {pattern_id} not installed")
-        self._classify_cache.clear()
-        survivors = [p for pid, p in self._patterns.items() if pid != pattern_id]
+        self._rebuild(p for pid, p in self._patterns.items()
+                      if pid != pattern_id)
+
+    def _rebuild(self, patterns: Iterable[Pattern]) -> None:
+        """Program a fresh DAG of this board's own from ``patterns``, in
+        installation order."""
+        survivors = sorted(patterns, key=lambda p: p.pattern_id)
         self._root = []
         self._patterns = {}
-        for p in sorted(survivors, key=lambda p: p.pattern_id):
+        self._shared = False
+        for p in survivors:
             self.install(p)
+
+    def share(self, other: "Pathfinder") -> None:
+        """Run ``other``'s program: replace this board's patterns with
+        ``other``'s DAG and pattern table, shared rather than copied.
+
+        A cluster whose boards are programmed identically builds the
+        program once and shares it with every board.  Sharing is copy on
+        write: a later install or remove on any board that shares the
+        program first gives that board a copy of its own, so it never
+        reaches the others.  Each board keeps its own counters and
+        classification memo.
+        """
+        if other.pattern_count > self.max_patterns:
+            raise RuntimeError("PATHFINDER pattern memory exhausted")
+        self._root = other._root
+        self._patterns = other._patterns
+        self._shared = other._shared = True
+        self._classify_cache.clear()
 
     @property
     def pattern_count(self) -> int:

@@ -23,6 +23,7 @@ from .fabrics import (
     BanyanTopology,
     FatTreeTopology,
     Link,
+    Server,
     Topology,
     TorusTopology,
     build_topology,
@@ -44,6 +45,7 @@ __all__ = [
     "Packet",
     "PacketKind",
     "Segmenter",
+    "Server",
     "Topology",
     "TopologyError",
     "TopologySpec",

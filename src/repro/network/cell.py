@@ -127,7 +127,7 @@ class Packet:
     def header_bytes(self) -> bytes:
         """The 16-byte wire header the PATHFINDER classifies."""
         return _HEADER_STRUCT.pack(
-            int(self.kind),
+            self.kind,
             self.flags,
             self.src_node,
             self.dst_node,

@@ -39,27 +39,31 @@ the model cannot deadlock.  Per-link rates default to
 ``SimParams.link_rate_bps``; pass ``rate_overrides`` (link name → bps)
 to model heterogeneous fabrics.
 
-One timed walk, :meth:`Topology.transit`, serves all three fabrics.
-It walks ``(crosses, input port, link)`` hops: a fabric's
-:meth:`~Topology._hops` route is turned into such a path once per
-(src, dst) pair and cached, so a train re-derives neither link names
-nor ports.  The banyan's path is one crossing onto the destination's
-output-port link.  The adaptive torus cannot cache: its path yields each
-hop when the walk reaches the router, after the previous hop's release.
-Free ports and links are taken with ``Resource.try_acquire``; only a
-busy one is waited for.
+The timed walk is ``Network``'s transfer body
+(:mod:`repro.network.topology`): each train runs its host wires and its
+hops in one generator frame.  The topology holds the fabric's data: its
+links, its input ports, the ``(crosses, input port, link)`` path of
+each (src, dst) pair, built once from the fabric's :meth:`~Topology._hops`
+route and cached so a train re-derives neither link names nor ports,
+:meth:`~Topology.route`, :meth:`~Topology.min_transit_ns` and the
+``net.*`` counters (docs/network.md).  The banyan's path is one crossing
+onto the destination's output-port link.  The adaptive torus cannot
+cache: its path yields each hop when the walk reaches the router, after
+the previous hop's release.
 
-The host injection/ejection wires stay where they always were — charged
-by ``Network`` around :meth:`Topology.transit`.  Fabric counters live on
-the topology object and surface as the ``net.*`` metric scope
-(docs/network.md).
+Links and input ports are FIFO servers (:class:`Server`) that the walk
+takes and frees inline: a free one is taken by setting its ``busy``
+flag, a busy one is queued for with an event, and freeing one hands it
+to the first queued train or clears the flag.  They keep no hold-time
+bookkeeping, since nothing reads it for a fabric.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..engine import Resource, Simulator
+from ..engine import Event, Simulator
 from ..params import SimParams
 from .spec import TopologyError, TopologySpec, parse_topology
 from .switch import BanyanFabric
@@ -68,28 +72,46 @@ __all__ = [
     "BanyanTopology",
     "FatTreeTopology",
     "Link",
+    "Server",
     "Topology",
     "TorusTopology",
     "build_topology",
 ]
 
 
-class Link:
-    """One directed fabric link: a FIFO resource plus its line rate.
+class Server:
+    """A FIFO server of the fabric walk: a switch input port, and the
+    base of every :class:`Link`.
+
+    ``busy`` is set while a train holds it.  A train that finds it busy
+    appends an :class:`~repro.engine.Event` to ``waiters`` and waits on
+    it.  The holder frees it by triggering the first waiter's event,
+    which hands the server over (it stays busy), or, with none queued,
+    by clearing ``busy``.
+    """
+
+    __slots__ = ("name", "busy", "waiters")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.busy = False
+        self.waiters: Deque[Event] = deque()
+
+
+class Link(Server):
+    """One directed fabric link: a FIFO server plus its line rate.
 
     ``scale`` is the link's serialization time relative to the base rate
     (``SimParams.link_rate_bps / rate_bps``): a train's time on the link
     is ``params.train_wire_time_ns(wire_bytes) * scale``.
     """
 
-    __slots__ = ("name", "res", "rate_bps", "latency_ns", "scale",
-                 "_params")
+    __slots__ = ("rate_bps", "latency_ns", "scale", "_params")
 
-    def __init__(self, sim: Simulator, name: str, params: SimParams,
+    def __init__(self, name: str, params: SimParams,
                  rate_bps: Optional[float] = None,
                  latency_ns: float = 0.0):
-        self.name = name
-        self.res = Resource(sim, f"link:{name}")
+        super().__init__(name)
         self.rate_bps = rate_bps if rate_bps is not None else params.link_rate_bps
         if self.rate_bps <= 0:
             raise TopologyError(f"link {name}: rate must be positive")
@@ -104,7 +126,7 @@ class Link:
 
 #: One hop of a timed walk: whether it crosses a switch, the input port
 #: it contends for there (None on host injection), and the output link.
-Hop = Tuple[bool, Optional[Resource], Link]
+Hop = Tuple[bool, Optional[Server], Link]
 
 
 class Topology:
@@ -112,9 +134,10 @@ class Topology:
 
     Subclasses supply :meth:`_hops` (the pure path as ``(switch, link
     name)`` pairs), from which :meth:`route`, :meth:`min_transit_ns` and
-    the cached per-pair walk paths derive.  The base class owns the
-    shared counters (``net.*`` catalog, docs/network.md), the
-    link/input-port tables, and :meth:`transit`, the one timed walk.
+    the cached per-pair walk paths (:meth:`_path`) derive.  The base
+    class owns the shared counters (``net.*`` catalog, docs/network.md)
+    and the link/input-port tables; ``Network``'s transfer body walks
+    the paths and advances the counters.
     """
 
     kind = "abstract"
@@ -127,10 +150,8 @@ class Topology:
         self.spec = spec
         self._rate_overrides = dict(rate_overrides or {})
         self.links: Dict[str, Link] = {}
-        self._in_ports: Dict[Tuple[str, str], Resource] = {}
+        self._in_ports: Dict[Tuple[str, str], Server] = {}
         self._paths: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
-        #: A train's base-rate serialization time, by wire bytes.
-        self._wire_ns: Dict[int, float] = {}
         # -- net.* counters (registered by Network.register_metrics) ----
         self.crossings = 0        # switch/router traversals
         self.link_hops = 0        # links traversed
@@ -140,7 +161,7 @@ class Topology:
 
     # -- construction helpers ------------------------------------------------
     def _add_link(self, name: str, latency_ns: float = 0.0) -> Link:
-        link = Link(self.sim, name, self.params,
+        link = Link(name, self.params,
                     rate_bps=self._rate_overrides.get(name),
                     latency_ns=latency_ns)
         self.links[name] = link
@@ -159,7 +180,7 @@ class Topology:
         key = (switch, arrived_on.name)
         port = self._in_ports.get(key)
         if port is None:
-            port = Resource(self.sim, f"in:{switch}<{arrived_on.name}")
+            port = Server(f"in:{switch}<{arrived_on.name}")
             self._in_ports[key] = port
         return True, port, link
 
@@ -171,8 +192,8 @@ class Topology:
         raise NotImplementedError
 
     def _path(self, src: int, dst: int) -> Iterable[Hop]:
-        """The hops :meth:`transit` walks from ``src`` to ``dst``: built
-        from :meth:`_hops` once per pair, then served from a cache."""
+        """The hops a train walks from ``src`` to ``dst``: built from
+        :meth:`_hops` once per pair, then served from a cache."""
         path = self._paths.get((src, dst))
         if path is None:
             hops = []
@@ -205,50 +226,10 @@ class Topology:
         """The (zero-load) path as an ordered list of link names."""
         return [name for _switch, name in self._hops(src, dst)]
 
-    def transit(self, src: int, dst: int, n_cells: int,
-                wire_bytes: int) -> Generator:
-        """Coroutine: move one train through the fabric.  Returns when
-        the train's last cell has left its final link.
-
-        Each hop crosses its switch (cut-through latency), contends for
-        the input port it arrived on (head-of-line blocking), takes its
-        output link (FIFO output queueing), frees the input port, and
-        holds the link for propagation + serialization.  A free port or
-        link is taken with ``try_acquire``; only a busy one is waited
-        for through ``acquire()``.
-        """
-        switch_ns = self.params.switch_latency_ns
-        base_ns = self._wire_ns.get(wire_bytes)
-        if base_ns is None:
-            base_ns = self._wire_ns[wire_bytes] = \
-                self.params.train_wire_time_ns(wire_bytes)
-        for crosses, in_port, link in self._path(src, dst):
-            if crosses:
-                yield switch_ns
-                self.crossings += 1
-            if in_port is not None and not in_port.try_acquire():
-                self.hol_blocks += 1
-                yield from in_port.acquire()
-            res = link.res
-            if not res.try_acquire():
-                self.link_waits += 1
-                yield from res.acquire()
-            if in_port is not None:
-                in_port.release()
-            try:
-                if link.latency_ns:
-                    yield link.latency_ns
-                yield base_ns * link.scale
-            finally:
-                res.release()
-            self.link_hops += 1
-        return None
-
     def min_transit_ns(self, wire_bytes: int) -> float:
         """Best-case (uncontended) fabric latency of nodes 0 and 1, the
         nearest pair on every fabric, excluding the two host wires
-        ``Network`` charges around it: the zero-load walk of
-        :meth:`transit`."""
+        ``Network`` charges around it: the zero-load walk."""
         total = 0.0
         for switch, name in self._hops(0, 1):
             link = self.links[name]
@@ -261,8 +242,8 @@ class Topology:
         """Deepest output queue across all links (diagnostics gauge)."""
         depth = 0
         for link in self.links.values():
-            if link.res.queue_length > depth:
-                depth = link.res.queue_length
+            if len(link.waiters) > depth:
+                depth = len(link.waiters)
         return depth
 
     def register_metrics(self, scope) -> None:
@@ -471,7 +452,7 @@ class TorusTopology(Topology):
         best_i, best_load = 0, None
         for i, (dim, sign, _steps) in enumerate(moves):
             link = self.links[self._link_name(here, dim, sign)]
-            load = link.res.queue_length + (1 if link.res.busy else 0)
+            load = len(link.waiters) + (1 if link.busy else 0)
             if best_load is None or load < best_load:
                 best_i, best_load = i, load
         return best_i, moves[best_i]

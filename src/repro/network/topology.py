@@ -13,12 +13,15 @@ queues):
                    ->  output-port serialization (n x 681.7 ns, FIFO)
                    ->  wire (150 ns)  ->  destination NIC rx queue
 
-The middle leg is :meth:`Topology.transit`, the one timed walk every
-fabric shares (:mod:`repro.network.fabrics`): the banyan's path is one
-crossing onto the destination's output port, and multi-hop fabrics walk
-several hops (per-link rates, FIFO output queueing, input-port
-head-of-line blocking).  The two host wires stay here, in the one
-transfer body every train runs.
+The middle leg is the fabric walk every topology shares
+(:mod:`repro.network.fabrics`): the banyan's path is one crossing onto
+the destination's output port, and multi-hop fabrics walk several hops
+(per-link rates, FIFO output queueing, input-port head-of-line
+blocking).  A train runs in one generator frame, the transfer body
+here: the first host wire, the walk, the second host wire, the fault
+step and delivery.  The walk takes and frees each hop's input port and
+output link inline (the fabric's :class:`~repro.network.fabrics.Server`
+flags and waiter queues); only a busy one makes the train wait.
 
 The sending NIC's transmit processor is itself a serial simulated
 process, which provides source-side serialization of back-to-back sends
@@ -27,9 +30,9 @@ from one node (DESIGN.md documents this approximation).
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Dict, Generator, List
 
-from ..engine import Mailbox, Simulator
+from ..engine import Event, Mailbox, Simulator
 from ..params import SimParams
 from .cell import CellTrain, Packet
 from .fabrics import Topology, build_topology
@@ -50,6 +53,8 @@ class Network:
             Mailbox(sim, f"rx{i}") for i in range(params.num_processors)
         ]
         self.trains_delivered = 0
+        #: A train's base-rate serialization time, by wire bytes.
+        self._wire_ns: Dict[int, float] = {}
         #: Runtime fault evaluator (repro.faults); None on a clean fabric.
         self.active_faults = (
             params.fault_plan.activate(params.num_processors)
@@ -87,17 +92,67 @@ class Network:
         self.sim.spawn(self._transfer(train), f"xfer-{train.packet.packet_id}")
 
     def _transfer(self, train: CellTrain) -> Generator:
-        """The one transfer body: host wire, fabric walk, host wire and
-        the arrival-side fault delays.  Delivery puts the train, damaged
-        or not; the receiving NIC's integrity check drops a damaged one."""
+        """The one transfer body: host wire, fabric walk, host wire, the
+        arrival-side fault step and delivery, in one frame.  Delivery
+        puts the train, damaged or not; the receiving NIC's integrity
+        check drops a damaged one.
+
+        Each hop of the walk crosses its switch (cut-through latency),
+        contends for the input port it arrived on (head-of-line
+        blocking), takes its output link (FIFO output queueing), frees
+        the input port, and holds the link for propagation plus
+        serialization.  A free port or link is taken by setting its
+        ``busy`` flag; a busy one is queued for with an event.  Freeing
+        one hands it to its first waiter, FIFO, or clears the flag.
+        """
         p = train.packet
-        if p.dst_node == p.src_node:
+        src = p.src_node
+        dst = p.dst_node
+        if dst == src:
             raise ValueError("loopback traffic never enters the fabric")
-        yield self.params.wire_latency_ns
-        yield from self.topology.transit(
-            p.src_node, p.dst_node, train.n_cells, p.wire_bytes
-        )
-        yield self.params.wire_latency_ns
+        params = self.params
+        yield params.wire_latency_ns
+        topo = self.topology
+        switch_ns = params.switch_latency_ns
+        base_ns = self._wire_ns.get(p.wire_bytes)
+        if base_ns is None:
+            base_ns = self._wire_ns[p.wire_bytes] = \
+                params.train_wire_time_ns(p.wire_bytes)
+        for crosses, port, link in topo._path(src, dst):
+            if crosses:
+                yield switch_ns
+                topo.crossings += 1
+            if port is not None:
+                if port.busy:
+                    topo.hol_blocks += 1
+                    ev = Event(self.sim)
+                    port.waiters.append(ev)
+                    yield ev
+                else:
+                    port.busy = True
+            if link.busy:
+                topo.link_waits += 1
+                ev = Event(self.sim)
+                link.waiters.append(ev)
+                yield ev
+            else:
+                link.busy = True
+            if port is not None:
+                if port.waiters:
+                    port.waiters.popleft().trigger()
+                else:
+                    port.busy = False
+            try:
+                if link.latency_ns:
+                    yield link.latency_ns
+                yield base_ns * link.scale
+            finally:
+                if link.waiters:
+                    link.waiters.popleft().trigger()
+                else:
+                    link.busy = False
+            topo.link_hops += 1
+        yield params.wire_latency_ns
         faults = self.active_faults
         if faults is not None:
             if faults.has_delays:
@@ -107,11 +162,12 @@ class Network:
                 train = CellTrain(p, train.n_cells, lost_cells=lost,
                                   corrupted_cells=corrupted)
         self.trains_delivered += 1
-        self.rx_queues[p.dst_node].put(train)
+        self.rx_queues[dst].put(train)
         return None
 
     def transfer_and_wait(self, train: CellTrain) -> Generator:
-        """Coroutine form of :meth:`send_train` (microbenchmarks)."""
+        """Coroutine form of :meth:`send_train`: returns once the train
+        is delivered (the fabric tests' timing probe)."""
         yield from self._transfer(train)
         return None
 

@@ -32,6 +32,7 @@ layer above it may import it without cycles.
 from __future__ import annotations
 
 import bisect
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Default fixed buckets for latency histograms, in nanoseconds.  The
@@ -46,6 +47,19 @@ DEFAULT_LATENCY_BUCKETS_NS: Tuple[float, ...] = (
 class MetricError(ValueError):
     """Misuse of the metrics registry: a bad name, a kind conflict, or a
     write to a function-sourced metric."""
+
+
+@functools.lru_cache(maxsize=32)
+def _bucket_table(buckets: Tuple[float, ...]
+                  ) -> Optional[Tuple[Tuple[float, ...], Tuple[str, ...]]]:
+    """``(bounds, labels)`` of a bucket sequence, or None when its bounds
+    are not strictly increasing: the float bounds, and each bucket's
+    snapshot label (``+inf`` last).  Memoized, so histograms registered
+    with the same buckets validate them once and share both tuples."""
+    bounds = tuple(float(b) for b in buckets)
+    if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        return None
+    return bounds, tuple(f"{b:g}" for b in bounds) + ("+inf",)
 
 
 class Counter:
@@ -124,27 +138,26 @@ class Histogram:
     recoverable without the raw stream.
     """
 
-    __slots__ = ("name", "bounds", "counts", "count", "sum")
+    __slots__ = ("name", "bounds", "_labels", "counts", "count", "sum")
     kind = "histogram"
 
     def __init__(self, name: str,
                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_NS):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        table = _bucket_table(tuple(buckets))
+        if table is None:
             raise MetricError(
                 f"histogram {name!r} buckets must be strictly increasing")
+        self.bounds, self._labels = table
         self.name = name
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # + overflow bucket
+        self.counts = [0] * (len(self.bounds) + 1)  # + overflow bucket
         self.count = 0
         self.sum = 0.0
 
     @property
     def value(self) -> Dict[str, Any]:
         """Snapshot form: count, sum and per-bucket counts."""
-        buckets = {f"{b:g}": c for b, c in zip(self.bounds, self.counts)}
-        buckets["+inf"] = self.counts[-1]
-        return {"count": self.count, "sum": self.sum, "buckets": buckets}
+        return {"count": self.count, "sum": self.sum,
+                "buckets": dict(zip(self._labels, self.counts))}
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -167,35 +180,33 @@ class MetricsRegistry:
         self._metrics: Dict[str, Metric] = {}
 
     # -- registration (get-or-create) ------------------------------------------
-    def _get_or_create(self, name: str, factory, kind: str) -> Metric:
-        if not name or name.startswith(".") or name.endswith("."):
-            raise MetricError(f"bad metric name {name!r}")
+    def _register(self, name: str, cls, arg) -> Metric:
+        """Get ``name``, or create it as ``cls(name, arg)``."""
         metric = self._metrics.get(name)
         if metric is None:
-            metric = factory()
-            self._metrics[name] = metric
-            return metric
-        if metric.kind != kind:
-            raise MetricError(
-                f"{name!r} already registered as a {metric.kind}, not a {kind}")
+            if not name or name[0] == "." or name[-1] == ".":
+                raise MetricError(f"bad metric name {name!r}")
+            metric = self._metrics[name] = cls(name, arg)
+        elif metric.__class__ is not cls:
+            raise MetricError(f"{name!r} already registered as a "
+                              f"{metric.kind}, not a {cls.kind}")
         return metric
 
     def counter(self, name: str,
                 fn: Optional[Callable[[], float]] = None) -> Counter:
         """Get or create the counter ``name``."""
-        return self._get_or_create(name, lambda: Counter(name, fn), "counter")
+        return self._register(name, Counter, fn)
 
     def gauge(self, name: str,
               fn: Optional[Callable[[], float]] = None) -> Gauge:
         """Get or create the gauge ``name``."""
-        return self._get_or_create(name, lambda: Gauge(name, fn), "gauge")
+        return self._register(name, Gauge, fn)
 
     def histogram(self, name: str,
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_NS
                   ) -> Histogram:
         """Get or create the histogram ``name``."""
-        return self._get_or_create(name, lambda: Histogram(name, buckets),
-                                   "histogram")
+        return self._register(name, Histogram, buckets)
 
     def scope(self, prefix: str) -> "MetricsScope":
         """A view of this registry under ``prefix`` (may be empty)."""
@@ -228,8 +239,8 @@ class MetricsRegistry:
         ``{"count", "sum", "buckets"}`` dicts.  The result is plain data,
         safe to mutate and to ``json.dumps``.
         """
-        return {name: self._metrics[name].value
-                for name in sorted(self._metrics)}
+        metrics = self._metrics
+        return {name: metrics[name].value for name in sorted(metrics)}
 
 
 class MetricsScope:
@@ -253,18 +264,19 @@ class MetricsScope:
     def counter(self, name: str,
                 fn: Optional[Callable[[], float]] = None) -> Counter:
         """Get or create ``<prefix>.<name>`` as a counter."""
-        return self.registry.counter(_join(self.prefix, name), fn)
+        return self.registry._register(_join(self.prefix, name), Counter, fn)
 
     def gauge(self, name: str,
               fn: Optional[Callable[[], float]] = None) -> Gauge:
         """Get or create ``<prefix>.<name>`` as a gauge."""
-        return self.registry.gauge(_join(self.prefix, name), fn)
+        return self.registry._register(_join(self.prefix, name), Gauge, fn)
 
     def histogram(self, name: str,
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_NS
                   ) -> Histogram:
         """Get or create ``<prefix>.<name>`` as a histogram."""
-        return self.registry.histogram(_join(self.prefix, name), buckets)
+        return self.registry._register(_join(self.prefix, name), Histogram,
+                                       buckets)
 
     def scope(self, sub: str) -> "MetricsScope":
         """A nested scope: ``<prefix>.<sub>``."""

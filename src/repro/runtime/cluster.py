@@ -13,6 +13,8 @@ from typing import Callable, Generator, List, Optional
 import numpy as np
 
 from ..collectives import COLL_HANDLER_CODE_BYTES, CollectiveEngine, CollMsgType
+from ..core import Pathfinder
+from ..core.cni_nic import channel_pattern, handler_patterns
 from ..dsm import DsmEngine, HomePolicy, MsgType, SharedSegment
 from ..dsm.eager import EagerDsmEngine
 from ..engine import (
@@ -138,43 +140,53 @@ class Cluster:
         2.1/2.3): open a device channel per node, install the DSM
         protocol's AIH object code, and mirror the DSM mappings onto the
         boards so snooping and virtually-addressed DMA resolve.
+
+        Every CNI board runs the same PATHFINDER program: the channel's
+        demux pattern, then each handler's activation patterns.  The
+        cluster builds it once and shares it with every board
+        (:meth:`~repro.core.Pathfinder.share`, copy on write); each board
+        opens its own channel and swaps in its own handler code.
         """
-        for node in self.nodes:
-            if self.interface == "cni":
-                # One cluster-wide connection for the single parallel
-                # application: every node uses channel id 1 so that any
-                # sender's packets match any receiver's demux pattern.
-                ch = node.nic.open_channel(owner_app=node.node_id,
-                                           channel_id=1)
-                node.dsm_channel_id = ch.channel_id
-                # The whole address space is granted to the single
-                # parallel application (the paper's stated assumption).
-                ch.grant_buffer(0, self.asp.dsm_limit)
-                per_type = DSM_HANDLER_CODE_BYTES // len(MsgType)
-                for mt in MsgType:
-                    node.nic.install_protocol_handler(
-                        int(mt), node.engine.handle_packet, per_type
-                    )
-                # Collective AIHs: the gather/release protocol runs on
-                # the NI processor (with AIH ablated away the same
-                # patterns bounce to the host).
-                per_coll = COLL_HANDLER_CODE_BYTES // len(CollMsgType)
-                for cmt in CollMsgType:
-                    node.nic.install_protocol_handler(
-                        int(cmt), node.coll.handle_packet, per_coll,
-                        kinds=(PacketKind.COLLECTIVE,)
-                    )
-                # Messaging-runtime AIHs: the rendezvous responder and
-                # RDMA window logic run on the NI processor (with AIH
-                # ablated away the same patterns bounce to the host).
-                per_rt = RT_HANDLER_CODE_BYTES // len(RtMsgType)
-                for rmt in RtMsgType:
-                    node.nic.install_protocol_handler(
-                        int(rmt), node.rt.handle_packet, per_rt,
-                        kinds=(PacketKind.RUNTIME,)
-                    )
-            else:
+        if self.interface != "cni":
+            for node in self.nodes:
                 node.dsm_channel_id = 1
+            return
+        # The AIH families: (engine attribute, handler keys, object code
+        # bytes, packet kinds).  The DSM protocol's control and page
+        # packets share its handlers.  The collective gather/release
+        # protocol, the rendezvous responder and the RDMA window logic
+        # run on the NI processor too (with AIH ablated away the same
+        # patterns bounce to the host).
+        families = (
+            ("engine", MsgType, DSM_HANDLER_CODE_BYTES,
+             (PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE)),
+            ("coll", CollMsgType, COLL_HANDLER_CODE_BYTES,
+             (PacketKind.COLLECTIVE,)),
+            ("rt", RtMsgType, RT_HANDLER_CODE_BYTES, (PacketKind.RUNTIME,)),
+        )
+        # One cluster-wide connection for the single parallel
+        # application: every node uses channel id 1 so that any sender's
+        # packets match any receiver's demux pattern.
+        program = Pathfinder()
+        program.install(channel_pattern(1))
+        for _attr, keys, _code_bytes, kinds in families:
+            for key in keys:
+                for pattern in handler_patterns(int(key), kinds):
+                    program.install(pattern)
+        for node in self.nodes:
+            nic = node.nic
+            ch = nic.channel_manager.open_channel(owner_app=node.node_id,
+                                                  channel_id=1)
+            node.dsm_channel_id = ch.channel_id
+            # The whole address space is granted to the single parallel
+            # application (the paper's stated assumption).
+            ch.grant_buffer(0, self.asp.dsm_limit)
+            for attr, keys, code_bytes, _kinds in families:
+                handle_packet = getattr(node, attr).handle_packet
+                per_key = code_bytes // len(keys)
+                for key in keys:
+                    nic.handlers.install(int(key), handle_packet, per_key)
+            nic.pathfinder.share(program)
 
     # ----------------------------------------------------------------- memory --
     def alloc_shared(self, shape, dtype=np.float64):

@@ -69,6 +69,9 @@ class Node:
         self.bus = MemoryBus(sim, params, node_id,
                              metrics=self.metrics.scope("bus"), spans=spans)
         self._lines_per_page = params.lines_per_page
+        #: The shared segment's first virtual page (set when the segment
+        #: is mapped, :meth:`map_dsm_pages`).
+        self._dsm_base_page: Optional[int] = None
         self.mmu = HostMMU(params.page_size_bytes)
         self.tlb = BoardTLB(self.mmu)
 
@@ -179,10 +182,12 @@ class Node:
         page, which is how the Message Cache's copy stays consistent
         (Section 2.2).
         """
-        vaddr = self.page_vaddr(page)
-        line = self.params.cache_line_bytes
-        vpage = vaddr // self.params.page_size_bytes
-        return self._write_back(vaddr // line, self._lines_per_page, (vpage,))
+        # The page comes from the interval's write collector, whose
+        # pages the access path checked against the segment, so its
+        # address is arithmetic on the segment's first virtual page.
+        vpage = self._dsm_base_page + page
+        n = self._lines_per_page
+        return self._write_back(vpage * n, n, (vpage,))
 
     def flush_buffer(self, vaddr: int, nbytes: int) -> Generator:
         """Flush an arbitrary registered buffer before transmitting it
@@ -244,8 +249,10 @@ class Node:
     def map_dsm_pages(self, npages: int) -> None:
         """Connection setup: map the shared segment and mirror it on the
         board (TLB/RTLB), so snooping and virtually-addressed DMA work."""
+        segment = self.engine.segment
+        self._dsm_base_page = segment.asp.dsm_base // self.params.page_size_bytes
         for p in range(npages):
-            vaddr = self.engine.segment.page_vaddr(p)
+            vaddr = segment.page_vaddr(p)
             vpage = vaddr // self.params.page_size_bytes
             self.mmu.map_page(vpage)
             self.tlb.install(vpage)

@@ -249,6 +249,69 @@ def test_runs_for_keeps_numpy_errors():
         assert arr.runs_for(key) == numpy_view_runs(arr, key)
 
 
+def fancy_keys():
+    """A fancy index (a list or an array) in each position of a 2-D and
+    a 3-D key, the other positions full slices or an int."""
+    for shape in ((4, 5), (4, 5, 6)):
+        dims = "x".join(map(str, shape))
+        for pos in range(len(shape)):
+            for fancy in ([1, 3], np.array([0, 2])):
+                for other in (slice(None), 1):
+                    key = [other] * len(shape)
+                    key[pos] = fancy
+                    yield pytest.param(
+                        shape, tuple(key),
+                        id=f"{dims}-{type(fancy).__name__}-at-{pos}-"
+                           f"{'int' if other == 1 else 'slices'}")
+
+
+@pytest.mark.parametrize("shape,key", list(fancy_keys()))
+def test_fancy_index_in_any_position_raises(shape, key):
+    # numpy copies the selection, so it has no addresses in the segment
+    # (a fancy index after a slice once gave runs in numpy's temporary).
+    with pytest.raises(ValueError, match="fancy indexing"):
+        make_array(shape).runs_for(key)
+
+
+def any_index(n):
+    """One dimension's index: an int, a slice with any step or bounds,
+    or a fancy list."""
+    step = st.one_of(st.none(), st.integers(-3, 3).filter(bool))
+    return st.one_of(
+        st.integers(-n - 1, n),
+        st.builds(slice, bound(n), bound(n), step),
+        st.lists(st.integers(-n, n - 1), min_size=1, max_size=3)
+        if n else st.just([]),
+    )
+
+
+@st.composite
+def any_keys(draw):
+    """A 1-3-D shape and a key of any index kind on a prefix of its
+    dimensions."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(0, 5)) for _ in range(ndim))
+    key = tuple(draw(any_index(n))
+                for n in shape[:draw(st.integers(1, ndim))])
+    return shape, key
+
+
+@given(any_keys())
+@example(((4, 5, 6), (slice(None), [1, 3])))
+@settings(max_examples=400, deadline=None)
+def test_every_run_lies_inside_the_array(selection):
+    shape, key = selection
+    arr = make_array(shape)
+    try:
+        runs = arr.runs_for(key)
+    except (IndexError, ValueError):
+        return
+    lo, hi = arr.base_vaddr, arr.base_vaddr + arr.data.nbytes
+    for vaddr, nbytes in runs:
+        assert nbytes > 0
+        assert lo <= vaddr and vaddr + nbytes <= hi
+
+
 def test_read_write_move_real_data():
     params = SimParams().replace(num_processors=1, dsm_address_space_pages=16)
     cluster = Cluster(params, interface="cni")

@@ -123,6 +123,45 @@ def test_remove_pattern():
         pf.remove(pid)
 
 
+def test_shared_program_is_copy_on_write():
+    """Boards sharing one program classify alike, keep their own
+    counters, and an install or remove on one board after sharing never
+    reaches the others or the program they share."""
+    program = Pathfinder()
+    first = program.install(Pattern(elements=(elem(6, 2, 5),), target="a"))
+    program.install(Pattern(elements=(elem(0, 1, int(PacketKind.DATA)),
+                                      elem(6, 2, 5)), target="late"))
+    boards = [Pathfinder() for _ in range(3)]
+    for pf in boards:
+        pf.share(program)
+        assert pf.pattern_count == 2
+        assert pf.classify(header(chan=5)) == "a"  # earliest wins
+    boards[0].install(Pattern(elements=(elem(6, 2, 6),), target="b"))
+    boards[1].remove(first)
+    boards[2].classify(header(chan=9))
+    assert boards[0].classify(header(chan=6)) == "b"
+    assert boards[1].classify(header(chan=5)) == "late"
+    for pf in (program, boards[2]):
+        assert pf.pattern_count == 2
+        assert pf.classify(header(chan=6)) is None
+        assert pf.classify(header(chan=5)) == "a"
+    # Each board counts its own classifications only.
+    assert [pf.classifications for pf in (program, *boards)] == [2, 2, 2, 4]
+    assert [pf.misses for pf in (program, *boards)] == [1, 0, 0, 2]
+    # The program itself copies before it changes, too.
+    program.install(Pattern(elements=(elem(6, 2, 7),), target="c"))
+    assert boards[2].classify(header(chan=7)) is None
+    assert program.classify(header(chan=7)) == "c"
+
+
+def test_share_respects_pattern_memory():
+    program = Pathfinder()
+    for chan in range(3):
+        program.install(Pattern(elements=(elem(6, 2, chan),), target=chan))
+    with pytest.raises(RuntimeError):
+        Pathfinder(max_patterns=2).share(program)
+
+
 def test_pattern_memory_exhaustion():
     pf = Pathfinder(max_patterns=2)
     pf.install(Pattern(elements=(elem(6, 2, 1),), target=1))

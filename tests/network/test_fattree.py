@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Simulator
 from repro.network import (
+    HEADER_BYTES,
     CellTrain,
     FatTreeTopology,
     Network,
@@ -158,14 +159,20 @@ def test_head_of_line_blocking_at_an_input_port():
 def test_rate_override_slows_only_its_link():
     sim = Simulator()
     params = SimParams().replace(num_processors=16, topology="fattree:k=4")
-    topo = build_topology(sim, params, rate_overrides={
+    net = Network(sim, params)
+    # The network walks whatever fabric it holds: here one built with a
+    # half-rate injection link.
+    topo = net.topology = build_topology(sim, params, rate_overrides={
         "host0.up": params.link_rate_bps / 2})
-    base = params.train_wire_time_ns(448)
-    assert topo.links["host0.up"].serialize_ns(448) == 2 * base
-    assert topo.links["host1.down"].serialize_ns(448) == base
-    sim.run_process(topo.transit(0, 1, params.cells_for_packet(448), 448))
-    # half-rate injection link, one edge crossing, full-rate ejection
-    assert sim.now == 500.0 + 3 * base
+    wire_bytes = 448
+    t = train(params, 0, 1, size=wire_bytes - HEADER_BYTES)
+    base = params.train_wire_time_ns(wire_bytes)
+    assert topo.links["host0.up"].serialize_ns(wire_bytes) == 2 * base
+    assert topo.links["host1.down"].serialize_ns(wire_bytes) == base
+    sim.run_process(net.transfer_and_wait(t))
+    # two host wires, a half-rate injection link, one edge crossing and
+    # a full-rate ejection link
+    assert sim.now == 2 * params.wire_latency_ns + 500.0 + 3 * base
 
 
 def test_capacity_enforced():

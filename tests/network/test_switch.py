@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Simulator
-from repro.network import BanyanFabric, build_topology
+from repro.network import (
+    HEADER_BYTES,
+    BanyanFabric,
+    CellTrain,
+    Network,
+    Packet,
+    PacketKind,
+)
 from repro.params import SimParams
 
 
@@ -85,49 +92,61 @@ def test_path_wires_in_range_property(inp, outp):
 
 
 def banyan(params=None):
-    """The default fabric, ``banyan:32``, with its simulator."""
+    """The default fabric, ``banyan:32``, with its simulator and the
+    network that walks it."""
     sim = Simulator()
-    return sim, build_topology(sim, params or SimParams())
+    net = Network(sim, params or SimParams())
+    return sim, net.topology, net
+
+
+def train(src, dst, wire_bytes):
+    """A train of ``wire_bytes`` on the wire (header included)."""
+    p = Packet(kind=PacketKind.DATA, src_node=src, dst_node=dst,
+               channel_id=1, payload_bytes=wire_bytes - HEADER_BYTES)
+    return CellTrain(p, SimParams().cells_for_packet(wire_bytes))
 
 
 def test_transit_uncontended_latency():
-    sim, topo = banyan()
+    sim, topo, net = banyan()
+    wires = 2 * topo.params.wire_latency_ns
 
     def proc():
-        yield from topo.transit(0, 1, 10, 480)
+        yield from net.transfer_and_wait(train(0, 1, 480))
         return sim.now
 
     t = sim.run_process(proc())
-    assert t == pytest.approx(500.0 + topo.params.train_wire_time_ns(480))
+    assert t == pytest.approx(
+        wires + 500.0 + topo.params.train_wire_time_ns(480))
     assert topo.crossings == 1
     assert topo.link_hops == 1
     assert topo.link_waits == 0
 
 
 def test_transit_output_port_contention():
-    sim, topo = banyan()
+    sim, topo, net = banyan()
+    wires = 2 * topo.params.wire_latency_ns
     done = []
 
     def proc(tag, inport):
-        yield from topo.transit(inport, 5, 10, 480)
+        yield from net.transfer_and_wait(train(inport, 5, 480))
         done.append((tag, sim.now))
 
     sim.spawn(proc("a", 0), "a")
     sim.spawn(proc("b", 1), "b")
     sim.run()
     serialize = topo.params.train_wire_time_ns(480)
-    assert done[0] == ("a", pytest.approx(500.0 + serialize))
-    assert done[1] == ("b", pytest.approx(500.0 + 2 * serialize))
+    assert done[0] == ("a", pytest.approx(wires + 500.0 + serialize))
+    assert done[1] == ("b", pytest.approx(wires + 500.0 + 2 * serialize))
     # The second train queued on the output port, and that is counted.
     assert topo.link_waits == 1
 
 
 def test_transit_different_ports_parallel():
-    sim, topo = banyan()
+    sim, topo, net = banyan()
     done = []
 
     def proc(tag, outport):
-        yield from topo.transit(0, outport, 10, 480)
+        yield from net.transfer_and_wait(train(0, outport, 480))
         done.append((tag, sim.now))
 
     sim.spawn(proc("a", 5), "a")
@@ -138,27 +157,28 @@ def test_transit_different_ports_parallel():
 
 
 def test_transit_rejects_port_off_switch():
-    sim, topo = banyan()
+    sim, topo, net = banyan()
     with pytest.raises(ValueError):
         topo.route(0, 32)
 
     def proc():
-        yield from topo.transit(32, 0, 1, 48)
+        yield from net.transfer_and_wait(train(32, 0, 48))
 
     with pytest.raises(ValueError):
         sim.run_process(proc())
 
 
 def test_unrestricted_serialization_by_bytes():
-    sim, topo = banyan(SimParams().replace(unrestricted_cell_size=True))
+    sim, topo, net = banyan(SimParams().replace(unrestricted_cell_size=True))
     params = topo.params
 
     def proc():
-        yield from topo.transit(0, 1, 1, 4096)
+        yield from net.transfer_and_wait(train(0, 1, 4096))
         return sim.now
 
     t = sim.run_process(proc())
-    expected = 500.0 + params.train_wire_time_ns(4096)
+    expected = 2 * params.wire_latency_ns + 500.0 \
+        + params.train_wire_time_ns(4096)
     assert t == pytest.approx(expected)
     # bytes still take wire time: far more than a single 53-byte slot
     assert params.train_wire_time_ns(4096) > 50 * 1e9 / 622e6

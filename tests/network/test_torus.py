@@ -106,12 +106,17 @@ def test_adaptive_routes_around_blocked_link():
     def run_once(spec):
         sim, params, topo, net = make_net(spec)
         # Park a hog on node 0's x+ link for a long time.
-        hog_link = topo.links["n0.d0+"].res
+        hog_link = topo.links["n0.d0+"]
 
         def hog():
-            yield from hog_link.acquire()
+            assert not hog_link.busy
+            hog_link.busy = True
             yield 1_000_000.0
-            hog_link.release()
+            # Free it as the walk does: hand it to the first waiter.
+            if hog_link.waiters:
+                hog_link.waiters.popleft().trigger()
+            else:
+                hog_link.busy = False
 
         arrival = []
 

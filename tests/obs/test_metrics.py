@@ -98,6 +98,19 @@ def test_histogram_default_buckets_are_latency_spectrum():
 
 # -- registry semantics --------------------------------------------------------
 
+def test_histograms_with_equal_buckets_share_bounds():
+    r = MetricsRegistry()
+    a = r.histogram("a", buckets=(10, 100))
+    b = r.scope("s").histogram("b", buckets=[10.0, 100.0])
+    assert a.bounds is b.bounds and a.bounds == (10.0, 100.0)
+    b.observe(50)
+    assert a.value["buckets"] == {"10": 0, "100": 0, "+inf": 0}
+    assert b.value == {"count": 1, "sum": 50,
+                       "buckets": {"10": 0, "100": 1, "+inf": 0}}
+    with pytest.raises(MetricError):
+        r.histogram("c", buckets=(100, 10))
+
+
 def test_kind_conflict_raises():
     r = MetricsRegistry()
     r.counter("x")

@@ -93,6 +93,27 @@ def test_dsm_channel_setup_cni():
         assert node.nic.handlers.used_bytes > 0
 
 
+def test_boards_share_one_program_copy_on_write():
+    """Every CNI board runs the cluster's one PATHFINDER program: 32
+    patterns each, earliest-installed wins, and a handler installed on
+    one board after setup programs that board alone."""
+    from repro.core import AIH_TARGET
+    from repro.network import Packet, PacketKind
+
+    cluster = Cluster(params(3), interface="cni")
+    pfs = [node.nic.pathfinder for node in cluster.nodes]
+    assert [pf.pattern_count for pf in pfs] == [32] * len(pfs)
+    late = Packet(kind=PacketKind.DSM_PROTOCOL, src_node=0, dst_node=1,
+                  channel_id=1, handler_key=0x4242).header_bytes()
+    cluster.nodes[1].nic.install_protocol_handler(
+        0x4242, lambda packet, on_board: None, 1024)
+    assert pfs[1].pattern_count == 34
+    assert pfs[1].classify(late) == (AIH_TARGET, 0x4242)
+    for i in (0, 2):
+        assert pfs[i].pattern_count == 32
+        assert pfs[i].classify(late) is None
+
+
 def test_alloc_shared_exhaustion():
     cluster = Cluster(params(), interface="cni")
     with pytest.raises(MemoryError):

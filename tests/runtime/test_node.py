@@ -94,6 +94,33 @@ def test_flush_page_writes_back_and_snoops():
     assert node.bus.writeback_words == 128 * words_per_line  # every line
 
 
+def test_write_back_page_addresses_first_and_last_page():
+    """write_back_page computes a flushed page's address by arithmetic:
+    the segment's first and last page snoop as the pages
+    ``shared_page_addr`` names.  The range check a flushed page passes
+    is the access path's: a write past the segment still raises."""
+    cluster = one_node_cluster()
+    node, asp = cluster.nodes[0], cluster.asp
+    page = node.params.page_size_bytes
+    last = cluster.segment.npages - 1
+    cluster.alloc_shared((cluster.segment.npages * page // 8,))
+    seen = []
+    node.bus.add_snooper(lambda nid, pages: seen.extend(pages))
+
+    def kernel(ctx):
+        for p in (0, last):
+            yield from ctx.write_runs([(asp.shared_page_addr(p), 64)])
+            yield node.write_back_page(p)
+        with pytest.raises(ValueError, match="outside the DSM segment"):
+            yield from ctx.write_runs([(asp.dsm_limit, 8)])
+
+    cluster.run(kernel)
+    assert seen == [asp.shared_page_addr(0) // page,
+                    asp.shared_page_addr(last) // page]
+    with pytest.raises(ValueError, match="out of range"):
+        asp.shared_page_addr(last + 1)
+
+
 def test_multi_page_buffer_flush_snoops_each_flushed_page():
     """A buffer flush over three pages shows the snoopers the distinct
     pages of its flushed lines: the first and the last page, not the

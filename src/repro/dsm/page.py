@@ -232,6 +232,9 @@ class SharedSegment:
     def __init__(self, address_space: AddressSpace):
         self.asp = address_space
         self.page_size = address_space.page_size
+        #: Virtual address of page 0: page ``p`` starts ``p * page_size``
+        #: above it.
+        self.base_vaddr = address_space.dsm_base
         self.npages = address_space.dsm_bytes // self.page_size
         self._next_page = 0
         self._buffers: List[np.ndarray] = []
@@ -252,7 +255,7 @@ class SharedSegment:
         self._next_page += pages
         self._buffers.append(arr)
         self.extents.append((first, pages))
-        return SharedAlloc(self, arr, first, pages)
+        return SharedAlloc(self, arr, first, pages, self.page_vaddr(first))
 
     @property
     def pages_allocated(self) -> int:
@@ -272,11 +275,8 @@ class SharedAlloc:
     data: np.ndarray
     first_page: int
     n_pages: int
-
-    @property
-    def base_vaddr(self) -> int:
-        """Virtual base address of the allocation."""
-        return self.segment.page_vaddr(self.first_page)
+    base_vaddr: int
+    """Virtual base address of the allocation."""
 
     def byte_offset_to_page(self, offset: int) -> int:
         """DSM page index containing byte ``offset`` of this allocation."""

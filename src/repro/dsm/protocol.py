@@ -125,6 +125,11 @@ class DsmEngine:
         self.pages.seed_homes(self.homes.page_homes(self.segment.npages))
 
     # ------------------------------------------------------------------ utils --
+    def _page_vaddr(self, page: int) -> int:
+        """Virtual address of a page of the segment, by arithmetic on its
+        base: the page comes from a checked page table entry."""
+        return self.segment.base_vaddr + page * self.params.page_size_bytes
+
     def _send(self, dst: int, msg_type: MsgType, body,
               payload_bytes: int, src_vaddr: Optional[int] = None,
               cacheable: bool = False) -> None:
@@ -554,7 +559,7 @@ class DsmEngine:
             MsgType.PAGE_REPLY,
             reply,
             self.params.page_size_bytes,
-            src_vaddr=self.segment.page_vaddr(msg.page),
+            src_vaddr=self._page_vaddr(msg.page),
             cacheable=True,
         )
         self.node.counters.inc("dsm_pages_served")
@@ -565,7 +570,7 @@ class DsmEngine:
         # Receive caching (Section 2.2): bind the arrived page into the
         # Message Cache so a later migration is served without a DMA.
         if packet.cacheable:
-            self.node.mc_receive_insert(self.segment.page_vaddr(page),
+            self.node.mc_receive_insert(self._page_vaddr(page),
                                         self.params.page_size_bytes)
         # The data must reach host memory regardless of interface.
         yield from self.node.bus.dma(self.params.page_size_bytes)
@@ -599,7 +604,7 @@ class DsmEngine:
         self._send(
             msg.requester, MsgType.DIFF_REPLY, reply,
             reply.wire_bytes + total,
-            src_vaddr=self.segment.page_vaddr(msg.page),
+            src_vaddr=self._page_vaddr(msg.page),
         )
         self.node.counters.inc("dsm_diffs_served")
         return None

@@ -365,8 +365,9 @@ def failures_experiment(
     plans, with deadlines and the heartbeat detector armed.  Every run
     must terminate — success or a *typed* error — and the table reports
     which; a hang would surface as a ``StuckError`` aborting the
-    experiment.  ``tools/chaos_campaign.py`` is the exhaustive sweep
-    over every registered workload; this is the harness-sized sample.
+    experiment.  The ``chaos`` section of ``tools/outcomes.py`` is the
+    exhaustive sweep over every registered workload, fabric family and
+    fault plan; this is the harness-sized sample.
     """
     from ..apps import JacobiConfig
     from ..collectives import CollBenchConfig

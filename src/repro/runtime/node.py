@@ -228,9 +228,8 @@ class Node:
     def drop_page_from_cpu_cache(self, page: int) -> None:
         """Invalidate a page's lines in the CPU caches (fresh remote data
         just landed in memory underneath them)."""
-        self.cache.invalidate_range(
-            self.page_vaddr(page) // self.params.cache_line_bytes,
-            self._lines_per_page)
+        n = self._lines_per_page
+        self.cache.invalidate_range((self._dsm_base_page + page) * n, n)
 
     def mc_receive_insert(self, vaddr: int, nbytes: int) -> None:
         """Receive caching (Section 2.2): bind the pages of data that

@@ -1,29 +1,33 @@
-"""tools/snoopoff.py prints one ``label digest snapshot-hash`` line per
-run that no experiment, chaos run or bench workload covers; two calls
-must print the same lines."""
+"""The runs that no experiment, chaos run or bench workload covers
+(snooping off, the eager protocol, a CNI without AIH: the outcome
+corpus's ``platforms`` section, tools/outcomes.py) give one well-formed
+``label digest snapshot-hash outcome`` line each; two calls give the
+same lines, and they are the committed ones in
+tests/golden/outcomes.json."""
 
-import importlib.util
+import os
 import re
-import subprocess
 import sys
-from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "snoopoff.py"
-LINE = re.compile(r"^[a-z]+(-[a-z]+)? (snoop|nosnoop|noaih) "
-                  r"[0-9a-f]{16} [0-9a-f]{16}$")
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
+
+import outcomes  # noqa: E402
+
+HEX16 = re.compile(r"^[0-9a-f]{16}$")
+APPS = ("jacobi", "water", "cholesky", "jacobi-lazy", "jacobi-eager")
 
 
 def test_smoke_lines_are_well_formed_and_repeat():
-    proc = subprocess.run([sys.executable, str(TOOL), "--smoke"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    printed = proc.stdout.splitlines()
-    assert [ln.split()[:2] for ln in printed] == [
-        ["jacobi", "nosnoop"], ["jacobi-eager", "nosnoop"],
-        ["jacobi", "noaih"], ["collbench", "noaih"]]
-    assert all(LINE.match(ln) for ln in printed), printed
-    # A second call, in this process, prints the same lines.
-    spec = importlib.util.spec_from_file_location("snoopoff", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.lines(smoke=True) == printed
+    printed = outcomes.platforms()
+    assert [e[0] for e in printed] == (
+        [f"platforms {app} {tag}" for tag in ("snoop", "nosnoop")
+         for app in APPS]
+        + [f"platforms {app} noaih" for app in APPS[:3] + ("collbench",)])
+    for label, digest, snapshot, outcome in printed:
+        assert HEX16.match(digest) and HEX16.match(snapshot), label
+        assert outcome == ("ok" if "collbench" in label else "correct")
+    # A second call, in this process, gives the same lines.
+    assert outcomes.platforms() == printed
+    pinned = {e[0]: e for e in outcomes.committed()}
+    assert printed == [pinned[e[0]] for e in printed]

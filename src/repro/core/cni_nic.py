@@ -89,6 +89,8 @@ class CNIInterface(NetworkInterface):
         self.pathfinder = Pathfinder(metrics=m.scope("pathfinder"))
         self.handlers = HandlerRegistry(params, metrics=m.scope("aih"))
         self._dispatch_ns = self.handlers.dispatch_time_ns()
+        #: PATHFINDER classification, then AIH dispatch: one wake.
+        self._aih_ns = (params.pathfinder_classify_ns, self._dispatch_ns)
         self.channel_manager = ChannelManager(sim)
         super().__init__(sim, params, node_id, network, bus, counters, hooks,
                          metrics=m)
@@ -198,8 +200,20 @@ class CNIInterface(NetworkInterface):
 
     # -- receive dispatch ---------------------------------------------------------------
     def _dispatch_receive(self, packet: Packet) -> Generator:
-        yield self.params.pathfinder_classify_ns
+        # The PATHFINDER runs the program installed at connection setup,
+        # so classifying as its time starts gives the target it would
+        # give when that time ends; an AIH activation then charges the
+        # classification and the dispatch in one wake.
         target = self.pathfinder.classify(packet.header_bytes())
+        if (target is not None and target[0] == AIH_TARGET
+                and self.protocol_sink is not None and self.params.use_aih):
+            yield self._aih_ns
+            # resolve (and count) the control transfer; the handler logic
+            # itself is the owning engine, charged on the NI clock inside.
+            self.handlers.dispatch(packet.handler_key)
+            yield from self.protocol_sink(packet, True)
+            return None
+        yield self.params.pathfinder_classify_ns
         if target is None:
             self.packets_dropped += 1
             self.counters.inc("nic_classify_misses")
@@ -208,25 +222,17 @@ class CNIInterface(NetworkInterface):
         if kind != AIH_TARGET:
             yield from self._deliver_data(packet, key)
             return
-        # Protocol packet: AIH on the board, or host fallback (ablation).
         if self.protocol_sink is None:
             self.packets_dropped += 1
             return
-        if self.params.use_aih:
-            yield self._dispatch_ns
-            # resolve (and count) the control transfer; the handler logic
-            # itself is the owning engine, charged on the NI clock inside.
-            self.handlers.dispatch(packet.handler_key)
-            yield from self.protocol_sink(packet, True)
-        else:
-            # No AIH support: the board must interrupt the host and the
-            # protocol runs there (the standard NI's receive economics).
-            yield self.params.interrupt_latency_ns
-            host_ns = self.params.cpu_cycles_ns(self.params.kernel_trap_cycles)
-            self.hooks.steal_host_time(
-                self.params.interrupt_latency_ns + host_ns)
-            yield host_ns
-            yield from self.protocol_sink(packet, False)
+        # Protocol packet with no AIH support (ablation): the board must
+        # interrupt the host and the protocol runs there (the standard
+        # NI's receive economics).
+        yield self.params.interrupt_latency_ns
+        host_ns = self.params.cpu_cycles_ns(self.params.kernel_trap_cycles)
+        self.hooks.steal_host_time(self.params.interrupt_latency_ns + host_ns)
+        yield host_ns
+        yield from self.protocol_sink(packet, False)
         return None
 
     def _deliver_data(self, packet: Packet, channel_id: int) -> Generator:

@@ -19,8 +19,9 @@ A handle is an :class:`EventHandle`, a callback that
 ``Simulator.schedule`` and ``call_soon`` push through
 :meth:`EventQueue.push`, or a ``Process``, the handle of its own
 wake-ups: a spawn and an event or join wake push it at priority 1
-(``Simulator.spawn``, ``Event.trigger``), a timed wait at priority 0
-(the dispatch loop).  A process has at most one entry in the heap.
+(``Simulator.spawn``, ``Event.trigger``), a timed wait or a chain of
+delays at priority 0 (the dispatch loop; a spawn ``after`` a chain).
+A process has at most one entry in the heap.
 
 ``Simulator.run`` is the only consumer.  It skims cancelled entries
 itself, pops a callback's entry before running it, and resumes a

@@ -9,6 +9,10 @@ synchronization must happen.
 A process may yield:
 
 * a ``float``/``int`` — advance simulated time by that many nanoseconds;
+* a non-empty ``tuple`` of delays — a chain of back-to-back delays with
+  one wake, at ``((now + d1) + d2) ...``: the instant, to the last
+  rounding, that yielding them one by one reaches (never ``now + (d1 +
+  d2)``, which can round differently);
 * an :class:`Event` — suspend until the event is triggered; the value the
   event was triggered with becomes the result of the ``yield``;
 * another :class:`Process` — suspend until that process terminates (join);
@@ -186,8 +190,8 @@ class Process:
 
     def _dispatch(self, yielded: Any) -> None:
         """Route a yield the dispatch loop does not take inline: a
-        triggered event, a join, a non-float delay or a bad yield.  The
-        process has no heap entry when this runs."""
+        triggered event, a join, a non-float delay or chain, or a bad
+        yield.  The process has no heap entry when this runs."""
         sim = self.sim
         if isinstance(yielded, Process):
             yielded = yielded.done_event
@@ -197,15 +201,45 @@ class Process:
                 sim._push(sim.now, 1, self)
             else:
                 yielded._waiters.append(self)
-        elif isinstance(yielded, (int, float)):
-            if yielded < 0:
-                self._step(SimulationError(
-                    f"process {self.name} yielded negative delay {yielded}"))
+        elif isinstance(yielded, (int, float)) or yielded.__class__ is tuple:
+            try:
+                wake = self._wake_after(yielded)
+            except SimulationError as exc:
+                error = exc
             else:
-                sim._push(sim.now + float(yielded), 0, self)
+                sim._push(wake, 0, self)  # a NaN delay raises here
+                return
+            self._step(error)
         else:
             self._step(SimulationError(
                 f"process {self.name} yielded unsupported {yielded!r}"))
+
+    def _wake_after(self, delays: Any) -> float:
+        """The instant ``delays`` (one delay, or a tuple of them) end:
+        ``((now + d1) + d2) ...``, the roundings of yielding them one by
+        one.  The first bad element raises the error it raises yielded
+        bare; a NaN element ends the fold with NaN, which the push
+        refuses."""
+        if delays.__class__ is tuple:
+            if not delays:
+                raise SimulationError(
+                    f"process {self.name} yielded unsupported ()")
+        else:
+            delays = (delays,)
+        wake = self.sim.now
+        for d in delays:
+            if d.__class__ is not float or not d >= 0.0:
+                if not isinstance(d, (int, float)):
+                    raise SimulationError(
+                        f"process {self.name} yielded unsupported {d!r}")
+                if d < 0:
+                    raise SimulationError(
+                        f"process {self.name} yielded negative delay {d}")
+                d = float(d)
+                if d != d:
+                    return d
+            wake += d
+        return wake
 
     def _step(self, exc: BaseException) -> None:
         """Throw a bad yield's error back into the generator and route
@@ -291,10 +325,18 @@ class Simulator:
         self.schedule(delay, lambda: ev.trigger(value))
         return ev
 
-    def spawn(self, gen: Generator, name: str = "proc") -> Process:
-        """Start a new process at the current instant."""
+    def spawn(self, gen: Generator, name: str = "proc",
+              after: Any = None) -> Process:
+        """Start a new process at the current instant, or, with ``after``
+        (a delay or a tuple of delays), with a timed wake at the end of
+        that chain: the float a body that began by yielding ``after``
+        would wake at, in sequence order from this call.  A bad delay
+        raises here the error it raises yielded."""
         proc = Process(self, gen, name=name)
-        self._push(self.now, 1, proc)
+        if after is None:
+            self._push(self.now, 1, proc)
+        else:
+            self._push(proc._wake_after(after), 0, proc)
         return proc
 
     def _push(self, time: float, priority: int, proc: Process) -> None:
@@ -349,12 +391,13 @@ class Simulator:
         # priority, seq, handle)`` and each push takes the next `_seq`).
         # A handle is an EventHandle, whose callback is cleared at the
         # pop, or a Process, whose generator the loop resumes itself:
-        # with None after a timed wait (priority 0), with the parked
-        # value after a spawn or event wake (priority 1).  A priority-0
-        # entry stays at the root while the body runs — every push the
-        # body makes sorts after it — so the next timed wait replaces it
-        # with one heapreplace.  A priority-1 entry is popped first: a
-        # priority-0 push for the same instant would sort ahead of it.
+        # with None after a timed wait or a spawn ``after`` a chain
+        # (priority 0), with the parked value after a spawn or event
+        # wake (priority 1).  A priority-0 entry stays at the root while
+        # the body runs — every push the body makes sorts after it — so
+        # the next timed wait replaces it with one heapreplace.  A
+        # priority-1 entry is popped first: a priority-0 push for the
+        # same instant would sort ahead of it.
         # hwm/fired live in locals and are written back once.  One
         # integer compare per event covers both ``max_events`` and the
         # wall-clock check: ``limit`` is the next fired count at which
@@ -425,12 +468,27 @@ class Simulator:
                 if yielded.__class__ is float and yielded >= 0.0:
                     # A timed wait, the common case.  NaN fails the
                     # compare and takes _dispatch, whose push raises.
+                    wake = t + yielded
+                elif yielded.__class__ is tuple and yielded:
+                    # A chain of delays: one wake, with each partial sum
+                    # rounded as its own yield would round it.  A chain
+                    # of anything but non-negative floats takes
+                    # _dispatch.
+                    wake = t
+                    for d in yielded:
+                        if d.__class__ is not float or not d >= 0.0:
+                            wake = None
+                            break
+                        wake += d
+                else:
+                    wake = None
+                if wake is not None:
                     seq = queue._seq
                     queue._seq = seq + 1
                     if root:
-                        heapreplace(heap, (t + yielded, 0, seq, handle))
+                        heapreplace(heap, (wake, 0, seq, handle))
                     else:
-                        heappush(heap, (t + yielded, 0, seq, handle))
+                        heappush(heap, (wake, 0, seq, handle))
                 else:
                     if root:
                         heappop(heap)

@@ -406,9 +406,11 @@ def failures_experiment(
     for app, workload in workloads:
         for plan_name, plan in plans:
             specs.append(RunSpec(app, base.replace(fault_plan=plan),
-                                 "cni", workload))
+                                 "cni", workload,
+                                 meta=(("fault_plan", plan_name),)))
             labels.append(f"{app}/{plan_name}")
-    runs = run_map(specs, jobs=jobs, record=False, on_error="record")
+    # The successful runs are recorded (a failed one has no metrics).
+    runs = run_map(specs, jobs=jobs, on_error="record")
     errors = []
     for label, outcome in zip(labels, runs):
         if isinstance(outcome, RunFailure):

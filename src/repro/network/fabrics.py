@@ -42,13 +42,13 @@ to model heterogeneous fabrics.
 The timed walk is ``Network``'s transfer body
 (:mod:`repro.network.topology`): each train runs its host wires and its
 hops in one generator frame.  The topology holds the fabric's data: its
-links, its input ports, the ``(crosses, input port, link)`` path of
-each (src, dst) pair, built once from the fabric's :meth:`~Topology._hops`
-route and cached so a train re-derives neither link names nor ports,
-:meth:`~Topology.route`, :meth:`~Topology.min_transit_ns` and the
-``net.*`` counters (docs/network.md).  The banyan's path is one crossing
-onto the destination's output-port link.  The adaptive torus cannot
-cache: its path yields each hop when the walk reaches the router, after
+links, its input ports, the :data:`Route` of each (src, dst) pair, built
+once from the fabric's :meth:`~Topology._hops` route and cached so a
+train re-derives neither link names nor ports, :meth:`~Topology.route`,
+:meth:`~Topology.min_transit_ns` and the ``net.*`` counters
+(docs/network.md).  The banyan's path is one crossing onto the
+destination's output-port link.  The adaptive torus cannot cache its
+hops: its path yields each hop when the walk reaches the router, after
 the previous hop's release.
 
 Links and input ports are FIFO servers (:class:`Server`) that the walk
@@ -61,7 +61,8 @@ bookkeeping, since nothing reads it for a fabric.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Deque, Dict, Iterable, Iterator, List, Optional, Tuple,
+                    Union)
 
 from ..engine import Event, Simulator
 from ..params import SimParams
@@ -128,16 +129,25 @@ class Link(Server):
 #: it contends for there (None on host injection), and the output link.
 Hop = Tuple[bool, Optional[Server], Link]
 
+#: How a train crosses the fabric between two nodes: the delays its
+#: process starts after (the first host wire, with the first hop's
+#: switch crossing when no input port is contended there), the hops it
+#: walks from then on (None where the fabric picks each hop as the train
+#: reaches it: :meth:`Topology._path`), and its switch crossings and
+#: link hops.
+Route = Tuple[Union[float, Tuple[float, float]], Optional[Tuple[Hop, ...]],
+              int, int]
+
 
 class Topology:
     """A cluster fabric: timed delivery of cell trains between nodes.
 
     Subclasses supply :meth:`_hops` (the pure path as ``(switch, link
     name)`` pairs), from which :meth:`route`, :meth:`min_transit_ns` and
-    the cached per-pair walk paths (:meth:`_path`) derive.  The base
-    class owns the shared counters (``net.*`` catalog, docs/network.md)
-    and the link/input-port tables; ``Network``'s transfer body walks
-    the paths and advances the counters.
+    the cached per-pair routes (:meth:`_route`) derive.  The base class
+    owns the shared counters (``net.*`` catalog, docs/network.md) and
+    the link/input-port tables; ``Network``'s transfer body walks the
+    routes and advances the counters.
     """
 
     kind = "abstract"
@@ -151,7 +161,7 @@ class Topology:
         self._rate_overrides = dict(rate_overrides or {})
         self.links: Dict[str, Link] = {}
         self._in_ports: Dict[Tuple[str, str], Server] = {}
-        self._paths: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
+        self._routes: Dict[Tuple[int, int], Route] = {}
         # -- net.* counters (registered by Network.register_metrics) ----
         self.crossings = 0        # switch/router traversals
         self.link_hops = 0        # links traversed
@@ -192,18 +202,37 @@ class Topology:
         raise NotImplementedError
 
     def _path(self, src: int, dst: int) -> Iterable[Hop]:
-        """The hops a train walks from ``src`` to ``dst``: built from
-        :meth:`_hops` once per pair, then served from a cache."""
-        path = self._paths.get((src, dst))
-        if path is None:
-            hops = []
-            arrived: Optional[Link] = None
-            for switch, name in self._hops(src, dst):
-                link = self.links[name]
-                hops.append(self._hop(switch, arrived, link))
-                arrived = link
-            path = self._paths[(src, dst)] = tuple(hops)
-        return path
+        """The hops a train walks from ``src`` to ``dst``, built from
+        :meth:`_hops`."""
+        hops = []
+        arrived: Optional[Link] = None
+        for switch, name in self._hops(src, dst):
+            link = self.links[name]
+            hops.append(self._hop(switch, arrived, link))
+            arrived = link
+        return tuple(hops)
+
+    def _route(self, src: int, dst: int) -> Route:
+        """The :data:`Route` of a train from ``src`` to ``dst``: built
+        once per pair, then served from a cache."""
+        route = self._routes.get((src, dst))
+        if route is None:
+            if dst == src:
+                raise ValueError("loopback traffic never enters the fabric")
+            route = self._routes[(src, dst)] = self._new_route(src, dst)
+        return route
+
+    def _new_route(self, src: int, dst: int) -> Route:
+        path = self._path(src, dst)
+        wire_ns = self.params.wire_latency_ns
+        crossings = sum(1 for crosses, _port, _link in path if crosses)
+        crosses, port, link = path[0]
+        if crosses and port is None:
+            # Nothing is taken at the first switch before its output
+            # link, so the train crosses it straight off the host wire.
+            return ((wire_ns, self.params.switch_latency_ns),
+                    ((False, None, link),) + path[1:], crossings, len(path))
+        return wire_ns, path, crossings, len(path)
 
     # -- interface -----------------------------------------------------------
     @property
@@ -461,6 +490,14 @@ class TorusTopology(Topology):
         if self.routing == "adaptive":
             return self._adaptive_path(src, dst)
         return super()._path(src, dst)
+
+    def _new_route(self, src: int, dst: int) -> Route:
+        if self.routing != "adaptive":
+            return super()._new_route(src, dst)
+        # Every route is minimal, so the adaptive walk crosses as many
+        # routers, each onto one link, as the dimension-order path.
+        n = len(self._hops(src, dst))
+        return self.params.wire_latency_ns, None, n, n
 
     def _adaptive_path(self, src: int, dst: int) -> Iterator[Hop]:
         """Adaptive hops, each picked only when the walk asks for it:

@@ -19,9 +19,12 @@ the destination's output port, and multi-hop fabrics walk several hops
 (per-link rates, FIFO output queueing, input-port head-of-line
 blocking).  A train runs in one generator frame, the transfer body
 here: the first host wire, the walk, the second host wire, the fault
-step and delivery.  The walk takes and frees each hop's input port and
-output link inline (the fabric's :class:`~repro.network.fabrics.Server`
-flags and waiter queues); only a busy one makes the train wait.
+step and delivery.  Its process starts at the end of the first host
+wire, and of the first switch crossing where no input port is
+contended there, and holds each link with one wake.  The walk takes
+and frees each hop's input port and output link inline (the fabric's
+:class:`~repro.network.fabrics.Server` flags and waiter queues); only
+a busy one makes the train wait.
 
 The sending NIC's transmit processor is itself a serial simulated
 process, which provides source-side serialization of back-to-back sends
@@ -35,7 +38,7 @@ from typing import Dict, Generator, List
 from ..engine import Event, Mailbox, Simulator
 from ..params import SimParams
 from .cell import CellTrain, Packet
-from .fabrics import Topology, build_topology
+from .fabrics import Route, Topology, build_topology
 
 
 class Network:
@@ -88,40 +91,43 @@ class Network:
         return None
 
     def send_train(self, train: CellTrain) -> None:
-        """Launch a train asynchronously (fire-and-forget from the NIC)."""
-        self.sim.spawn(self._transfer(train), f"xfer-{train.packet.packet_id}")
+        """Launch a train asynchronously (fire-and-forget from the NIC):
+        its process starts once the first delays of its route (the
+        first host wire, and the first switch crossing where it takes
+        no input port) have run."""
+        p = train.packet
+        route = self.topology._route(p.src_node, p.dst_node)
+        self.sim.spawn(self._transfer(train, route), "xfer", after=route[0])
 
-    def _transfer(self, train: CellTrain) -> Generator:
-        """The one transfer body: host wire, fabric walk, host wire, the
-        arrival-side fault step and delivery, in one frame.  Delivery
-        puts the train, damaged or not; the receiving NIC's integrity
-        check drops a damaged one.
+    def _transfer(self, train: CellTrain, route: Route) -> Generator:
+        """The one transfer body, from the end of the route's first
+        delays: the fabric walk, host wire, the arrival-side fault step
+        and delivery, in one frame.  Delivery puts the train, damaged or
+        not; the receiving NIC's integrity check drops a damaged one.
 
         Each hop of the walk crosses its switch (cut-through latency),
         contends for the input port it arrived on (head-of-line
         blocking), takes its output link (FIFO output queueing), frees
         the input port, and holds the link for propagation plus
-        serialization.  A free port or link is taken by setting its
-        ``busy`` flag; a busy one is queued for with an event.  Freeing
-        one hands it to its first waiter, FIFO, or clears the flag.
+        serialization, in one wake.  A free port or link is taken by
+        setting its ``busy`` flag; a busy one is queued for with an
+        event.  Freeing one hands it to its first waiter, FIFO, or
+        clears the flag.
         """
+        _start, hops, crossings, link_hops = route
         p = train.packet
-        src = p.src_node
-        dst = p.dst_node
-        if dst == src:
-            raise ValueError("loopback traffic never enters the fabric")
         params = self.params
-        yield params.wire_latency_ns
         topo = self.topology
         switch_ns = params.switch_latency_ns
         base_ns = self._wire_ns.get(p.wire_bytes)
         if base_ns is None:
             base_ns = self._wire_ns[p.wire_bytes] = \
                 params.train_wire_time_ns(p.wire_bytes)
-        for crosses, port, link in topo._path(src, dst):
+        if hops is None:
+            hops = topo._path(p.src_node, p.dst_node)
+        for crosses, port, link in hops:
             if crosses:
                 yield switch_ns
-                topo.crossings += 1
             if port is not None:
                 if port.busy:
                     topo.hol_blocks += 1
@@ -144,14 +150,16 @@ class Network:
                     port.busy = False
             try:
                 if link.latency_ns:
-                    yield link.latency_ns
-                yield base_ns * link.scale
+                    yield link.latency_ns, base_ns * link.scale
+                else:
+                    yield base_ns * link.scale
             finally:
                 if link.waiters:
                     link.waiters.popleft().trigger()
                 else:
                     link.busy = False
-            topo.link_hops += 1
+        topo.crossings += crossings
+        topo.link_hops += link_hops
         yield params.wire_latency_ns
         faults = self.active_faults
         if faults is not None:
@@ -162,13 +170,16 @@ class Network:
                 train = CellTrain(p, train.n_cells, lost_cells=lost,
                                   corrupted_cells=corrupted)
         self.trains_delivered += 1
-        self.rx_queues[dst].put(train)
+        self.rx_queues[p.dst_node].put(train)
         return None
 
     def transfer_and_wait(self, train: CellTrain) -> Generator:
         """Coroutine form of :meth:`send_train`: returns once the train
         is delivered (the fabric tests' timing probe)."""
-        yield from self._transfer(train)
+        p = train.packet
+        route = self.topology._route(p.src_node, p.dst_node)
+        yield route[0]
+        yield from self._transfer(train, route)
         return None
 
     def min_transit_ns(self, wire_bytes: int) -> float:

@@ -169,10 +169,6 @@ class Node:
         return ns
 
     # -------------------------------------------------------------- memory ops --
-    def page_vaddr(self, page: int) -> int:
-        """Virtual address of DSM page ``page`` (SPMD: same on all nodes)."""
-        return self.engine.segment.page_vaddr(page)
-
     def write_back_page(self, page: int) -> float:
         """Write the page's dirty cache lines back to memory; returns the
         bus time.  Not a generator, like :meth:`cache_access`: the

@@ -3,9 +3,9 @@
 ``Simulator.run`` pops the event heap directly and skims cancelled
 entries itself.  These tests pin the visible contract of that loop
 against a straight-line reference ordering: exact dispatch order under
-randomized (seeded) schedules, cancellation-heavy queues, same-instant
-priority ties, the ``until``-clamp corner cases, ``max_events`` and the
-wall-clock budget.
+randomized (seeded) schedules, cancellation-heavy queues, chained
+delays and spawns after a chain, same-instant priority ties, the
+``until``-clamp corner cases, ``max_events`` and the wall-clock budget.
 """
 
 import random
@@ -71,6 +71,76 @@ def test_simulator_loop_matches_queue_pop_order():
         reference = reference_order(entries)
         assert fired == reference
         assert sim.events_processed == len(reference)
+
+
+def test_chains_and_delayed_spawns_pop_in_reference_order():
+    """A chain of delays is one timed wake at its fold, keyed
+    ``(fold, 0, seq)`` like a bare delay's wake, with the sequence number
+    of the yield; a spawn ``after`` a chain is that wake keyed by the
+    spawn call, and killing it cancels the entry."""
+    def fold(start, delays):
+        t = start
+        for d in delays:
+            t = t + d
+        return t
+
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+
+        def chain():
+            return tuple(rng.choice([0.0, 0.1, 0.2, 0.3, 2.5,
+                                     rng.uniform(0, 5)])
+                         for _ in range(rng.randint(1, 3)))
+
+        sim = Simulator()
+        fired = []
+        entries = []
+        seq = 0
+        # Callbacks: one entry each.
+        for _ in range(80):
+            t = fold(0.0, chain())
+            prio = rng.choice([0, 1])
+            sim._queue.push(t, (lambda s=seq: fired.append(s)),
+                            priority=prio)
+            entries.append([t, prio, seq, False])
+            seq += 1
+        # Processes spawned after a chain: one timed entry each, keyed by
+        # the spawn; every third is killed before the run.
+        for i in range(40):
+            after = chain()
+
+            def late(s=seq):
+                fired.append(s)
+                yield from ()
+
+            proc = sim.spawn(late(), "late", after=after)
+            if i % 3 == 0:
+                proc.kill()
+            entries.append([fold(0.0, after), 0, seq, i % 3 == 0])
+            seq += 1
+        # Processes spawned now that yield a chain: the spawn wake, then
+        # the chain's wake, pushed when the spawn wake runs.  Callbacks
+        # push nothing, so the spawn wakes run in spawn order and each
+        # takes the next sequence number after all the spawns.  Each
+        # chain ends after the instant 0 at which the spawn wakes run,
+        # so every entry exists before anything at its instant pops.
+        chains = [chain() + (0.5,) for _ in range(40)]
+        for delays in chains:
+            def body(s=seq, wake_seq=seq + len(chains), delays=delays):
+                fired.append(s)
+                yield delays
+                fired.append(wake_seq)
+
+            sim.spawn(body(), "chain")
+            entries.append([0.0, 1, seq, False])
+            seq += 1
+        for delays in chains:
+            entries.append([fold(0.0, delays), 0, seq, False])
+            seq += 1
+        sim.run()
+        expected = reference_order(entries)
+        assert fired == expected
+        assert sim.events_processed == len(expected)
 
 
 def test_same_instant_priority_orders_before_sequence():

@@ -107,6 +107,25 @@ def test_runner_exports_metrics_json_per_experiment(tmp_path, capsys):
             assert f"node{nid}.nic.tx.packets_sent" in r["metrics"]
 
 
+def test_failures_export_holds_its_successful_runs(tmp_path, capsys):
+    """The fault-tolerance table records every run that succeeded, each
+    labelled with its fault plan; a run that ended in a typed error has
+    no metrics and is left out."""
+    assert main(["failures", "--jobs", "1", "--metrics", str(tmp_path),
+                 "--results", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "failures.metrics.json").read_text())
+    runs = doc["runs"]
+    ok = [(r["app"], r["fault_plan"]) for r in runs]
+    assert len(ok) == 6 and len(set(ok)) == 6
+    assert {plan for _app, plan in ok} <= {"clean", "crash", "linkdown",
+                                          "loss"}
+    assert ("jacobi", "clean") in ok and ("collbench", "clean") in ok
+    for r in runs:
+        assert len(r["digest"]) == 64 and r["nprocs"] == 4
+        assert r["metrics"]["engine.events_processed"] > 0
+    assert "wrote" in capsys.readouterr().out
+
+
 def test_metrics_cli_module_runs_the_metrics_subcommand():
     """``python -m repro.harness.metrics_cli`` is the ``metrics``
     subcommand, not a module that exits 0 having run nothing."""

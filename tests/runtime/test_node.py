@@ -216,7 +216,8 @@ def test_mc_receive_insert_respects_ablation():
     cluster = Cluster(params, interface="cni")
     node = cluster.nodes[0]
     cluster.alloc_shared((512,))
-    node.mc_receive_insert(node.page_vaddr(0), params.page_size_bytes)
+    # Page 0 of the shared segment starts at the segment's base.
+    node.mc_receive_insert(cluster.segment.base_vaddr, params.page_size_bytes)
     assert node.nic.message_cache.occupancy == 0
 
 

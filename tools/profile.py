@@ -25,10 +25,10 @@ built.
 
 ``--sites`` runs the workload without a profiler and counts process
 resumes by the innermost yield site each resume continues from
-(``file:function:line``; a process's first resume is at its function's
-``def`` line), with their total.  Every resume of a process is one
-event, so on a workload that schedules no plain callbacks the total is
-``engine.events``.
+(``file:function:line``; a process's first resume, also one spawned
+after a chain of delays, is at its function's ``def`` line), with their
+total.  Every resume of a process is one event, so on a workload that
+schedules no plain callbacks the total is ``engine.events``.
 
 Per-layer shares of host time come from ``bench/run.py --trace 1``.
 """
@@ -147,8 +147,8 @@ def _sites(inputs, limit: int) -> None:
     sites: Counter = Counter()
     spawn = Simulator.spawn
 
-    def counted_spawn(self, gen, name="proc"):
-        return spawn(self, _CountedGenerator(gen, sites), name)
+    def counted_spawn(self, gen, name="proc", after=None):
+        return spawn(self, _CountedGenerator(gen, sites), name, after)
 
     Simulator.spawn = counted_spawn
     try:

@@ -32,8 +32,8 @@ def run_board_counter():
     server = cluster.nodes[0]
     state = {"counter": 0}
 
-    # Replace the DSM sink's view for our keys by installing handlers on
-    # every node: the server increments; clients complete their waiters.
+    # Install the service's two handlers on every node: the server
+    # increments; clients complete their waiters.
     pending = {n.node_id: [] for n in cluster.nodes}
 
     def handler(packet: Packet, on_board: bool):
@@ -55,17 +55,6 @@ def run_board_counter():
     for node in cluster.nodes:
         node.nic.install_protocol_handler(FNA_KEY, handler, 1024)
         node.nic.install_protocol_handler(FNA_REPLY_KEY, handler, 1024)
-        # our keys must reach our handler, not the DSM/collective
-        # engines: wrap the node's protocol dispatcher
-        engine_sink = node.dispatch_protocol_packet
-
-        def sink(packet, on_board, _engine=engine_sink):
-            if packet.handler_key in (FNA_KEY, FNA_REPLY_KEY):
-                yield from handler(packet, on_board)
-            else:
-                yield from _engine(packet, on_board)
-
-        node.nic.set_protocol_sink(sink)
 
     from repro.core.adc import TransmitDescriptor
 

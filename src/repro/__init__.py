@@ -40,7 +40,7 @@ from .network import Topology, TopologyError
 from .params import PAPER_PARAMS, SimParams, cni_params, standard_interface_params
 from .runtime import Cluster, Context, MessagingService
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "Category",

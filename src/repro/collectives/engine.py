@@ -294,8 +294,9 @@ class CollectiveEngine:
 
     # ------------------------------------------------------ packet handler --
     def handle_packet(self, packet: Packet, on_board: bool) -> Generator:
-        """Inbound COLLECTIVE packet (the engine's protocol sink); the
-        step runs where the board put it (``on_board``)."""
+        """Inbound COLLECTIVE packet (the NIC's handler for each
+        :class:`CollMsgType` key); the step runs where the board put it
+        (``on_board``)."""
         p = self.params
         if on_board:
             self._m_nic_steps.inc()

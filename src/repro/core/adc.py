@@ -7,6 +7,13 @@ plain loads and stores on the shared rings — lock-free, no kernel, no
 gang scheduling.  Protection is checked *when a buffer is placed in a
 queue*, never per transfer, which is how "verification overhead is ...
 eliminated from the send and receive paths".
+
+In the simulation the board's transmit queue
+(:attr:`~repro.core.NetworkInterface.tx_queue`) acts as a channel's
+transmit queue and the host's inbox
+(:meth:`~repro.core.HostHooks.deliver_to_app`) as its receive queue; the
+channel itself holds its free queue, a :class:`DualPortedRing`, and the
+buffer ranges the kernel granted it.
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
-
-from ..engine import Gate, Simulator
 
 
 class ChannelError(RuntimeError):
@@ -75,18 +80,15 @@ class DualPortedRing:
 
     Manipulated by "the atomicity of loads and stores" alone in the real
     board; in the simulation the sequential kernel provides atomicity and
-    the ring provides the bounded-queue semantics plus a doorbell for the
-    consumer.
+    the ring provides the bounded-queue semantics.
     """
 
-    def __init__(self, sim: Simulator, capacity: int, name: str):
+    def __init__(self, capacity: int, name: str):
         if capacity <= 0:
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
-        self.doorbell = Gate(sim, f"{name}-doorbell")
-        self.enqueues = 0
         self.full_rejections = 0
         #: Deepest the ring has ever been (ADC occupancy high-water mark).
         self.depth_hwm = 0
@@ -105,22 +107,8 @@ class DualPortedRing:
             self.full_rejections += 1
             raise ChannelError(f"ring {self.name} full")
         self._items.append(item)
-        self.enqueues += 1
         if len(self._items) > self.depth_hwm:
             self.depth_hwm = len(self._items)
-        self.doorbell.notify(item)
-
-    def try_push(self, item: Any) -> bool:
-        """Producer side; returns False instead of raising when full."""
-        if self.full:
-            self.full_rejections += 1
-            return False
-        self._items.append(item)
-        self.enqueues += 1
-        if len(self._items) > self.depth_hwm:
-            self.depth_hwm = len(self._items)
-        self.doorbell.notify(item)
-        return True
 
     def pop(self) -> Optional[Any]:
         """Consumer side; None when empty (the poll primitive)."""
@@ -128,32 +116,26 @@ class DualPortedRing:
             return self._items.popleft()
         return None
 
-    def peek(self) -> Optional[Any]:
-        """Head item without consuming."""
-        return self._items[0] if self._items else None
-
 
 class DeviceChannel:
-    """One transmit/receive/free queue triplet bound to an application."""
+    """One application's device channel: its free queue and its granted
+    buffers (its transmit and receive queues are the board's and the
+    host's; see the module docstring)."""
 
     _ids = itertools.count(1)
 
-    def __init__(self, sim: Simulator, owner_app: int,
-                 queue_depth: int = 256, channel_id: Optional[int] = None):
+    def __init__(self, owner_app: int, queue_depth: int = 256,
+                 channel_id: Optional[int] = None):
         # Connection setup normally assigns the id so that both ends of a
         # connection agree on it (it is the demux key the PATHFINDER
         # matches on the receiving board); tests may let it auto-assign.
         self.channel_id = (channel_id if channel_id is not None
                            else next(DeviceChannel._ids))
         self.owner_app = owner_app
-        self.transmit = DualPortedRing(sim, queue_depth, f"tx{self.channel_id}")
-        self.receive = DualPortedRing(sim, queue_depth, f"rx{self.channel_id}")
-        self.free = DualPortedRing(sim, queue_depth, f"free{self.channel_id}")
+        self.free = DualPortedRing(queue_depth, f"free{self.channel_id}")
         #: Buffer ranges the kernel verified at post time: (base, length).
         self._verified: List[Tuple[int, int]] = []
         self.protection_faults = 0
-        #: Receive descriptors the application picked up by polling.
-        self.poll_receives = 0
 
     # -- protection -------------------------------------------------------------
     def grant_buffer(self, base: int, length: int) -> None:
@@ -178,22 +160,16 @@ class DeviceChannel:
 
     # -- application-side operations ------------------------------------------------
     def post_transmit(self, desc: TransmitDescriptor) -> None:
-        """Application enqueues a send (user-level stores, no kernel)."""
+        """Application posts a send (user-level stores, no kernel): the
+        queue-time protection check of its buffer.  The board's transmit
+        queue takes the descriptor once the stores are done."""
         if desc.vaddr is not None:
             self.check_buffer(desc.vaddr, desc.length)
-        self.transmit.push(desc)
 
     def post_free_buffer(self, vaddr: int, length: int) -> None:
         """Application donates a receive buffer to the board."""
         self.check_buffer(vaddr, length)
         self.free.push((vaddr, length))
-
-    def poll_receive(self) -> Optional[ReceiveDescriptor]:
-        """Application polls its receive queue (CNI hybrid scheme)."""
-        desc = self.receive.pop()
-        if desc is not None:
-            self.poll_receives += 1
-        return desc
 
 
 class ChannelManager:
@@ -203,8 +179,7 @@ class ChannelManager:
     services"; everything after :meth:`open_channel` bypasses it.
     """
 
-    def __init__(self, sim: Simulator, max_channels: int = 64):
-        self.sim = sim
+    def __init__(self, max_channels: int = 64):
         self.max_channels = max_channels
         self.channels: Dict[int, DeviceChannel] = {}
 
@@ -213,7 +188,7 @@ class ChannelManager:
         """Allocate a queue triplet and map it into the app's space."""
         if len(self.channels) >= self.max_channels:
             raise ChannelError("out of device channels")
-        ch = DeviceChannel(self.sim, owner_app, queue_depth, channel_id)
+        ch = DeviceChannel(owner_app, queue_depth, channel_id)
         if ch.channel_id in self.channels:
             raise ChannelError(f"channel id {ch.channel_id} already open")
         self.channels[ch.channel_id] = ch

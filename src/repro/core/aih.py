@@ -9,35 +9,29 @@ the board: the whole handler is resident (a page fault on the NI would be
 ruinous at line rate).
 
 In the simulation a handler is a Python callable standing in for the
-object code, registered together with its object-code size; the registry
-enforces the board's handler-memory capacity and models swap-in cost.
-Handlers run on the NI processor's clock inside the receive path.
+object code.  The board's handler table
+(:attr:`~repro.core.NetworkInterface.protocol_handlers`) maps each key
+to its callable; the registry here holds each key's object-code size,
+enforces the board's handler-memory capacity, models swap-in cost and
+counts dispatches.  Handlers run on the NI processor's clock inside the
+receive path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..obs import MetricsScope, private_scope
 from ..params import SimParams
 
-#: A handler receives (packet, nic) and returns an optional generator of
-#: further NI work (so handlers can send replies through the NIC).
+#: A handler receives ``(packet, on_board)`` and returns the generator of
+#: its protocol step; ``on_board`` says whether the step runs on the NI
+#: processor or on the host.
 HandlerFn = Callable[..., Any]
 
 
 class HandlerError(RuntimeError):
     """Installation or dispatch failure in the handler subsystem."""
-
-
-@dataclass
-class _Segment:
-    """One occupied region of the board's handler memory."""
-
-    key: int
-    size: int
-    fn: HandlerFn
 
 
 class HandlerRegistry:
@@ -54,7 +48,9 @@ class HandlerRegistry:
             raise ValueError("negative handler memory")
         self.params = params
         self.memory_bytes = memory_bytes
-        self._segments: Dict[int, _Segment] = {}
+        #: Object-code bytes of each installed handler, by key: the
+        #: occupied segments of the board's handler memory.
+        self._segments: Dict[int, int] = {}
         #: Handler memory currently occupied (the installed segments'
         #: sizes, kept as a running total by install and uninstall).
         self.used_bytes = 0
@@ -66,8 +62,9 @@ class HandlerRegistry:
         m.gauge("handler_bytes_used", fn=lambda: self.used_bytes)
 
     # -- installation -----------------------------------------------------------
-    def install(self, key: int, fn: HandlerFn, code_size: int) -> float:
-        """Swap handler ``fn`` in under ``key``; returns the swap-in time.
+    def install(self, key: int, code_size: int) -> float:
+        """Swap ``code_size`` bytes of handler code in under ``key``;
+        returns the swap-in time.
 
         Swap-in cost models copying the object code over the bus at
         connection setup — off the critical path, but not free.
@@ -84,7 +81,7 @@ class HandlerRegistry:
                 f"handler memory exhausted: {self.used_bytes}+{code_size} "
                 f"> {self.memory_bytes}"
             )
-        self._segments[key] = _Segment(key, code_size, fn)
+        self._segments[key] = code_size
         self.used_bytes += code_size
         self.swap_ins += 1
         return self.params.dma_time_ns(code_size)
@@ -93,25 +90,24 @@ class HandlerRegistry:
         """Free a handler segment (connection teardown)."""
         if key not in self._segments:
             raise HandlerError(f"handler key {key} not installed")
-        self.used_bytes -= self._segments.pop(key).size
+        self.used_bytes -= self._segments.pop(key)
 
     def installed(self, key: int) -> bool:
         """Whether ``key`` has resident code."""
         return key in self._segments
 
     # -- dispatch ----------------------------------------------------------------
-    def dispatch(self, key: int) -> HandlerFn:
-        """Control transfer into handler ``key`` (PATHFINDER-triggered).
+    def dispatch(self, key: int) -> None:
+        """Count a control transfer into handler ``key``
+        (PATHFINDER-triggered), whose code must be resident.
 
         The *cost* (``ni_handler_dispatch_cycles`` plus the handler's own
-        work) is charged by the NIC receive loop; this resolves the
-        entry point.
+        work) is charged by the NIC receive loop, which runs the board's
+        handler-table entry for ``key``.
         """
-        seg = self._segments.get(key)
-        if seg is None:
+        if key not in self._segments:
             raise HandlerError(f"no handler installed for key {key}")
         self.dispatches += 1
-        return seg.fn
 
     def dispatch_time_ns(self) -> float:
         """NI time for the control transfer itself."""

@@ -7,11 +7,11 @@ straight from a cached buffer on a hit, DMAing from host memory only on
 a miss (inserting the buffer if the cacheable bit is set).
 
 Receive path: the PATHFINDER classifies the packet in hardware; protocol
-packets transfer control into the matching Application Interrupt Handler
-on the NI processor (no host interrupt); application data is DMAed to
-the posted receive buffer and announced on the ADC receive ring, which
-the host learns about by *polling* when traffic is expected and by an
-interrupt otherwise (the hybrid scheme of Section 2.1).
+packets transfer control into the handler installed for their key, an
+Application Interrupt Handler on the NI processor (no host interrupt);
+application data is DMAed to a buffer from the channel's free queue and
+announced once to the host, which learns about it by *polling* (the
+hybrid scheme of Section 2.1).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..network import Network, Packet, PacketKind
 from ..obs import MetricsScope, private_scope
 from ..params import SimParams
 from .adc import ChannelManager, DeviceChannel, TransmitDescriptor
-from .aih import HandlerRegistry
+from .aih import HandlerFn, HandlerRegistry
 from .message_cache import MessageCache
 from .nic_base import PIO_THRESHOLD_BYTES, HostHooks, NetworkInterface
 from .pathfinder import Pathfinder, Pattern, PatternElement
@@ -70,6 +70,8 @@ def handler_patterns(key: int, kinds: Sequence[PacketKind]
 class CNIInterface(NetworkInterface):
     """The cluster network interface of the paper."""
 
+    rx_by_interrupt = False
+
     def __init__(
         self,
         sim: Simulator,
@@ -91,26 +93,18 @@ class CNIInterface(NetworkInterface):
         self._dispatch_ns = self.handlers.dispatch_time_ns()
         #: PATHFINDER classification, then AIH dispatch: one wake.
         self._aih_ns = (params.pathfinder_classify_ns, self._dispatch_ns)
-        self.channel_manager = ChannelManager(sim)
+        self.channel_manager = ChannelManager()
         super().__init__(sim, params, node_id, network, bus, counters, hooks,
                          metrics=m)
         adc = m.scope("adc")
         chans = self.channel_manager.channels
-        # Aggregates over open channels: worst-case ring depths and the
-        # application's successful receive polls.
-        adc.gauge("tx_depth_hwm", fn=lambda: max(
-            (ch.transmit.depth_hwm for ch in chans.values()), default=0))
-        adc.gauge("rx_depth_hwm", fn=lambda: max(
-            (ch.receive.depth_hwm for ch in chans.values()), default=0))
+        # Aggregates over open channels' free queues and protection checks.
         adc.gauge("free_depth_hwm", fn=lambda: max(
             (ch.free.depth_hwm for ch in chans.values()), default=0))
         adc.counter("ring_full_rejections", fn=lambda: sum(
-            ch.transmit.full_rejections + ch.receive.full_rejections
-            + ch.free.full_rejections for ch in chans.values()))
+            ch.free.full_rejections for ch in chans.values()))
         adc.counter("protection_faults", fn=lambda: sum(
             ch.protection_faults for ch in chans.values()))
-        adc.counter("ring_polls", fn=lambda: sum(
-            ch.poll_receives for ch in chans.values()))
         #: Where snooped write frames go: absorbed into cached buffers,
         #: or (ablation) invalidating them.
         self._snoop_sink = (self.message_cache.snoop if params.snoop_enabled
@@ -129,11 +123,12 @@ class CNIInterface(NetworkInterface):
         return ch
 
     def install_protocol_handler(
-        self, key: int, fn, code_size: int,
+        self, key: int, fn: HandlerFn, code_size: int,
         kinds: Tuple[PacketKind, ...] = (PacketKind.DSM_PROTOCOL,
                                          PacketKind.DSM_PAGE),
     ) -> float:
-        """Swap AIH object code in and program its activation patterns.
+        """Swap AIH object code in, enter ``fn`` in the handler table and
+        program its activation patterns.
 
         A packet of any of ``kinds`` with this handler key activates the
         handler (Section 2.3: the PATHFINDER 'programs ... to activate
@@ -143,7 +138,8 @@ class CNIInterface(NetworkInterface):
         kind of their own.  Returns the swap-in time (connection-setup
         cost).
         """
-        swap_ns = self.handlers.install(key, fn, code_size)
+        swap_ns = self.handlers.install(key, code_size)
+        super().install_protocol_handler(key, fn, code_size, kinds)
         for pattern in handler_patterns(key, kinds):
             self.pathfinder.install(pattern)
         return swap_ns
@@ -154,13 +150,11 @@ class CNIInterface(NetworkInterface):
         return self.params.cpu_cycles_ns(self.params.adc_enqueue_cycles)
 
     def host_send(self, desc: TransmitDescriptor) -> Generator:
-        """Application-thread send: protection-checked ring enqueue."""
-        ch = self.channel_manager.get(desc.channel_id)
-        ch.post_transmit(desc)
+        """Application-thread send: the channel's protection check, the
+        user-level stores, then the descriptor is on the transmit queue."""
+        self.channel_manager.get(desc.channel_id).post_transmit(desc)
         yield self.host_send_cost_ns()
-        item = ch.transmit.pop()
-        assert item is not None
-        self.tx_queue.put(item)
+        self.tx_queue.put(desc)
         return None
 
     # -- transmit staging ------------------------------------------------------------
@@ -205,39 +199,40 @@ class CNIInterface(NetworkInterface):
         # give when that time ends; an AIH activation then charges the
         # classification and the dispatch in one wake.
         target = self.pathfinder.classify(packet.header_bytes())
-        if (target is not None and target[0] == AIH_TARGET
-                and self.protocol_sink is not None and self.params.use_aih):
-            yield self._aih_ns
-            # resolve (and count) the control transfer; the handler logic
-            # itself is the owning engine, charged on the NI clock inside.
-            self.handlers.dispatch(packet.handler_key)
-            yield from self.protocol_sink(packet, True)
+        if target is not None and target[0] == AIH_TARGET:
+            # An activation pattern exists only for a key whose handler
+            # is in the table (install_protocol_handler, cluster setup).
+            key = target[1]
+            handler = self.protocol_handlers[key]
+            if self.params.use_aih:
+                yield self._aih_ns
+                # count the control transfer; the handler charges its
+                # own work on the NI clock.
+                self.handlers.dispatch(key)
+                yield from handler(packet, True)
+                return None
+            # No AIH support (ablation): the board must interrupt the
+            # host and the protocol runs there (the standard NI's
+            # receive economics).
+            yield self.params.pathfinder_classify_ns
+            yield self.params.interrupt_latency_ns
+            host_ns = self.params.cpu_cycles_ns(self.params.kernel_trap_cycles)
+            self.hooks.steal_host_time(self.params.interrupt_latency_ns
+                                       + host_ns)
+            yield host_ns
+            yield from handler(packet, False)
             return None
         yield self.params.pathfinder_classify_ns
         if target is None:
             self.packets_dropped += 1
             self.counters.inc("nic_classify_misses")
-            return
-        kind, key = target
-        if kind != AIH_TARGET:
-            yield from self._deliver_data(packet, key)
-            return
-        if self.protocol_sink is None:
-            self.packets_dropped += 1
-            return
-        # Protocol packet with no AIH support (ablation): the board must
-        # interrupt the host and the protocol runs there (the standard
-        # NI's receive economics).
-        yield self.params.interrupt_latency_ns
-        host_ns = self.params.cpu_cycles_ns(self.params.kernel_trap_cycles)
-        self.hooks.steal_host_time(self.params.interrupt_latency_ns + host_ns)
-        yield host_ns
-        yield from self.protocol_sink(packet, False)
+            return None
+        yield from self._deliver_data(packet, target[1])
         return None
 
     def _deliver_data(self, packet: Packet, channel_id: int) -> Generator:
-        """Application data: DMA into a posted buffer, announce on the
-        ADC receive ring; the host polls (or takes a late interrupt)."""
+        """Application data: DMA into a buffer from the channel's free
+        queue and announce it to the host, which polls."""
         ch = self.channel_manager.get(channel_id)
         buf = ch.free.pop()
         if buf is None:
@@ -254,9 +249,7 @@ class CNIInterface(NetworkInterface):
         if packet.payload_bytes > PIO_THRESHOLD_BYTES:
             yield from self.bus.dma(packet.payload_bytes)
         packet.dst_vaddr = vaddr
-        desc = self._receive_descriptor(packet)
-        ch.receive.push(desc)
-        self._deliver(desc, via_interrupt=False)
+        self.deliver(self._receive_descriptor(packet))
         return None
 
     # -- snooping --------------------------------------------------------------------

@@ -15,14 +15,17 @@ the runtime node provides):
   host CPU (interrupt handlers, kernel dispatch, host protocol code);
   inflates the application thread's execution and is accounted as synch
   overhead.
-* ``deliver_to_app(desc)`` — hand a receive descriptor to the host
-  (ADC receive ring for the CNI, kernel queue for the standard NI) and
-  wake a waiting thread.
+* ``deliver_to_app(desc)`` — put a receive descriptor in the host's
+  inbox (the application's receive queue) and wake a waiting thread.
+
+Inbound protocol packets reach one consumer: the handler entered for
+their key in the board's handler table (:attr:`protocol_handlers`,
+filled by :meth:`install_protocol_handler` or at cluster setup).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Protocol, Sequence
+from typing import Dict, Generator, Optional, Protocol, Sequence, Tuple
 
 from ..engine import Counters, Mailbox, Simulator
 from ..memory import MemoryBus
@@ -30,6 +33,7 @@ from ..network import Network, Packet, PacketKind, Segmenter
 from ..obs import MetricsScope, private_scope
 from ..params import SimParams
 from .adc import ReceiveDescriptor, TransmitDescriptor
+from .aih import HandlerError, HandlerFn
 from .detector import FailureDetector
 from .reliability import ReliableTransport
 
@@ -40,13 +44,8 @@ class HostHooks(Protocol):
     def steal_host_time(self, ns: float) -> None:
         """Charge asynchronous host-CPU work (see module docstring)."""
 
-    def deliver_to_app(self, desc: ReceiveDescriptor, via_interrupt: bool) -> None:
+    def deliver_to_app(self, desc: ReceiveDescriptor) -> None:
         """Deposit an inbound descriptor and wake the application."""
-
-
-#: The DSM engine's packet entry point: returns a generator that performs
-#: the protocol action (charging time via its platform adapter).
-ProtocolSink = Callable[[Packet], Generator]
 
 #: Payloads at or below this many bytes travel inside the descriptor /
 #: protocol message itself (programmed I/O, or a kernel copy on the
@@ -62,6 +61,11 @@ _DATA, _DSM_PROTOCOL, _DSM_PAGE, _ACK, _HEARTBEAT = (
 
 class NetworkInterface:
     """Base class: transmit/receive processors and SAR."""
+
+    #: Whether the host notices a delivered descriptor by an interrupt
+    #: (the standard interface) or by polling (the CNI's hybrid scheme,
+    #: Section 2.1).
+    rx_by_interrupt: bool
 
     def __init__(
         self,
@@ -87,7 +91,9 @@ class NetworkInterface:
         #: Fixed NI-processor work per packet (header build or parse,
         #: queue manipulation), charged on each side of the wire.
         self._packet_ns = params.ni_cycles_ns(params.ni_packet_overhead_cycles)
-        self.protocol_sink: Optional[ProtocolSink] = None
+        #: The board's handler table: handler key -> the handler that
+        #: consumes inbound protocol packets carrying that key.
+        self.protocol_handlers: Dict[int, HandlerFn] = {}
         self.packets_sent = 0
         self.packets_received = 0
         self.packets_dropped = 0
@@ -112,16 +118,31 @@ class NetworkInterface:
         self.metrics.counter("rx.payload_bytes",
                              fn=lambda: self.payload_bytes_received)
         # Hybrid notification split (Section 2.1): descriptors the host
-        # will notice by polling vs. arrivals that raised an interrupt.
-        self._m_poll_rx = self.metrics.counter("adc.poll_receives")
-        self._m_intr_rx = self.metrics.counter("adc.interrupt_receives")
+        # notices by polling vs. by an interrupt.  Both boards register
+        # both counts; each counts its deliveries in its own.
+        poll_rx = self.metrics.counter("adc.poll_receives")
+        intr_rx = self.metrics.counter("adc.interrupt_receives")
+        self._m_delivered = intr_rx if self.rx_by_interrupt else poll_rx
         self._tx_proc = sim.spawn(self._transmit_loop(), f"nic{node_id}-txp")
         self._rx_proc = sim.spawn(self._receive_loop(), f"nic{node_id}-rxp")
 
     # -- wiring ---------------------------------------------------------------
-    def set_protocol_sink(self, sink: ProtocolSink) -> None:
-        """Attach the DSM engine's packet handler."""
-        self.protocol_sink = sink
+    def install_protocol_handler(
+        self, key: int, fn: HandlerFn, code_size: int,
+        kinds: Tuple[PacketKind, ...] = (_DSM_PROTOCOL, _DSM_PAGE),
+    ) -> float:
+        """Enter ``fn`` in the handler table for protocol packets carrying
+        handler key ``key``; returns the swap-in time.
+
+        The standard interface has no handler memory and no classifier
+        to program (``code_size`` and ``kinds`` matter only on the CNI,
+        which overrides this): its host runs ``fn`` behind the receive
+        interrupt, and installing costs nothing.
+        """
+        if key in self.protocol_handlers:
+            raise HandlerError(f"handler key {key} already installed")
+        self.protocol_handlers[key] = fn
+        return 0.0
 
     # -- crash-stop -----------------------------------------------------------
     def on_crash(self) -> None:
@@ -299,10 +320,11 @@ class NetworkInterface:
         raise NotImplementedError
 
     # -- helpers ------------------------------------------------------------------
-    def _deliver(self, desc: ReceiveDescriptor, via_interrupt: bool) -> None:
-        """Hand a descriptor to the host, counting the notification mode."""
-        (self._m_intr_rx if via_interrupt else self._m_poll_rx).inc()
-        self.hooks.deliver_to_app(desc, via_interrupt=via_interrupt)
+    def deliver(self, desc: ReceiveDescriptor) -> None:
+        """Announce a received message to the host: count how the host
+        notices it, then put it in the host's inbox."""
+        self._m_delivered.inc()
+        self.hooks.deliver_to_app(desc)
 
     def _receive_descriptor(self, packet: Packet) -> ReceiveDescriptor:
         return ReceiveDescriptor(

@@ -25,9 +25,7 @@ interfaces; only the *data* delivery economics differ.
 
 from __future__ import annotations
 
-from typing import Deque, Generator, Optional
-
-from collections import deque
+from typing import Generator, Optional
 
 from ..engine import Counters, Simulator
 from ..network import Network, Packet, PacketKind
@@ -44,6 +42,8 @@ _PROTOCOL_KINDS = frozenset((PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE,
 class StandardInterface(NetworkInterface):
     """Interrupt-driven, kernel-mediated baseline NIC."""
 
+    rx_by_interrupt = True
+
     def __init__(
         self,
         sim: Simulator,
@@ -57,8 +57,6 @@ class StandardInterface(NetworkInterface):
     ):
         super().__init__(sim, params, node_id, network, bus, counters, hooks,
                          metrics=metrics)
-        #: Kernel-side receive queue the application reads via syscalls.
-        self.kernel_rx: Deque = deque()
         self.interrupts_raised = 0
         self._classifier_warm = False
         self.metrics.counter("rx.host_interrupts",
@@ -109,11 +107,12 @@ class StandardInterface(NetworkInterface):
         yield host_ns
 
         if packet.kind in _PROTOCOL_KINDS:
-            if self.protocol_sink is None:
+            handler = self.protocol_handlers.get(packet.handler_key)
+            if handler is None:
                 self.packets_dropped += 1
                 return
-            # The consistency protocol executes on the host CPU.
-            yield from self.protocol_sink(packet, False)
+            # The protocol step executes on the host CPU.
+            yield from handler(packet, False)
         else:
             yield from self._deliver_data(packet)
         return None
@@ -122,9 +121,7 @@ class StandardInterface(NetworkInterface):
         """Copy data to the application's buffer via kernel and wake it."""
         if packet.payload_bytes > PIO_THRESHOLD_BYTES:
             yield from self.bus.dma(packet.payload_bytes)
-        desc = self._receive_descriptor(packet)
-        self.kernel_rx.append(desc)
-        self._deliver(desc, via_interrupt=True)
+        self.deliver(self._receive_descriptor(packet))
         return None
 
     # -- receive wake economics ---------------------------------------------------------

@@ -20,7 +20,7 @@ class HomePolicy:
     def __init__(self, nprocs: int, scheme: str = "round_robin"):
         if nprocs < 1:
             raise ValueError("need at least one processor")
-        if scheme not in ("round_robin", "block", "node0"):
+        if scheme not in ("round_robin", "block"):
             raise ValueError(f"unknown home scheme {scheme!r}")
         self.nprocs = nprocs
         self.scheme = scheme
@@ -53,8 +53,6 @@ class HomePolicy:
         """Home node of a shared page."""
         if page < 0:
             raise ValueError("negative page id")
-        if self.scheme == "node0":
-            return 0
         if self.scheme == "block":
             if self._extents:
                 i = bisect.bisect_right(self._extent_starts, page) - 1
@@ -85,8 +83,6 @@ class HomePolicy:
 
     def _build_table(self, npages: int) -> List[int]:
         n = self.nprocs
-        if self.scheme == "node0":
-            return [0] * npages
         if self.scheme != "block":
             # round_robin: tile one modulo period across the table.
             reps = -(-npages // n)
@@ -109,8 +105,6 @@ class HomePolicy:
         """Managing node of a lock."""
         if lock_id < 0:
             raise ValueError("negative lock id")
-        if self.scheme == "node0":
-            return 0
         return lock_id % self.nprocs
 
     @property

@@ -61,30 +61,34 @@ class Interval:
 class IntervalLog:
     """Every interval a node knows about (its own and learned ones).
 
-    Keyed by processor; per processor the list is ascending in ``seq``
+    Keyed by processor; per processor the lane is ascending in ``seq``
     and gap-free from the first learned interval (LRC transfers are
     cumulative).  A granter answers "which intervals does the requester
-    lack?" from this log.
+    lack?" from this log.  A processor's lane is created at its first
+    record, so a log of a run that closes no interval holds no lanes.
     """
 
     def __init__(self, nprocs: int):
-        self._log: List[List[Interval]] = [[] for _ in range(nprocs)]
+        self._log: Dict[int, List[Interval]] = {}
         self.nprocs = nprocs
 
     def record(self, interval: Interval) -> bool:
         """Add an interval; returns False if already known."""
+        if interval.proc not in self._log:
+            if interval.seq != 1:
+                raise ValueError(
+                    f"first interval for proc {interval.proc} must be "
+                    f"seq 1, got {interval.seq}"
+                )
+            self._log[interval.proc] = [interval]
+            return True
         lane = self._log[interval.proc]
-        if lane and interval.seq <= lane[-1].seq:
+        if interval.seq <= lane[-1].seq:
             return False
-        if lane and interval.seq != lane[-1].seq + 1:
+        if interval.seq != lane[-1].seq + 1:
             raise ValueError(
                 f"interval gap for proc {interval.proc}: "
                 f"{lane[-1].seq} -> {interval.seq}"
-            )
-        if not lane and interval.seq != 1:
-            raise ValueError(
-                f"first interval for proc {interval.proc} must be seq 1, "
-                f"got {interval.seq}"
             )
         lane.append(interval)
         return True
@@ -93,21 +97,21 @@ class IntervalLog:
         """All known intervals with ``seq > their_vc[proc]``, in a
         causally-safe order (by proc, ascending seq)."""
         out: List[Interval] = []
-        for proc, lane in enumerate(self._log):
+        for proc in sorted(self._log):
             have = their_vc[proc]
-            for iv in lane:
+            for iv in self._log[proc]:
                 if iv.seq > have:
                     out.append(iv)
         return out
 
     def known_seq(self, proc: int) -> int:
         """Highest recorded seq for ``proc`` (0 when none)."""
-        lane = self._log[proc]
+        lane = self._log.get(proc)
         return lane[-1].seq if lane else 0
 
     def intervals_of(self, proc: int) -> List[Interval]:
         """All recorded intervals of one processor."""
-        return list(self._log[proc])
+        return list(self._log.get(proc, ()))
 
 
 class WriteCollector:

@@ -475,7 +475,8 @@ class DsmEngine:
 
     # ------------------------------------------------------- board/host handlers --
     def handle_packet(self, packet: Packet, on_board: bool) -> Generator:
-        """Entry point registered as the NIC's protocol sink.
+        """The handler the NIC's handler table holds for each
+        :class:`MsgType` key.
 
         Runs inside the NIC receive process; ``on_board`` says whether
         the cost clock is the NI processor (CNI Application Interrupt

@@ -98,17 +98,13 @@ class Mailbox:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self.put_count = 0
-        self.got_count = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
         """Deposit ``item``; wakes one waiting getter if any."""
-        self.put_count += 1
         if self._getters:
-            self.got_count += 1
             self._getters.popleft().trigger(item)
         else:
             self._items.append(item)
@@ -116,21 +112,17 @@ class Mailbox:
     def try_get(self) -> Tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``.
 
-        This is the *polling* interface — the CNI host-side receive path
-        polls its ADC queues with this instead of sleeping on an
-        interrupt.
+        This is the *polling* interface — the NIC's processor loops take
+        a queued item with it before sleeping on :meth:`get`.
         """
         if self._items:
-            self.got_count += 1
             return True, self._items.popleft()
         return False, None
 
     def get(self) -> Generator:
         """Coroutine: wait for and return the next item."""
         if self._items:
-            self.got_count += 1
-            item = self._items.popleft()
-            return item
+            return self._items.popleft()
         ev = Event(self.sim)
         self._getters.append(ev)
         item = yield ev
@@ -146,14 +138,13 @@ class Gate:
 
     Unlike :class:`~repro.engine.simulator.Event`, a Gate can be notified
     many times; each notification wakes everything currently waiting.
-    Used for interrupt lines and doorbells.
+    Used for the host's receive wakeup.
     """
 
     def __init__(self, sim: Simulator, name: str = "gate"):
         self.sim = sim
         self.name = name
         self._waiters: List[Event] = []
-        self.notifications = 0
 
     def wait(self) -> Generator:
         """Coroutine: suspend until the next :meth:`notify`."""
@@ -192,7 +183,6 @@ class Gate:
 
     def notify(self, value: Any = None) -> int:
         """Wake all current waiters; returns how many were woken."""
-        self.notifications += 1
         waiters, self._waiters = self._waiters, []
         for ev in waiters:
             ev.trigger(value)

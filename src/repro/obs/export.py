@@ -22,8 +22,8 @@ DEFAULT_TABLE_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("mc.miss", "nic.mcache.misses"),
     ("mc.evict", "nic.mcache.evictions"),
     ("mc.snoop", "nic.mcache.snoop_updates"),
-    ("adc.txq", "nic.adc.tx_depth_hwm"),
-    ("adc.rxq", "nic.adc.rx_depth_hwm"),
+    ("adc.poll", "nic.adc.poll_receives"),
+    ("adc.intr", "nic.adc.interrupt_receives"),
     ("pf.match", "nic.pathfinder.matches"),
     ("aih.disp", "nic.aih.dispatches"),
     ("bus.snoopw", "bus.snooped_writeback_words"),

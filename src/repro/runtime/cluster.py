@@ -120,7 +120,6 @@ class Cluster:
             # RDMA window logic.  Built on every platform so the
             # ``runtime.*`` metric catalog is run-independent.
             node.rt = MessagingEngine(node, params.num_processors)
-            node.nic.set_protocol_sink(node.dispatch_protocol_packet)
             # Crash-stop plumbing (docs/reliability.md): the runtime's
             # bounded eager-retry policy backs the reliable transport's
             # budget exhaustion, and every engine's blocked waits feed
@@ -134,12 +133,13 @@ class Cluster:
 
     # ----------------------------------------------------------------- wiring --
     def _setup_connections(self) -> None:
-        """Connection setup: channels, handler installation, mappings.
+        """Connection setup: handler tables, channels, handler code.
 
         This is the kernel-mediated, off-critical-path phase (Section
-        2.1/2.3): open a device channel per node, install the DSM
-        protocol's AIH object code, and mirror the DSM mappings onto the
-        boards so snooping and virtually-addressed DMA resolve.
+        2.1/2.3): enter each protocol engine's handler in every board's
+        handler table under each of its message keys; on the CNI also
+        open a device channel per node and swap in the protocols' AIH
+        object code.
 
         Every CNI board runs the same PATHFINDER program: the channel's
         demux pattern, then each handler's activation patterns.  The
@@ -147,16 +147,12 @@ class Cluster:
         (:meth:`~repro.core.Pathfinder.share`, copy on write); each board
         opens its own channel and swaps in its own handler code.
         """
-        if self.interface != "cni":
-            for node in self.nodes:
-                node.dsm_channel_id = 1
-            return
-        # The AIH families: (engine attribute, handler keys, object code
-        # bytes, packet kinds).  The DSM protocol's control and page
-        # packets share its handlers.  The collective gather/release
-        # protocol, the rendezvous responder and the RDMA window logic
-        # run on the NI processor too (with AIH ablated away the same
-        # patterns bounce to the host).
+        # The protocol families: (engine attribute, handler keys, object
+        # code bytes, packet kinds).  The DSM protocol's control and page
+        # packets share its handlers.  On the CNI the collective
+        # gather/release protocol, the rendezvous responder and the RDMA
+        # window logic run on the NI processor too (with AIH ablated
+        # away the same patterns bounce to the host).
         families = (
             ("engine", MsgType, DSM_HANDLER_CODE_BYTES,
              (PacketKind.DSM_PROTOCOL, PacketKind.DSM_PAGE)),
@@ -164,29 +160,34 @@ class Cluster:
              (PacketKind.COLLECTIVE,)),
             ("rt", RtMsgType, RT_HANDLER_CODE_BYTES, (PacketKind.RUNTIME,)),
         )
-        # One cluster-wide connection for the single parallel
-        # application: every node uses channel id 1 so that any sender's
-        # packets match any receiver's demux pattern.
-        program = Pathfinder()
-        program.install(channel_pattern(1))
-        for _attr, keys, _code_bytes, kinds in families:
-            for key in keys:
-                for pattern in handler_patterns(int(key), kinds):
-                    program.install(pattern)
+        cni = self.interface == "cni"
+        if cni:
+            # One cluster-wide connection for the single parallel
+            # application: every node uses channel id 1 so that any
+            # sender's packets match any receiver's demux pattern.
+            program = Pathfinder()
+            program.install(channel_pattern(1))
+            for _attr, keys, _code_bytes, kinds in families:
+                for key in keys:
+                    for pattern in handler_patterns(int(key), kinds):
+                        program.install(pattern)
         for node in self.nodes:
             nic = node.nic
-            ch = nic.channel_manager.open_channel(owner_app=node.node_id,
-                                                  channel_id=1)
-            node.dsm_channel_id = ch.channel_id
-            # The whole address space is granted to the single parallel
-            # application (the paper's stated assumption).
-            ch.grant_buffer(0, self.asp.dsm_limit)
+            node.dsm_channel_id = 1
             for attr, keys, code_bytes, _kinds in families:
                 handle_packet = getattr(node, attr).handle_packet
                 per_key = code_bytes // len(keys)
                 for key in keys:
-                    nic.handlers.install(int(key), handle_packet, per_key)
-            nic.pathfinder.share(program)
+                    nic.protocol_handlers[int(key)] = handle_packet
+                    if cni:
+                        nic.handlers.install(int(key), per_key)
+            if cni:
+                ch = nic.channel_manager.open_channel(
+                    owner_app=node.node_id, channel_id=1)
+                # The whole address space is granted to the single
+                # parallel application (the paper's stated assumption).
+                ch.grant_buffer(0, self.asp.dsm_limit)
+                nic.pathfinder.share(program)
 
     # ----------------------------------------------------------------- memory --
     def alloc_shared(self, shape, dtype=np.float64):

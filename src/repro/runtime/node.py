@@ -17,13 +17,10 @@ from ..core import CNIInterface, ReceiveDescriptor, StandardInterface
 from ..engine import Category, Counters, Gate, Simulator, TimeAccount
 from ..engine.stats import negative_charge
 from ..memory import BoardTLB, CacheHierarchy, HostMMU, MemoryBus
-from ..network import Network, PacketKind
+from ..network import Network
 from ..obs import MetricsScope, SpanTracer, private_scope
 from ..params import SimParams
 from .errors import RuntimeTimeout
-
-# Bound once: a member read off its enum class is a descriptor call.
-_COLLECTIVE, _RUNTIME = PacketKind.COLLECTIVE, PacketKind.RUNTIME
 
 #: AIH object-code footprint of the DSM protocol (one consistency
 #: protocol resident in handler memory, per Section 3's assumption).
@@ -92,7 +89,7 @@ class Node:
         #: remote operation (stolen host work then overlaps the wait and
         #: must not additionally stretch later computation).
         self.app_blocked = False
-        #: Messaging inbox (DATA packets) + its wake gate.
+        #: Messaging inbox (the channel's receive queue) + its wake gate.
         self.app_inbox: Deque[ReceiveDescriptor] = deque()
         self.app_rx_gate = Gate(sim, f"node{node_id}-rx")
         #: Private-page bump allocator for registered message buffers.
@@ -102,19 +99,6 @@ class Node:
         self.engine = None  # set by Cluster.attach_engine
         self.coll = None  # collective engine, set by Cluster
         self.rt = None  # messaging engine, set by Cluster
-
-    def dispatch_protocol_packet(self, packet, on_board: bool):
-        """The node's protocol sink: route an inbound protocol packet to
-        the engine that owns its kind (COLLECTIVE → collective engine,
-        RUNTIME → messaging engine, everything else → the DSM engine).
-        Returns the handler generator; *where* it runs (NI processor vs
-        host CPU) is the caller's ``on_board`` platform fact."""
-        kind = packet.kind
-        if kind is _COLLECTIVE:
-            return self.coll.handle_packet(packet, on_board)
-        if kind is _RUNTIME:
-            return self.rt.handle_packet(packet, on_board)
-        return self.engine.handle_packet(packet, on_board)
 
     # ------------------------------------------------------------ accounting --
     # The three charges reach their TimeAccount slot directly: naming
@@ -296,8 +280,8 @@ class Node:
         return self.params.cpu_cycles_ns(cost.cpu_cycles)
 
     # ---------------------------------------------------------------- HostHooks --
-    def deliver_to_app(self, desc: ReceiveDescriptor, via_interrupt: bool) -> None:
-        """NIC hook: an application DATA packet is ready for the host."""
+    def deliver_to_app(self, desc: ReceiveDescriptor) -> None:
+        """NIC hook: an application message is ready for the host."""
         self.app_inbox.append(desc)
         self.app_rx_gate.notify(desc)
 

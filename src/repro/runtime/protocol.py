@@ -237,10 +237,11 @@ class MessagingEngine:
 
     # ------------------------------------------------------ packet handler --
     def handle_packet(self, packet: Packet, on_board: bool) -> Generator:
-        """Inbound RUNTIME packet (the engine's protocol sink): an AIH on
-        the NI processor (``on_board``), or a host step — on the
-        standard interface, or on a CNI with AIH ablated away, whose
-        board has already charged the host its bounce."""
+        """Inbound RUNTIME packet (the NIC's handler for each
+        :class:`RtMsgType` key): an AIH on the NI processor
+        (``on_board``), or a host step — on the standard interface, or on
+        a CNI with AIH ablated away, whose board has already charged the
+        host its bounce."""
         p = self.params
         if on_board:
             self._m_nic_steps.inc()
@@ -254,7 +255,7 @@ class MessagingEngine:
         elif key == _CTS:
             self.waits.wake(("cts", packet.payload.op_id))
         elif key == _RDV_DATA:
-            yield from self._on_rdv_data(packet, on_board)
+            yield from self._on_rdv_data(packet)
         elif key == _RDMA_READ_REQ:
             yield from self._on_read_req(packet)
         elif key == _RDMA_READ_REPLY:
@@ -285,7 +286,7 @@ class MessagingEngine:
         return None
         yield  # pragma: no cover - keeps this a generator
 
-    def _on_rdv_data(self, packet: Packet, on_board: bool) -> Generator:
+    def _on_rdv_data(self, packet: Packet) -> Generator:
         msg: RdvData = packet.payload
         key = (packet.src_node, msg.op_id)
         st = self._rdv_in.get(key)
@@ -308,11 +309,10 @@ class MessagingEngine:
         if st.received < st.nbytes:
             return None
         del self._rdv_in[key]
-        self.node.deliver_to_app(
+        self.node.nic.deliver(
             ReceiveDescriptor(src_node=st.src, vaddr=st.base_vaddr,
                               length=st.nbytes, handler_key=0,
-                              payload=st.app_payload),
-            via_interrupt=not on_board)
+                              payload=st.app_payload))
         return None
 
     def _on_read_req(self, packet: Packet) -> Generator:

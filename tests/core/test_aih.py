@@ -12,43 +12,40 @@ def make_registry(memory=1024):
 
 def test_install_and_dispatch():
     reg = make_registry()
-    calls = []
-    reg.install(1, lambda pkt: calls.append(pkt), code_size=100)
+    reg.install(1, code_size=100)
     assert reg.installed(1)
-    fn = reg.dispatch(1)
-    fn("packet")
-    assert calls == ["packet"]
+    reg.dispatch(1)
     assert reg.dispatches == 1
 
 
 def test_swap_in_cost_is_dma_time():
     reg = make_registry(memory=8192)
     params = SimParams()
-    cost = reg.install(1, lambda p: None, code_size=4096)
+    cost = reg.install(1, code_size=4096)
     assert cost == pytest.approx(params.dma_time_ns(4096))
 
 
 def test_duplicate_key_rejected():
     reg = make_registry()
-    reg.install(1, lambda p: None, code_size=10)
+    reg.install(1, code_size=10)
     with pytest.raises(HandlerError):
-        reg.install(1, lambda p: None, code_size=10)
+        reg.install(1, code_size=10)
 
 
 def test_memory_capacity_enforced():
     reg = make_registry(memory=100)
-    reg.install(1, lambda p: None, code_size=60)
+    reg.install(1, code_size=60)
     with pytest.raises(HandlerError):
-        reg.install(2, lambda p: None, code_size=50)
+        reg.install(2, code_size=50)
     assert reg.used_bytes == 60
 
 
 def test_uninstall_frees_memory():
     reg = make_registry(memory=100)
-    reg.install(1, lambda p: None, code_size=60)
+    reg.install(1, code_size=60)
     reg.uninstall(1)
     assert reg.used_bytes == 0
-    reg.install(2, lambda p: None, code_size=90)
+    reg.install(2, code_size=90)
     with pytest.raises(HandlerError):
         reg.uninstall(1)
 
@@ -62,7 +59,7 @@ def test_dispatch_missing_handler():
 def test_code_size_validation():
     reg = make_registry()
     with pytest.raises(ValueError):
-        reg.install(1, lambda p: None, code_size=0)
+        reg.install(1, code_size=0)
 
 
 def test_dispatch_time_positive():
@@ -72,8 +69,8 @@ def test_dispatch_time_positive():
 
 def test_handler_keys_sorted():
     reg = make_registry()
-    reg.install(5, lambda p: None, 10)
-    reg.install(2, lambda p: None, 10)
+    reg.install(5, 10)
+    reg.install(2, 10)
     assert reg.handler_keys() == [2, 5]
 
 
@@ -88,10 +85,10 @@ def test_uninstall_reinstall_cycles_under_capacity():
     """Connection churn: swap handlers in and out of a full registry."""
     reg = make_registry(memory=100)
     for key in range(1, 6):
-        reg.install(key, lambda p: None, code_size=100)
+        reg.install(key, code_size=100)
         assert reg.used_bytes == 100
         with pytest.raises(HandlerError):
-            reg.install(99, lambda p: None, code_size=1)
+            reg.install(99, code_size=1)
         reg.uninstall(key)
         assert reg.used_bytes == 0
     assert reg.swap_ins == 5
@@ -100,7 +97,7 @@ def test_uninstall_reinstall_cycles_under_capacity():
 
 def test_dispatch_after_uninstall_rejected():
     reg = make_registry()
-    reg.install(1, lambda p: None, code_size=10)
+    reg.install(1, code_size=10)
     reg.uninstall(1)
     assert not reg.installed(1)
     with pytest.raises(HandlerError):
@@ -112,9 +109,9 @@ def test_swap_in_cost_accumulates_per_install():
     eviction (the cost is not amortized across reinstalls)."""
     params = SimParams()
     reg = make_registry(memory=8192)
-    first = reg.install(1, lambda p: None, code_size=2048)
+    first = reg.install(1, code_size=2048)
     reg.uninstall(1)
-    second = reg.install(1, lambda p: None, code_size=4096)
+    second = reg.install(1, code_size=4096)
     assert first == pytest.approx(params.dma_time_ns(2048))
     assert second == pytest.approx(params.dma_time_ns(4096))
     assert reg.swap_ins == 2
@@ -128,8 +125,8 @@ def test_registry_metrics_track_swap_ins_and_occupancy():
     registry = MetricsRegistry()
     reg = HandlerRegistry(SimParams(), memory_bytes=1024,
                           metrics=registry.scope("aih"))
-    reg.install(1, lambda p: None, code_size=100)
-    reg.install(2, lambda p: None, code_size=200)
+    reg.install(1, code_size=100)
+    reg.install(2, code_size=200)
     reg.dispatch(1)
     snap = registry.snapshot()
     assert snap["aih.swap_ins"] == 2
@@ -159,3 +156,46 @@ def test_install_protocol_handler_classifies_collective_packets():
         assert nic.pathfinder.classify(header) == (AIH_TARGET, int(cmt))
     # the collective handlers share AIH memory with the DSM protocol
     assert nic.handlers.used_bytes >= COLL_HANDLER_CODE_BYTES - len(CollMsgType)
+
+
+# -- the board's handler table ----------------------------------------------
+
+@pytest.mark.parametrize("iface,use_aih", [
+    ("cni", True), ("cni", False), ("standard", True),
+], ids=["cni-aih", "cni-host-bounce", "standard"])
+def test_installed_handler_runs_for_its_key(iface, use_aih):
+    """``install_protocol_handler`` alone routes a key to its handler: on
+    the NI processor through the CNI's AIH path (one more dispatch), on
+    the host behind the CNI's interrupt bounce with AIH off, and on the
+    host of the standard interface.  A key some engine already holds is
+    refused on both boards."""
+    from repro.core import TransmitDescriptor
+    from repro.dsm import MsgType
+    from repro.runtime import Cluster
+
+    key = 0x200
+    params = SimParams().replace(num_processors=2, use_aih=use_aih,
+                                 dsm_address_space_pages=16)
+    cluster = Cluster(params, interface=iface)
+    ran = []
+
+    def handler(packet, on_board):
+        ran.append((packet.handler_key, packet.payload, on_board))
+        yield 10.0
+
+    for node in cluster.nodes:
+        node.nic.install_protocol_handler(key, handler, 1024)
+        with pytest.raises(HandlerError):
+            node.nic.install_protocol_handler(int(MsgType.LOCK_REQ),
+                                              handler, 1024)
+
+    def kernel(ctx):
+        if ctx.rank == 0:
+            yield from ctx.node.nic.host_send(TransmitDescriptor(
+                dst_node=1, vaddr=None, length=16, handler_key=key,
+                payload="hi", channel_id=ctx.node.dsm_channel_id))
+
+    stats = cluster.run(kernel)
+    on_board = iface == "cni" and use_aih
+    assert ran == [(key, "hi", on_board)]
+    assert stats.metrics.get("node1.nic.aih.dispatches", 0) == int(on_board)

@@ -22,8 +22,8 @@ class StubHost:
     def steal_host_time(self, ns):
         self.stolen.append(ns)
 
-    def deliver_to_app(self, desc, via_interrupt):
-        self.delivered.append((desc, via_interrupt))
+    def deliver_to_app(self, desc):
+        self.delivered.append(desc)
 
 
 def build_pair(iface="cni", **over):
@@ -73,13 +73,14 @@ def send_data(sim, nic, dst, nbytes, vaddr=None, cacheable=True):
 def test_cni_small_send_delivers_by_polling_path():
     sim, params, counters, nodes = build_pair("cni")
     nic0, host0 = nodes[0][0], nodes[0][1]
-    host1 = nodes[1][1]
+    nic1, host1 = nodes[1][0], nodes[1][1]
     send_data(sim, nic0, 1, 32)  # PIO-sized
     sim.run()
     assert len(host1.delivered) == 1
-    desc, via_interrupt = host1.delivered[0]
-    assert not via_interrupt
-    assert desc.src_node == 0
+    notices = nic1.metrics.registry.snapshot()
+    assert notices["adc.poll_receives"] == 1
+    assert notices["adc.interrupt_receives"] == 0
+    assert host1.delivered[0].src_node == 0
 
 
 def test_cni_large_send_uses_free_buffer_and_dma():
@@ -93,7 +94,7 @@ def test_cni_large_send_uses_free_buffer_and_dma():
     nic0.channel_manager.get(1).grant_buffer(vaddr, params.page_size_bytes)
     send_data(sim, nic0, 1, 4096, vaddr=vaddr)
     sim.run()
-    (desc, _), = host1.delivered
+    desc, = host1.delivered
     assert desc.vaddr is not None  # landed in a posted buffer
     assert bus1.dma_bytes == 4096  # receive-side DMA happened
 
@@ -157,7 +158,9 @@ def test_standard_receive_always_interrupts():
     sim.run()
     assert nic1.interrupts_raised == 3
     assert len(host1.delivered) == 3
-    assert all(via for _, via in host1.delivered)
+    notices = nic1.metrics.registry.snapshot()
+    assert notices["adc.interrupt_receives"] == 3
+    assert notices["adc.poll_receives"] == 0
     # interrupt + kernel work was stolen from the host CPU
     assert sum(host1.stolen) >= 3 * params.interrupt_latency_ns
 

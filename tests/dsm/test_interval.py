@@ -72,6 +72,17 @@ def test_missing_for():
     assert log.missing_for([3, 0, 1]) == []
 
 
+def test_missing_for_orders_by_proc_whatever_the_record_order():
+    """Lanes are created at first record, in any order; the answer is
+    still ascending proc, then ascending seq."""
+    log = IntervalLog(3)
+    for proc, seq in ((2, 1), (0, 1), (2, 2), (1, 1), (0, 2)):
+        log.record(interval(proc, seq))
+    missing = log.missing_for([0, 0, 1])
+    assert [(iv.proc, iv.seq) for iv in missing] == [(0, 1), (0, 2), (1, 1),
+                                                     (2, 2)]
+
+
 def test_intervals_of():
     log = IntervalLog(2)
     log.record(interval(1, 1))

@@ -40,12 +40,6 @@ def test_round_robin_homes():
     assert h.barrier_manager == 0
 
 
-def test_node0_scheme():
-    h = HomePolicy(4, scheme="node0")
-    assert all(h.page_home(p) == 0 for p in range(10))
-    assert h.lock_home(7) == 0
-
-
 def test_block_scheme():
     h = HomePolicy(4, scheme="block")
     h.set_page_count(100)
@@ -59,7 +53,7 @@ def test_bulk_table_agrees_with_per_page_lookup():
     """page_homes (the cluster's bulk path) must agree with page_home
     page-for-page across schemes, allocation extents and table sizes."""
     for nprocs in (1, 3, 4):
-        for scheme in ("round_robin", "block", "node0"):
+        for scheme in ("round_robin", "block"):
             for npages in (1, 7, 64, 257):
                 h = HomePolicy(nprocs, scheme=scheme)
                 assert h.page_homes(npages) == \

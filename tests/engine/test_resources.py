@@ -141,7 +141,6 @@ def test_mailbox_try_get_polling():
     ok, item = mb.try_get()
     assert ok and item == 9
     assert len(mb) == 0
-    assert mb.put_count == 1 and mb.got_count == 1
 
 
 def test_mailbox_peek():
@@ -182,7 +181,6 @@ def test_gate_broadcast_and_rearm():
         ("a", "second", 20.0),
         ("b", "second", 20.0),
     ]
-    assert g.notifications == 2
 
 
 def test_gate_notify_with_no_waiters():

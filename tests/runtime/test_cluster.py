@@ -66,7 +66,7 @@ def test_max_events_bounds_runaway():
 
 
 def test_home_schemes():
-    for scheme in ("round_robin", "block", "node0"):
+    for scheme in ("round_robin", "block"):
         cluster = Cluster(params(), interface="cni", home_scheme=scheme)
         assert cluster.homes.scheme == scheme
     with pytest.raises(ValueError):

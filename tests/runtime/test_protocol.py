@@ -93,7 +93,33 @@ def test_rendezvous_send_not_bounded_by_buffer_bytes():
     cluster.run(kernel)
 
 
+@pytest.mark.parametrize("iface,notice", [
+    ("cni", "poll_receives"), ("standard", "interrupt_receives"),
+])
+def test_each_delivered_message_counts_once(iface, notice):
+    """An eager and a 16 KB rendezvous ping-pong each count every
+    delivered message once, in the interface's notification mode."""
+    other = ({"poll_receives", "interrupt_receives"} - {notice}).pop()
+    for nbytes in (2048, 16384):
+        stats, _ = run_pingpong(
+            SimParams().replace(num_processors=2), iface,
+            PingPongConfig(rounds=3, message_bytes=nbytes))
+        agg = aggregate_nodes(stats.metrics)
+        assert agg[f"nic.adc.{notice}"] == 6, nbytes
+        assert agg[f"nic.adc.{other}"] == 0, nbytes
+
+
 # ---------------------------------------------------------------- buffering --
+
+def test_long_eager_pingpong_completes():
+    """More eager messages reach one CNI node than a channel's queue
+    depth (256), and each is announced once."""
+    stats, _ = run_pingpong(SimParams().replace(num_processors=2), "cni",
+                            PingPongConfig(rounds=300, message_bytes=2048))
+    agg = aggregate_nodes(stats.metrics)
+    assert agg["runtime.eager_sends"] == 600
+    assert agg["nic.adc.poll_receives"] == 600
+
 
 def test_receive_buffer_exhaustion_drops_and_recovers():
     """With one posted buffer and a busy receiver, extra eager arrivals
